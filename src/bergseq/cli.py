@@ -40,7 +40,10 @@ SWEEP_HEADER = "center_re,center_im,r,kind,numerator,denominator,ratio"
 
 
 def parse_weight(spec):
-    """Parse 'standard-disk:s=2' or 'standard-puncture:s=2,t=2'."""
+    """Parse 'standard-disk:s=2' or 'standard-puncture:s=2,t=2'.
+
+    Omitted parameters default to 2; an unknown parameter is an error.
+    """
     family, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -50,10 +53,15 @@ def parse_weight(spec):
                 raise ValueError(f"malformed weight parameter {item!r}")
             params[key.strip()] = float(val)
     if family == "standard-disk":
-        return standard_disk(params.pop("s", 2.0)), params
-    if family == "standard-puncture":
-        return standard_puncture(params.pop("s", 2.0), params.pop("t", 2.0)), params
-    raise ValueError(f"unknown weight family {family!r}")
+        make, keys = standard_disk, ("s",)
+    elif family == "standard-puncture":
+        make, keys = standard_puncture, ("s", "t")
+    else:
+        raise ValueError(f"unknown weight family {family!r}")
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {family} weight parameter(s) {', '.join(unknown)}")
+    return make(*(params.get(k, 2.0) for k in keys))
 
 
 def parse_sequence_file(path) -> SequenceSet:
@@ -79,7 +87,7 @@ def parse_sequence_file(path) -> SequenceSet:
             raise DomainViolation(f"sequence file {path}: points[{i}] is not a [re, im] pair")
         pts.append(complex(float(pair[0]), float(pair[1])))
     for i, p in enumerate(pts):
-        if abs(p) >= 1.0 or (domain is Domain.PUNCTURED_DISK and p == 0):
+        if not abs(p) < 1.0 or (domain is Domain.PUNCTURED_DISK and p == 0):
             raise DomainViolation(f"sequence file {path}: points[{i}] outside the domain")
     return SequenceSet(tuple(pts), domain, str(doc.get("label", "")))
 
@@ -103,7 +111,7 @@ def _emit(path, text):
 
 
 def _fmt(x):
-    return repr(float(x))
+    return repr(float(x))  # "inf" for an infinite value
 
 
 def _parse_grid(text):
@@ -123,18 +131,15 @@ def _params_from_args(args):
 
 def cmd_analyze(args):
     seq = parse_sequence_file(args.sequence)
-    weight, _ = parse_weight(args.weight)
+    weight = parse_weight(args.weight)
     verdict = classify(seq, weight, _params_from_args(args))
     lines = [
         f"verdict: {verdict.verdict}",
         f"separation_border: {_fmt(verdict.separation_border)}",
     ]
-    if verdict.separation_puncture is not None:
-        lines.append(f"separation_puncture: {_fmt(verdict.separation_puncture)}")
-    if verdict.density_border is not None:
-        lines.append(f"density_border: {_fmt(verdict.density_border)}")
-    if verdict.density_puncture is not None:
-        lines.append(f"density_puncture: {_fmt(verdict.density_puncture)}")
+    for key in ("separation_puncture", "density_border", "density_puncture"):
+        if getattr(verdict, key) is not None:
+            lines.append(f"{key}: {_fmt(getattr(verdict, key))}")
     for reason in verdict.reasons:
         lines.append(f"reason: {reason}")
     _emit(args.out, "\n".join(lines) + "\n")
@@ -143,7 +148,7 @@ def cmd_analyze(args):
 
 def cmd_sweep(args):
     seq = parse_sequence_file(args.sequence)
-    weight, _ = parse_weight(args.weight)
+    weight = parse_weight(args.weight)
     grid = _parse_grid(args.r_grid) if args.r_grid else None
     result = density_sweep(
         seq, weight, r_grid=grid, split_a=args.split_a, eps=args.epsilon
@@ -159,7 +164,7 @@ def cmd_sweep(args):
                     rep.kind,
                     _fmt(rep.numerator),
                     _fmt(rep.denominator),
-                    _fmt(rep.ratio) if np.isfinite(rep.ratio) else "inf",
+                    _fmt(rep.ratio),
                 ]
             )
         )
@@ -173,7 +178,7 @@ def cmd_gram(args):
         raise DomainViolation("gram requires a disk sequence")
     if len(seq) == 0:
         raise DomainViolation("gram requires a nonempty sequence")
-    weight, _ = parse_weight(args.weight)
+    weight = parse_weight(args.weight)
     if weight.family != "standard-disk":
         raise DomainViolation("gram requires a standard-disk weight")
     kernel = standard_kernel(weight.params["s"])
@@ -183,7 +188,7 @@ def cmd_gram(args):
     lines = ["spectrum:"]
     lines += [f"  {_fmt(v)}" for v in eig]
     lines.append(f"condition: {_fmt(eig[-1] / eig[0]) if eig[0] > 0 else 'inf'}")
-    lines.append(f"interpolation_constant: {_fmt(const) if np.isfinite(const) else 'inf'}")
+    lines.append(f"interpolation_constant: {_fmt(const)}")
     _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -238,15 +243,24 @@ def cmd_kernel_check(args):
 
 def cmd_gen(args):
     if args.kind == "hyperbolic-disk":
-        seq = generate_lattice("hyperbolic-disk", args.count, seed=args.seed, d=args.mesh)
-    elif args.kind == "puncture-exponential":
-        seq = generate_lattice(
-            "puncture-exponential", args.count, seed=args.seed, s=args.step, n=args.rays
-        )
+        kw = {"d": args.mesh}
     else:
-        raise ValueError(f"unknown lattice kind {args.kind!r}")
-    write_sequence_file(args.out, seq)
+        kw = {"s": args.step, "n": args.rays}
+    write_sequence_file(args.out, generate_lattice(args.kind, args.count, seed=args.seed, **kw))
     return 0
+
+
+# Flags shared between subcommands.  These, and only these, may also be
+# given as key=value lines of a --config file.
+_FLAGS = {
+    "weight": {"default": "standard-disk:s=2"},
+    "r_grid": {"default": ""},
+    "delta": {"type": float, "default": 0.05},
+    "epsilon": {"type": float, "default": 0.1},
+    "split_a": {"type": float, "default": 0.5},
+    "seed": {"type": int, "default": 0},
+    "out": {"default": ""},
+}
 
 
 def build_parser():
@@ -256,58 +270,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_sequence=True):
+    def add(name, run, help, flags, needs_sequence=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, subparser=p)
         if needs_sequence:
             p.add_argument("sequence", help="sequence file (JSON)")
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--weight", default="standard-disk:s=2")
-        p.add_argument("--r-grid", default="")
-        p.add_argument("--delta", type=float, default=0.05)
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--split-a", type=float, default=0.5)
-        p.add_argument("--out", default="")
-        p.add_argument("--seed", type=int, default=0)
+        for key in flags + ("out",):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        return p
 
-    common(sub.add_parser("analyze", help="classify a sequence"))
-    common(sub.add_parser("sweep", help="per-(center, r) density table"))
-    common(sub.add_parser("gram", help="Gram spectrum and interpolation constant"))
-    common(sub.add_parser("pj-verify", help="run the identity suite"), needs_sequence=False)
-    common(sub.add_parser("kernel-check", help="kernel diagonal checks"), needs_sequence=False)
-    gen = sub.add_parser("gen", help="write a deterministic test sequence")
-    gen.add_argument("--config", help="key=value config file; flags override it")
+    add("analyze", cmd_analyze, "classify a sequence",
+        ("weight", "r_grid", "delta", "epsilon", "split_a"))
+    add("sweep", cmd_sweep, "per-(center, r) density table",
+        ("weight", "r_grid", "epsilon", "split_a"))
+    add("gram", cmd_gram, "Gram spectrum and interpolation constant", ("weight",))
+    add("pj-verify", cmd_pj_verify, "run the identity suite", (), needs_sequence=False)
+    add("kernel-check", cmd_kernel_check, "kernel diagonal checks", ("seed",), needs_sequence=False)
+    gen = add("gen", cmd_gen, "write a deterministic test sequence", ("seed",), needs_sequence=False)
     gen.add_argument("--kind", required=True,
                      choices=["hyperbolic-disk", "puncture-exponential"])
     gen.add_argument("--count", type=int, required=True)
     gen.add_argument("--mesh", type=float, default=0.5)
     gen.add_argument("--step", type=float, default=1.0)
     gen.add_argument("--rays", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default="")
     return parser
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
-    "gram": cmd_gram,
-    "pj-verify": cmd_pj_verify,
-    "kernel-check": cmd_kernel_check,
-    "gen": cmd_gen,
-}
-
-_FLAG_DEFAULTS = {
-    "weight": "standard-disk:s=2",
-    "r_grid": "",
-    "delta": 0.05,
-    "epsilon": 0.1,
-    "split_a": 0.5,
-    "out": "",
-    "seed": 0,
-}
-_CONFIG_CASTS = {"delta": float, "epsilon": float, "split_a": float, "seed": int}
-
-
-def _load_config(path):
+def _load_config(path, allowed):
+    """key=value lines as string defaults; every key must be in `allowed`."""
     defaults = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -316,9 +307,9 @@ def _load_config(path):
                 continue
             key, sep, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not sep or key not in _FLAG_DEFAULTS:
+            if not sep or key not in allowed:
                 raise DomainViolation(f"config {path}: bad line {lineno}: {raw.rstrip()}")
-            defaults[key] = _CONFIG_CASTS.get(key, str)(val.strip())
+            defaults[key] = val.strip()
     return defaults
 
 
@@ -328,16 +319,14 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config fills in any flag still at its declared default, so
-            # explicit flags win over the file
-            for key, val in _load_config(args.config).items():
-                if getattr(args, key, None) == _FLAG_DEFAULTS[key]:
-                    setattr(args, key, val)
-        return _COMMANDS[args.command](args)
-    except BergseqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError) as exc:
+            # the file's values become the subcommand's defaults and the
+            # command line is parsed again, so explicit flags always win and
+            # each value goes through its flag's own type
+            config = _load_config(args.config, set(_FLAGS) & set(vars(args)))
+            args.subparser.set_defaults(**config)
+            args = parser.parse_args(argv)
+        return args.run(args)
+    except (BergseqError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,7 @@ class DomainPoint:
 
     def __post_init__(self):
         r = abs(self.value)
-        if r >= 1.0:
+        if not r < 1.0:
             raise DomainViolation(f"|z| = {r} >= 1")
         if self.domain is Domain.PUNCTURED_DISK and r == 0.0:
             raise DomainViolation("punctured-disk point at the origin")
@@ -62,7 +62,7 @@ class LiftedPoint:
 
 def _check_disk(*zs):
     for z in zs:
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainViolation(f"|z| = {abs(z)} >= 1")
 
 
@@ -89,11 +89,9 @@ def hyp_dist(z, w):
 
 def poincare_coeff(p: DomainPoint):
     """Density of the hyperbolic area form against dA at p."""
-    r2 = abs(p.value) ** 2
     if p.domain is Domain.DISK:
-        return 1.0 / (1.0 - r2) ** 2
-    ell = math.log(1.0 / r2)
-    return 1.0 / (r2 * ell * ell)
+        return 1.0 / (1.0 - abs(p.value) ** 2) ** 2
+    return float(punctured_coeff(p.value))
 
 
 def punctured_coeff(z):
@@ -159,8 +157,7 @@ def area_A(p: DomainPoint):
     """
     if p.domain is Domain.DISK:
         return DISK_AREA_CONSTANT
-    t = math.tanh(injectivity_radius(p))
-    return math.pi * t * t / (1.0 - t * t)
+    return float(area_A_punctured(p.value))
 
 
 def area_A_punctured(z):
@@ -184,10 +181,9 @@ def lift_puncture(p) -> LiftedPoint:
     r = abs(z)
     if r == 0:
         raise DomainViolation("cannot lift the puncture")
-    if r >= 1.0:
+    if not r < 1.0:
         raise DomainViolation(f"|z| = {r} >= 1")
-    theta = cmath.phase(z) % TWO_PI
-    return LiftedPoint(complex(theta, math.log(1.0 / r)))
+    return LiftedPoint(complex(lift_value(z)))
 
 
 def lift_value(z):

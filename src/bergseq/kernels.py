@@ -14,8 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation, SingularSystem
-from .geometry import Domain, area_A, DomainPoint
-from .quadrature import DEFAULT_RULE, QuadratureRule, polar_integral, radial_log_mean
+from .geometry import DISK_AREA_CONSTANT, Domain, _check_disk, area_A_punctured
+from .quadrature import DEFAULT_RULE, QuadratureRule, _euclid_weight, polar_integral, radial_log_mean
 from .weights import WeightModel, standard_disk
 
 
@@ -31,10 +31,9 @@ class KernelSpec:
 def _disk_norm_mass(s, rule: QuadratureRule):
     """Integral of (1 - |zeta|^2)^(s-2) over the unit disk, by quadrature."""
     f = lambda zeta: (1.0 - np.abs(zeta) ** 2) ** (s - 2.0)
-    ones = lambda rho: np.ones_like(rho)
     # integrand blows up integrably near the rim for s < 2; the graded
     # panels of the radial rule absorb it
-    return float(polar_integral(f, 0.0, 0.0, 1.0 - 1e-12, ones, ones, rule))
+    return float(polar_integral(f, 0.0, 0.0, 1.0 - 1e-12, _euclid_weight, _euclid_weight, rule))
 
 
 def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
@@ -59,8 +58,7 @@ def _monomial_norms(s, degree, rule: QuadratureRule):
     mass = _disk_norm_mass(s, rule)
     g = lambda rho: rho[:, None] ** (2 * ks)
     w = lambda rho: (1.0 - rho * rho) ** (s - 2.0)
-    ones = lambda rho: np.ones_like(rho)
-    means = radial_log_mean(g, 0.0, 1.0 - 1e-12, w, ones, rule)
+    means = radial_log_mean(g, 0.0, 1.0 - 1e-12, w, _euclid_weight, rule)
     return np.asarray(means, dtype=float) * mass
 
 
@@ -86,6 +84,18 @@ def numeric_gram_kernel(s, degree=160, rule: QuadratureRule = DEFAULT_RULE) -> K
     return KernelSpec(evaluate, standard_disk(s), f"numeric-gram s={s} deg={degree}")
 
 
+def _diag_scale(weight: WeightModel, z):
+    """e^{-phi} A at an array of domain points, A the area function."""
+    _check_disk(np.max(np.abs(z)))
+    if weight.domain is Domain.DISK:
+        area = DISK_AREA_CONSTANT
+    elif np.any(z == 0):
+        raise DomainViolation("punctured-disk point at the origin")
+    else:
+        area = area_A_punctured(z)
+    return np.exp(-np.asarray(weight.phi(z), dtype=float)) * area
+
+
 def kernel_diag_check(kernel: KernelSpec, z):
     """The invariant diagonal product K(z, z) e^{-phi(z)} A(z).
 
@@ -94,13 +104,7 @@ def kernel_diag_check(kernel: KernelSpec, z):
     1 up to quadrature error.
     """
     z = np.asarray(z, dtype=complex)
-    k = np.real(kernel.evaluate(z, z))
-    phi = np.asarray([kernel.weight.phi(complex(p)) for p in np.atleast_1d(z)])
-    a = np.asarray([
-        area_A(DomainPoint(complex(p), kernel.weight.domain))
-        for p in np.atleast_1d(z)
-    ])
-    return (np.atleast_1d(k) * a * np.exp(-phi)).reshape(z.shape)
+    return np.asarray(np.real(kernel.evaluate(z, z)) * _diag_scale(kernel.weight, z))
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,7 @@ def gram_assemble(kernel: KernelSpec, points) -> GramSystem:
     if pts.ndim != 1 or pts.size == 0:
         raise DomainViolation("need a nonempty 1-d array of points")
     raw = np.asarray(kernel.evaluate(pts[:, None], pts[None, :]), dtype=complex)
-    phi = np.asarray([kernel.weight.phi(complex(p)) for p in pts])
-    area = np.asarray([area_A(DomainPoint(complex(p), kernel.weight.domain)) for p in pts])
-    scale = np.exp(-phi) * area
+    scale = _diag_scale(kernel.weight, pts)
     root = np.sqrt(scale)
     normalized = raw * root[:, None] * root[None, :]
     normalized = 0.5 * (normalized + normalized.conj().T)

@@ -68,14 +68,6 @@ def _unit_edges(n_panels, grade_lo, grade_hi):
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _radial_nodes(edges):
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = (mid[:, None] + half[:, None] * _GL_X).ravel()
-    weights = (half[:, None] * _GL_W).ravel()
-    return nodes, weights
-
-
 def _with_breaks(edges, breaks):
     if len(breaks) == 0:
         return edges
@@ -84,22 +76,29 @@ def _with_breaks(edges, breaks):
     return np.unique(np.concatenate((edges, br)))
 
 
-def _evaluate(f, Z):
-    """Evaluate a caller-supplied integrand on a complex grid.
+def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
+    """Gauss-Legendre nodes and weights on rim-graded panels of (rho_lo, rho_hi)."""
+    edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_panels, rho_lo == 0.0, True)
+    edges = _with_breaks(edges, breaks)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    nodes = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    weights = (half[:, None] * _GL_W).ravel()
+    return nodes, weights
+
+
+def _sample(f, Z):
+    """Evaluate a caller-supplied function on a complex array.
 
     Tries a single vectorized call; falls back to elementwise evaluation
-    for scalar-only callables.  Non-finite samples (integrable log poles
-    hit head-on) are excised, which changes the integral by a set of
-    measure zero.
+    for scalar-only callables.
     """
     try:
         vals = np.asarray(f(Z), dtype=float)
         if vals.shape != Z.shape:
             vals = np.broadcast_to(vals, Z.shape).astype(float)
     except (TypeError, ValueError):
-        vals = np.array([[float(f(z)) for z in row] for row in Z])
-    if not np.all(np.isfinite(vals)):
-        vals = np.where(np.isfinite(vals), vals, 0.0)
+        vals = np.array([float(f(z)) for z in Z.ravel()]).reshape(Z.shape)
     return vals
 
 
@@ -143,12 +142,14 @@ def polar_integral(
     def levels():
         n_pan, n_th = rule.n_panels, rule.n_theta
         while True:
-            edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_pan, rho_lo == 0.0, True)
-            edges = _with_breaks(edges, breaks)
-            rho, w_rho = _radial_nodes(edges)
+            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
             theta = (2.0 * math.pi / n_th) * np.arange(n_th)
             Z = center + rho[:, None] * np.exp(1j * theta)[None, :]
-            vals = _evaluate(f, Z)
+            vals = _sample(f, Z)
+            # non-finite samples (integrable log poles hit head-on) are
+            # excised, which changes the integral by a set of measure zero
+            if not np.all(np.isfinite(vals)):
+                vals = np.where(np.isfinite(vals), vals, 0.0)
             radial = w_rho * rho * radial_weight(rho)
             if kernel is not None:
                 radial = radial * kernel(rho)
@@ -200,6 +201,11 @@ def _euclid_weight(rho):
     return np.ones_like(rho)
 
 
+def _log_kernel(r):
+    """The Green-type kernel rho -> log(r^2/rho^2) of a disk of radius r."""
+    return lambda rho: np.log(r * r / (rho * rho))
+
+
 _WEIGHTS = {"hyperbolic": _hyper_weight, "euclidean": _euclid_weight}
 
 
@@ -210,24 +216,21 @@ def disk_log_integral(r, f, measure="hyperbolic", rule=DEFAULT_RULE):
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    return polar_integral(f, 0.0, 0.0, r, _WEIGHTS[measure], kernel, rule)
+    return polar_integral(f, 0.0, 0.0, r, _WEIGHTS[measure], _log_kernel(r), rule)
 
 
 def annulus_log_integral_disk(r, f, rule=DEFAULT_RULE):
     """Kernel integral over the annulus 1/2 < |zeta| < r, hyperbolic area."""
     if not 0.5 < r < 1.0:
         raise DomainViolation(f"annulus needs r in (1/2, 1), got {r}")
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    return polar_integral(f, 0.0, 0.5, r, _hyper_weight, kernel, rule)
+    return polar_integral(f, 0.0, 0.5, r, _hyper_weight, _log_kernel(r), rule)
 
 
 def annulus_log_integral_euclid(q, r, f, rule=DEFAULT_RULE):
     """int_{1 < |zeta - q| < r} f(zeta) log(r^2/|zeta - q|^2) dA(zeta)."""
     if r <= 1.0:
         raise DomainViolation(f"annulus needs r > 1, got {r}")
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    return polar_integral(f, q, 1.0, r, _euclid_weight, kernel, rule)
+    return polar_integral(f, q, 1.0, r, _euclid_weight, _log_kernel(r), rule)
 
 
 def circle_mean(z, r, h, n=256):
@@ -237,13 +240,7 @@ def circle_mean(z, r, h, n=256):
     Green current this equals the d^c G_z boundary mean.
     """
     theta = (2.0 * math.pi / n) * np.arange(n)
-    pts = mobius_involution(z, r * np.exp(1j * theta))
-    try:
-        vals = np.asarray(h(pts), dtype=float)
-        if vals.shape != pts.shape:
-            vals = np.broadcast_to(vals, pts.shape).astype(float)
-    except (TypeError, ValueError):
-        vals = np.array([float(h(p)) for p in pts])
+    vals = _sample(h, mobius_involution(z, r * np.exp(1j * theta)))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -262,9 +259,7 @@ def radial_log_mean(g, rho_lo, rho_hi, radial_weight, r_kernel, rule=DEFAULT_RUL
     def levels():
         n_pan = max(rule.n_panels, 4)
         while True:
-            edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_pan, rho_lo == 0.0, True)
-            edges = _with_breaks(edges, breaks)
-            rho, w_rho = _radial_nodes(edges)
+            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
             wt = w_rho * rho * radial_weight(rho) * r_kernel(rho)
             vals = np.atleast_2d(np.asarray(g(rho), dtype=float).T).T
             est = wt @ vals / wt.sum()

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, WindowViolation
+from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import (
     Domain,
     TWO_PI,
@@ -26,7 +26,9 @@ from .geometry import (
     pseudo_dist,
 )
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, disk_log_integral, polar_integral
-from .weights import WeightModel, shifted_cyl_weight, lifted_translates
+from .quadrature import _euclid_weight, _log_kernel
+from .weights import WeightModel, shifted_cyl_weight
+from .weights import _annulus_sum, _covered_integrand, _disk_dists, _translate_dists
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -47,7 +49,7 @@ class SequenceSet:
         object.__setattr__(self, "points", pts)
         for i, p in enumerate(pts):
             r = abs(p)
-            if r >= 1.0:
+            if not r < 1.0:
                 raise DomainViolation(f"point {i} has |z| = {r} >= 1")
             if self.domain is Domain.PUNCTURED_DISK and r == 0.0:
                 raise DomainViolation(f"point {i} is the puncture")
@@ -152,6 +154,12 @@ def separation_puncture(seq: SequenceSet):
 # ---------------------------------------------------------------------------
 # Density quotients.
 
+def _report(center, r, numer, denom, kind) -> DensityReport:
+    degenerate = not denom > 0.0
+    ratio = numer / denom if not degenerate else math.inf
+    return DensityReport(complex(center), float(r), numer, denom, ratio, kind, degenerate)
+
+
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
     """Point-count vs curvature-mass quotient at one (center, radius).
 
@@ -160,21 +168,14 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z.
     """
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    if pts.size:
-        d = np.abs(mobius_involution(z, pts))
-        sel = d[(d > 0.5) & (d < r)]
-        numer = float(TWO_PI * np.sum(np.log(r * r / sel**2)))
-    else:
-        numer = 0.0
+    numer = float(TWO_PI * _annulus_sum(_disk_dists(pts, z), 0.5, r, _log_kernel(r)))
 
     if weight.constant_poincare_ratio is not None:
         denom = (weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r)
     else:
         g = lambda zeta: weight.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
         denom = float(disk_log_integral(r, g, "hyperbolic", rule))
-    degenerate = not denom > 0.0
-    ratio = numer / denom if not degenerate else math.inf
-    return DensityReport(complex(z), float(r), numer, denom, ratio, "border", degenerate)
+    return _report(z, r, numer, denom, "border")
 
 
 def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT_RULE) -> DensityReport:
@@ -192,26 +193,12 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     if q.imag <= 0:
         raise WindowViolation("center lift must lie in the upper half plane")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    if pts.size:
-        d = np.abs(lifted_translates(pts, q, r) - q)
-        sel = d[(d > 1.0) & (d < r)]
-        numer = float(TWO_PI * np.sum(np.log(r * r / sel**2)))
-    else:
-        numer = 0.0
+    numer = float(TWO_PI * _annulus_sum(_translate_dists(pts, q, r), 1.0, r, _log_kernel(r)))
 
     _, psi_ratio = shifted_cyl_weight(weight)
-
-    def density(zeta):
-        w = q - zeta
-        w = np.where(w.imag > eps, w, np.conjugate(w - 1j * eps) + 1j * eps)
-        return psi_ratio(np.exp(1j * w))
-
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    ones = lambda rho: np.ones_like(rho)
-    denom = float(polar_integral(density, 0.0, 0.0, r, ones, kernel, rule))
-    degenerate = not denom > 0.0
-    ratio = numer / denom if not degenerate else math.inf
-    return DensityReport(q, float(r), numer, denom, ratio, "puncture", degenerate)
+    density = _covered_integrand(psi_ratio, q, eps)
+    denom = float(polar_integral(density, 0.0, 0.0, r, _euclid_weight, _log_kernel(r), rule))
+    return _report(q, r, numer, denom, "puncture")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +235,23 @@ def _aggregate(per_r):
     return estimate, decreasing
 
 
+def _radius_sups(grid_centers, quotient, reports):
+    """Per-radius sup of the nondegenerate quotients over (r, centers) pairs.
+
+    Every report is appended to `reports` in (r, center) order.
+    """
+    per_r = {}
+    for r, ctrs in grid_centers:
+        best = 0.0
+        for c in ctrs:
+            rep = quotient(c, r)
+            reports.append(rep)
+            if not rep.degenerate:
+                best = max(best, rep.ratio)
+        per_r[r] = best
+    return per_r
+
+
 def density_sweep(
     seq: SequenceSet,
     weight: WeightModel,
@@ -266,55 +270,36 @@ def density_sweep(
     """
     reports = []
     notes = []
-    degenerate = False
 
-    def run_border(part_points, all_points):
-        nonlocal degenerate
-        per_r = {}
+    def run_border(part_points):
         grid = tuple(r_grid) if r_grid is not None else BORDER_R_GRID
         ctrs = centers if centers is not None else center_net(part_points, mesh)
-        for r in grid:
-            best = 0.0
-            for z in ctrs:
-                rep = border_density_ratio(all_points, weight, z, r, rule)
-                reports.append(rep)
-                if rep.degenerate:
-                    degenerate = True
-                else:
-                    best = max(best, rep.ratio)
-            per_r[r] = best
-        return _aggregate(per_r)
+        quotient = lambda z, r: border_density_ratio(part_points, weight, z, r, rule)
+        return _aggregate(_radius_sups(((r, ctrs) for r in grid), quotient, reports))
 
     def run_puncture(part_points):
-        nonlocal degenerate
         grid = tuple(r_grid) if r_grid is not None else PUNCTURE_R_GRID
-        lifts = lift_value(np.asarray(part_points, dtype=complex))
-        per_r = {}
+        lifts = np.atleast_1d(lift_value(np.asarray(part_points, dtype=complex)))
+        grid_centers = []
         for r in grid:
-            qs = [q for q in np.atleast_1d(lifts) if q.imag > r + 1.0]
-            if not qs:
+            qs = [q for q in lifts if q.imag > r + 1.0]
+            if qs:
+                grid_centers.append((r, qs))
+            else:
                 notes.append(f"no admissible center lifts at r = {r}")
-                continue
-            best = 0.0
-            for q in qs:
-                rep = puncture_density_ratio(part_points, weight, q, r, eps, rule)
-                reports.append(rep)
-                if rep.degenerate:
-                    degenerate = True
-                else:
-                    best = max(best, rep.ratio)
-            per_r[r] = best
+        quotient = lambda q, r: puncture_density_ratio(part_points, weight, q, r, eps, rule)
+        per_r = _radius_sups(grid_centers, quotient, reports)
         if not per_r:
             return None, True
         return _aggregate(per_r)
 
     if seq.domain is Domain.DISK:
-        border_est, decreasing = run_border(seq.array(), seq.array())
+        border_est, decreasing = run_border(seq.array())
         punct_est = None
     else:
         star, border = decompose(seq, split_a)
         if len(border):
-            border_est, dec_b = run_border(border.array(), border.array())
+            border_est, dec_b = run_border(border.array())
         else:
             border_est, dec_b = 0.0, True
         if len(star):
@@ -325,6 +310,7 @@ def density_sweep(
 
     cands = [e for e in (border_est, punct_est) if e is not None]
     estimate = max(cands) if cands else math.inf
+    degenerate = any(rep.degenerate for rep in reports)
     return SweepResult(
         tuple(reports), estimate, border_est, punct_est, decreasing, degenerate, tuple(notes)
     )
@@ -416,7 +402,8 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     """Deterministic test sequences.
 
     kind "hyperbolic-disk": greedy maximal d-separated set (mesh d = kw["d"])
-    in the pseudohyperbolic metric inside |z| <= 1 - margin.
+    in the pseudohyperbolic metric inside |z| <= 1 - margin; raises
+    BergseqError when the candidates run out before `count` points fit.
     kind "puncture-exponential": {e^{-k s} e^{2 pi i j / n}} ordered by k.
     """
     if kind == "hyperbolic-disk":
@@ -438,6 +425,11 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
                 break
             if all(pseudo_dist(c, o) >= d for o in chosen):
                 chosen.append(complex(c))
+        if len(chosen) < count:
+            raise BergseqError(
+                f"hyperbolic-disk lattice: asked for {count} points, placed {len(chosen)}"
+                f" (d = {d}, margin = {margin})"
+            )
         return SequenceSet(tuple(chosen), Domain.DISK, f"hyperbolic-disk d={d}")
     if kind == "puncture-exponential":
         s = kw["s"]

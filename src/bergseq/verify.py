@@ -18,6 +18,7 @@ from .geometry import mobius_involution, pseudo_dist
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
+    _hyper_weight,
     circle_mean,
     disk_log_integral,
     polar_integral,
@@ -141,8 +142,7 @@ def bergman_inequality_margin(
         w = mobius_involution(z, zeta)
         return np.abs(np.polyval(cs, w)) ** 2 * np.exp(-np.asarray(phi(w), dtype=float))
 
-    hyper = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
-    mass = float(polar_integral(g, 0.0, 0.0, r, hyper, None, rule))
+    mass = float(polar_integral(g, 0.0, 0.0, r, _hyper_weight, None, rule))
     point = abs(np.polyval(cs, z)) ** 2 * math.exp(-float(np.atleast_1d(phi(np.asarray([z])))[0]))
     if point == 0.0:
         return 0.0

@@ -27,6 +27,9 @@ from .geometry import Domain, TWO_PI, lift_value, mobius_involution
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
+    _euclid_weight,
+    _hyper_weight,
+    _log_kernel,
     c_r_cyl,
     c_r_disk,
     polar_integral,
@@ -178,10 +181,8 @@ def log_mean_disk(phi, r, z, rule: QuadratureRule = DEFAULT_RULE):
     functions to angular-rule accuracy.
     """
     f = _phi_fn(phi)
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    weight = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
     pulled = lambda zeta: f(mobius_involution(z, zeta))
-    return float(polar_integral(pulled, 0.0, 0.0, r, weight, kernel, rule, normalized=True))
+    return float(polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, normalized=True))
 
 
 def cutoff(x, c):
@@ -204,14 +205,21 @@ def truncated_log_mean(phi, r, c, z, rule: QuadratureRule = _TRUNC_RULE):
     if not 0.0 < c < 1.0:
         raise DomainViolation(f"cutoff radius must lie in (0, 1), got {c}")
     f = _phi_fn(phi)
+    return log_mean_disk(lambda w: cutoff(np.abs(w), c) * f(w), r, z, rule)
 
-    def g(zeta):
-        w = mobius_involution(z, zeta)
-        return cutoff(np.abs(w), c) * f(w)
 
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    weight = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
-    return float(polar_integral(g, 0.0, 0.0, r, weight, kernel, rule, normalized=True))
+def _covered_integrand(f, q, eps):
+    """zeta -> f(e^{i w}) with w = q - zeta lifted into Im w > eps.
+
+    Points with Im w <= eps are reflected across the line Im w = eps,
+    which is the eps-shift-and-reflect extension across the real axis.
+    """
+
+    def integrand(zeta):
+        w = q - zeta
+        return f(np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps)))
+
+    return integrand
 
 
 def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
@@ -225,17 +233,57 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
     """
     if eps <= 0 or r <= 0:
         raise DomainViolation("eps and r must be positive")
-    f = _phi_fn(psi)
-    q = complex(lift_value(z))
+    integrand = _covered_integrand(_phi_fn(psi), complex(lift_value(z)), eps)
+    return float(polar_integral(integrand, 0.0, 0.0, r, _euclid_weight, _log_kernel(r), rule, normalized=True))
 
-    def integrand(zeta):
-        w = q - 1j * eps - zeta
-        w = np.where(w.imag > 0.0, w, np.conjugate(w))
-        return f(np.exp(1j * (w + 1j * eps)))
 
-    kernel = lambda rho: np.log(r * r / (rho * rho))
-    weight = lambda rho: np.ones_like(rho)
-    return float(polar_integral(integrand, 0.0, 0.0, r, weight, kernel, rule, normalized=True))
+# ---------------------------------------------------------------------------
+# Shared annulus machinery.  Both sides are the same Jensen-reduced
+# annulus mean; only the distances to the center, the inner radius and
+# the radial density differ.
+
+def _harmonic_term(harmonic, w):
+    """log|e^{a w + b}|^2 = 2 Re(a w + b) for harmonic = (a, b); 0 without one."""
+    if harmonic is None:
+        return 0.0
+    a, b = harmonic
+    return 2.0 * (a * w + b).real
+
+
+def _jensen_potential(d, inner, r, radial_weight, harm, rule):
+    """(sigma, lambda) from the distances d of the zeros to the center.
+
+    lambda is the log(r^2/rho^2)-weighted mean of log|T|^2 over the
+    annulus inner < rho < r against radial_weight; by Jensen the angular
+    mean of log|w - a|^2 is 2 log max(rho, |a|), so only the radial mean
+    is quadrature.  sigma = |T|^2 e^{-lambda} at the center.
+    """
+    if not d.size:
+        return 1.0, harm
+    g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
+    means = radial_log_mean(g, inner, r, radial_weight, _log_kernel(r), rule, breaks=d)
+    lam = float(np.sum(means)) + harm
+    if np.any(d == 0.0):
+        return 0.0, lam
+    log_t2 = float(2.0 * np.sum(np.log(d))) + harm
+    return float(math.exp(log_t2 - lam)), lam
+
+
+def _annulus_sum(d, inner, r, kernel):
+    """Sum of kernel(rho) over the distances rho in the open annulus (inner, r)."""
+    sel = d[(d > inner) & (d < r)]
+    return np.sum(kernel(sel))
+
+
+def _disk_dists(points, z):
+    """Pseudohyperbolic distances |phi_z(gamma)| of the points to z."""
+    pts = np.asarray(points, dtype=complex)
+    return np.abs(mobius_involution(z, pts)) if pts.size else np.empty(0)
+
+
+def _translate_dists(points, q, radius):
+    """Distances to q of the lifted translates within `radius` of q."""
+    return np.abs(lifted_translates(points, q, radius) - q)
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +301,8 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     """
     if not 0.5 < r < 1.0:
         raise DomainViolation(f"border potential needs r in (1/2, 1), got {r}")
-    d = np.abs(mobius_involution(z, np.asarray(points, dtype=complex))) if len(points) else np.empty(0)
-    harm = 0.0
-    if harmonic is not None:
-        a, b = harmonic
-        harm = 2.0 * (a * z + b).real
-
-    if d.size:
-        weight = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
-        kernel = lambda rho: np.log(r * r / (rho * rho))
-        g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
-        means = radial_log_mean(g, 0.5, r, weight, kernel, rule, breaks=d)
-        lam = float(np.sum(means)) + harm
-        if np.any(d == 0.0):
-            return 0.0, lam
-        log_t2 = float(2.0 * np.sum(np.log(d))) + harm
-    else:
-        lam = harm
-        log_t2 = harm
-    return float(math.exp(log_t2 - lam)), lam
+    d = _disk_dists(points, z)
+    return _jensen_potential(d, 0.5, r, _hyper_weight, _harmonic_term(harmonic, z), rule)
 
 
 def border_density_form(points, r, z):
@@ -283,9 +314,8 @@ def border_density_form(points, r, z):
     """
     if len(points) == 0:
         return 0.0
-    d = np.abs(mobius_involution(z, np.asarray(points, dtype=complex)))
-    sel = d[(d > 0.5) & (d < r)]
-    return float((TWO_PI / c_r_disk(r)) * np.sum(np.log(1.0 / sel**2)))
+    total = _annulus_sum(_disk_dists(points, z), 0.5, r, _log_kernel(1.0))
+    return float((TWO_PI / c_r_disk(r)) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +351,8 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     q = complex(lift_value(z))
     if q.imag <= r:
         raise WindowViolation(f"lift of z has Im = {q.imag:.3g} <= r = {r}")
-    trans = lifted_translates(points, q, r + TWO_PI) if points.size else np.empty(0, dtype=complex)
-    d = np.abs(trans - q)
-    harm = 0.0
-    if harmonic is not None:
-        a, b = harmonic
-        harm = 2.0 * (a * q + b).real
-
-    if d.size:
-        weight = lambda rho: np.ones_like(rho)
-        kernel = lambda rho: np.log(r * r / (rho * rho))
-        g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
-        means = radial_log_mean(g, 1.0, r, weight, kernel, rule, breaks=d)
-        lam = float(np.sum(means)) + harm
-        if np.any(d == 0.0):
-            return 0.0, lam
-        log_t2 = float(2.0 * np.sum(np.log(d))) + harm
-    else:
-        lam = harm
-        log_t2 = harm
-    return float(math.exp(log_t2 - lam)), lam
+    d = _translate_dists(points, q, r + TWO_PI)
+    return _jensen_potential(d, 1.0, r, _euclid_weight, _harmonic_term(harmonic, q), rule)
 
 
 def puncture_density_form(points, r, z=None, q=None):
@@ -356,7 +368,4 @@ def puncture_density_form(points, r, z=None, q=None):
         q = complex(lift_value(z))
     if len(points) == 0:
         return 0.0
-    trans = lifted_translates(points, q, r)
-    d = np.abs(trans - q)
-    sel = d[(d > 1.0) & (d < r)]
-    return float(np.sum(np.log(r * r / sel**2)) / c_r_cyl(r))
+    return float(_annulus_sum(_translate_dists(points, q, r), 1.0, r, _log_kernel(r)) / c_r_cyl(r))

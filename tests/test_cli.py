@@ -17,14 +17,16 @@ from bergseq.sequences import SequenceSet, generate_lattice
 
 
 def test_parse_weight_specs():
-    w, _ = parse_weight("standard-disk:s=2")
+    w = parse_weight("standard-disk:s=2")
     assert w.params == {"s": 2.0}
-    w, _ = parse_weight("standard-puncture:s=2,t=3")
+    w = parse_weight("standard-puncture:s=2,t=3")
     assert w.params == {"s": 2.0, "t": 3.0}
     with pytest.raises(ValueError):
         parse_weight("exotic:s=2")
     with pytest.raises(ValueError):
         parse_weight("standard-disk:s2")
+    with pytest.raises(ValueError):
+        parse_weight("standard-disk:S=3")
 
 
 def test_parse_sequence_file_basic(tmp_path):
@@ -50,6 +52,10 @@ def test_parse_sequence_file_errors(tmp_path):
         parse_sequence_file(missing)
     with pytest.raises(DomainViolation):
         parse_sequence_file(tmp_path / "nope.json")
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"domain":"disk","points":[[NaN,0]]}')
+    with pytest.raises(DomainViolation, match="points\\[0\\]"):
+        parse_sequence_file(nan)
 
 
 def test_parse_empty_points_is_valid(tmp_path):
@@ -138,6 +144,25 @@ def test_config_file_with_flag_override(tmp_path):
           "--out", str(out_flag)])
     radii = {r.split(",")[2] for r in out_flag.read_text().splitlines()[1:]}
     assert radii == {"0.99"}
+
+
+def test_config_file_explicit_flag_equal_to_default_wins(tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    main(["gen", "--kind", "hyperbolic-disk", "--count", "8", "--mesh", "0.6",
+          "--out", str(lat)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weight=standard-disk:s=3\n")
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert main(["sweep", str(lat), "--out", str(plain)]) == 0
+    assert main(["sweep", str(lat), "--config", str(cfg), "--weight", "standard-disk:s=2",
+                 "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+    # a key that is not a flag of the subcommand is an error
+    other = tmp_path / "other.cfg"
+    other.write_text("delta=0.1\n")
+    capsys.readouterr()
+    assert main(["gram", str(lat), "--config", str(other)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_bad_line(tmp_path):

@@ -1,0 +1,116 @@
+"""Property tests of the sequence potentials over generated points and centers.
+
+Both sides run through one Jensen-reduced annulus mean, so each
+invariant is checked on the border (disk) side and on the puncture
+(cylindrical) side.  Examples are derandomized so that the suite is
+reproducible from run to run.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from bergseq import (
+    FAST_RULE,
+    border_potential,
+    lift_value,
+    lifted_translates,
+    puncture_density_form,
+    puncture_potential,
+)
+
+PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+angle = st.floats(0.0, 2.0 * math.pi)
+disk_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.9), angle)
+disk_points = st.lists(disk_point, min_size=1, max_size=6, unique=True)
+border_r = st.floats(0.55, 0.95)
+harmonic = st.tuples(
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.floats(-2.0, 2.0)
+)
+
+
+@st.composite
+def puncture_case(draw):
+    """(points, r, z): points with |gamma| < e^-r, z with a lift above Im = r."""
+    r = draw(st.floats(1.2, 4.0))
+    depths = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5))
+    pts = [math.exp(-(r + h)) * cmath.exp(1j * draw(angle)) for h in depths]
+    z = math.exp(-(r + draw(st.floats(0.1, 4.0)))) * cmath.exp(1j * draw(angle))
+    return np.asarray(pts), r, z
+
+
+def _automorphism(a, theta):
+    return lambda w: cmath.exp(1j * theta) * (a - w) / (1.0 - a.conjugate() * w)
+
+
+@PROPS
+@given(disk_points, border_r, disk_point)
+def test_border_sigma_at_most_one(points, r, z):
+    sigma, _ = border_potential(points, r, z, rule=FAST_RULE)
+    assert 0.0 <= sigma <= 1.0 + 1e-9
+
+
+@PROPS
+@given(puncture_case())
+def test_puncture_sigma_at_most_one(case):
+    points, r, z = case
+    sigma, _ = puncture_potential(points, r, z, rule=FAST_RULE)
+    assert 0.0 <= sigma <= 1.0 + 1e-9
+
+
+@PROPS
+@given(disk_points, border_r, disk_point, harmonic)
+def test_border_sigma_ignores_harmonic_factor(points, r, z, harm):
+    plain, _ = border_potential(points, r, z, rule=FAST_RULE)
+    shifted, _ = border_potential(points, r, z, harmonic=harm, rule=FAST_RULE)
+    assert math.isclose(shifted, plain, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@PROPS
+@given(puncture_case(), harmonic)
+def test_puncture_sigma_ignores_harmonic_factor(case, harm):
+    points, r, z = case
+    plain, _ = puncture_potential(points, r, z, rule=FAST_RULE)
+    shifted, _ = puncture_potential(points, r, z, harmonic=harm, rule=FAST_RULE)
+    assert math.isclose(shifted, plain, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@PROPS
+@given(disk_points, border_r, disk_point, disk_point, angle)
+def test_border_potential_mobius_invariant(points, r, z, a, theta):
+    move = _automorphism(a, theta)
+    sigma, lam = border_potential(points, r, z, rule=FAST_RULE)
+    sigma_m, lam_m = border_potential([move(p) for p in points], r, move(z), rule=FAST_RULE)
+    # the quadrature level at which convergence is accepted may differ
+    # between the two runs, so agreement is to the rule's tolerance
+    assert math.isclose(lam_m, lam, rel_tol=1e-6, abs_tol=1e-9)
+    assert math.isclose(sigma_m, sigma, rel_tol=1e-6, abs_tol=1e-9)
+
+
+@PROPS
+@given(puncture_case(), angle)
+def test_puncture_potential_rotation_invariant(case, theta):
+    points, r, z = case
+    # lambda counts the translates within r + 2 pi of the lift of z; one
+    # that sits on that cutoff can flip with rounding (sigma cannot)
+    q = complex(lift_value(z))
+    cut = r + 2.0 * math.pi
+    assume(np.all(np.abs(np.abs(lifted_translates(points, q, cut + 1.0) - q) - cut) > 1e-9))
+    turn = cmath.exp(1j * theta)
+    sigma, lam = puncture_potential(points, r, z, rule=FAST_RULE)
+    sigma_t, lam_t = puncture_potential(points * turn, r, z * turn, rule=FAST_RULE)
+    assert math.isclose(lam_t, lam, rel_tol=1e-6, abs_tol=1e-9)
+    assert math.isclose(sigma_t, sigma, rel_tol=1e-6, abs_tol=1e-9)
+
+
+@PROPS
+@given(puncture_case())
+def test_puncture_density_form_two_pi_periodic(case):
+    points, r, z = case
+    q = complex(np.angle(z) % (2.0 * math.pi), math.log(1.0 / abs(z)))
+    here = puncture_density_form(points, r, q=q)
+    assert math.isclose(puncture_density_form(points, r, q=q + 2.0 * math.pi), here,
+                        rel_tol=1e-9, abs_tol=1e-12)

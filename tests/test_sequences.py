@@ -24,7 +24,7 @@ from bergseq import (
     standard_disk,
     standard_puncture,
 )
-from bergseq.errors import DomainViolation, WindowViolation
+from bergseq.errors import BergseqError, DomainViolation, WindowViolation
 
 rng = np.random.default_rng(99)
 
@@ -36,6 +36,8 @@ def test_sequence_set_validation():
         SequenceSet((0.0j,), Domain.PUNCTURED_DISK)
     with pytest.raises(DomainViolation):
         SequenceSet((0.3, 0.3), Domain.DISK)
+    with pytest.raises(DomainViolation):
+        SequenceSet((complex(math.nan, 0.0),), Domain.DISK)
     assert len(SequenceSet((), Domain.DISK)) == 0
 
 
@@ -126,6 +128,8 @@ def test_generate_lattice_examples():
         generate_lattice("puncture-exponential", 5, s=1.0, n=0)
     with pytest.raises(ValueError):
         generate_lattice("moebius-strip", 5)
+    with pytest.raises(BergseqError, match="asked for 30 points, placed 12"):
+        generate_lattice("hyperbolic-disk", 30, seed=3, d=0.5, margin=0.3)
 
 
 def test_density_sweep_monotone_under_superset():
