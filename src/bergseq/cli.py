@@ -115,17 +115,13 @@ def _fmt(x):
 
 
 def _parse_grid(text):
-    return tuple(float(v) for v in text.split(","))
+    """The --r-grid value; empty means each side's built-in grid."""
+    return tuple(float(v) for v in text.split(",")) if text else None
 
 
 def _params_from_args(args):
-    kw = {}
-    if args.r_grid:
-        grid = _parse_grid(args.r_grid)
-        kw["r_grid_border"] = grid
-        kw["r_grid_puncture"] = grid
     return ClassifyParams(
-        delta=args.delta, eps=args.epsilon, split_a=args.split_a, **kw
+        r_grid=_parse_grid(args.r_grid), delta=args.delta, eps=args.epsilon, split_a=args.split_a
     )
 
 
@@ -149,9 +145,8 @@ def cmd_analyze(args):
 def cmd_sweep(args):
     seq = parse_sequence_file(args.sequence)
     weight = parse_weight(args.weight)
-    grid = _parse_grid(args.r_grid) if args.r_grid else None
     result = density_sweep(
-        seq, weight, r_grid=grid, split_a=args.split_a, eps=args.epsilon
+        seq, weight, r_grid=_parse_grid(args.r_grid), split_a=args.split_a, eps=args.epsilon
     )
     rows = [SWEEP_HEADER]
     for rep in result.reports:
@@ -263,8 +258,16 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that main reports them with exit code 1
+    (2 is the Indeterminate verdict); subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergseq",
         description="Interpolation-sequence analysis in weighted Bergman spaces.",
     )

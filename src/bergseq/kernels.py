@@ -122,8 +122,11 @@ def gram_assemble(kernel: KernelSpec, points) -> GramSystem:
     raw = np.asarray(kernel.evaluate(pts[:, None], pts[None, :]), dtype=complex)
     scale = _diag_scale(kernel.weight, pts)
     root = np.sqrt(scale)
-    normalized = raw * root[:, None] * root[None, :]
-    normalized = 0.5 * (normalized + normalized.conj().T)
+    # in place, so that at most three n x n matrices are alive at once
+    normalized = raw * root[:, None]
+    normalized *= root[None, :]
+    normalized += normalized.conj().T
+    normalized *= 0.5
     return GramSystem(pts, raw, normalized, scale)
 
 

@@ -103,15 +103,22 @@ def _sample(f, Z):
 
 
 def _converge(levels, rule, what):
-    """Drive a level evaluator until two successive estimates agree."""
+    """Drive a level evaluator until two successive estimates agree.
+
+    Each level yields (estimate, node count, a function giving the same
+    estimate of |integrand|).  The tolerance is relative to the largest of
+    the two estimates and that one, so an integral that cancels to 0
+    converges; the |integrand| pass runs only when the estimates alone
+    do not settle it.
+    """
     prev = None
-    for est, n_nodes in levels:
+    for est, n_nodes, abs_mean in levels:
         if np.size(est) == 0:
             return est
         if prev is not None:
-            diff = np.max(np.abs(np.asarray(est) - np.asarray(prev)))
-            scale = max(np.max(np.abs(est)), np.max(np.abs(prev)), 1e-12)
-            if diff <= rule.rel_tol * scale:
+            diff = np.abs(np.subtract(est, prev)).max()
+            tol = rule.rel_tol * max(np.abs((est, prev)).max(), 1e-12)
+            if diff <= tol or diff <= rule.rel_tol * np.max(abs_mean()):
                 return est
         if n_nodes * 4 > rule.max_nodes:
             if prev is not None:
@@ -153,10 +160,11 @@ def polar_integral(
             radial = w_rho * rho * radial_weight(rho)
             if kernel is not None:
                 radial = radial * kernel(rho)
-            mass = (2.0 * math.pi / n_th) * vals.sum(axis=1) @ radial
-            total = 2.0 * math.pi * radial.sum()
-            est = mass / total if normalized else mass
-            yield est, rho.size * n_th
+            step = 2.0 * math.pi / n_th
+            mass = step * vals.sum(axis=1) @ radial
+            norm = 2.0 * math.pi * radial.sum() if normalized else 1.0
+            abs_mass = lambda: step * np.abs(vals).sum(axis=1) @ radial / norm
+            yield mass / norm, rho.size * n_th, abs_mass
             n_pan *= 2
             n_th *= 2
 
@@ -176,17 +184,26 @@ def a_r_euclidean(r):
     return math.pi * r * r
 
 
+# Allowed outer radii r of the border (1/2 < rho < r) and puncture (1 < rho < r) annuli.
+_BORDER_RADII = (0.5, 1.0)
+_PUNCTURE_RADII = (1.0, math.inf)
+
+
+def _check_radius(r, radii, what="annulus"):
+    lo, hi = radii
+    if not lo < r < hi:
+        raise DomainViolation(f"{what} needs r in ({lo:g}, {hi:g}), got {r}")
+
+
 def c_r_disk(r):
     """Kernel mass over the pseudohyperbolic annulus 1/2 < |zeta| < r."""
-    if not 0.5 < r < 1.0:
-        raise DomainViolation(f"annulus needs r in (1/2, 1), got {r}")
+    _check_radius(r, _BORDER_RADII)
     return math.pi * (math.log(0.75) - math.log1p(-r * r) - math.log(4.0 * r * r) / 3.0)
 
 
 def c_r_cyl(r):
     """Kernel mass over the Euclidean annulus 1 < |zeta| < r."""
-    if r <= 1.0:
-        raise DomainViolation(f"annulus needs r > 1, got {r}")
+    _check_radius(r, _PUNCTURE_RADII)
     return math.pi * (r * r - 1.0 - 2.0 * math.log(r))
 
 
@@ -221,15 +238,13 @@ def disk_log_integral(r, f, measure="hyperbolic", rule=DEFAULT_RULE):
 
 def annulus_log_integral_disk(r, f, rule=DEFAULT_RULE):
     """Kernel integral over the annulus 1/2 < |zeta| < r, hyperbolic area."""
-    if not 0.5 < r < 1.0:
-        raise DomainViolation(f"annulus needs r in (1/2, 1), got {r}")
+    _check_radius(r, _BORDER_RADII)
     return polar_integral(f, 0.0, 0.5, r, _hyper_weight, _log_kernel(r), rule)
 
 
 def annulus_log_integral_euclid(q, r, f, rule=DEFAULT_RULE):
     """int_{1 < |zeta - q| < r} f(zeta) log(r^2/|zeta - q|^2) dA(zeta)."""
-    if r <= 1.0:
-        raise DomainViolation(f"annulus needs r > 1, got {r}")
+    _check_radius(r, _PUNCTURE_RADII)
     return polar_integral(f, q, 1.0, r, _euclid_weight, _log_kernel(r), rule)
 
 
@@ -262,8 +277,8 @@ def radial_log_mean(g, rho_lo, rho_hi, radial_weight, r_kernel, rule=DEFAULT_RUL
             rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
             wt = w_rho * rho * radial_weight(rho) * r_kernel(rho)
             vals = np.atleast_2d(np.asarray(g(rho), dtype=float).T).T
-            est = wt @ vals / wt.sum()
-            yield est, rho.size
+            norm = wt.sum()
+            yield wt @ vals / norm, rho.size, lambda: wt @ np.abs(vals) / norm
             n_pan *= 2
 
     return _converge(levels(), rule, "radial mean")

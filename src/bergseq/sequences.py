@@ -26,7 +26,7 @@ from .geometry import (
     pseudo_dist,
 )
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, disk_log_integral, polar_integral
-from .quadrature import _euclid_weight, _log_kernel
+from .quadrature import _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
 from .weights import _annulus_sum, _covered_integrand, _disk_dists, _translate_dists
 
@@ -87,8 +87,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class ClassifyParams:
-    r_grid_border: Sequence[float] = BORDER_R_GRID
-    r_grid_puncture: Sequence[float] = PUNCTURE_R_GRID
+    r_grid: Optional[Sequence[float]] = None  # None: each side's built-in grid
     split_a: float = DEFAULT_SPLIT
     delta: float = 0.05
     eps: float = 0.1
@@ -167,6 +166,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     phi_z image in 1/2 < rho < r.  Denominator: the log-kernel mass of
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z.
     """
+    _check_radius(r, _BORDER_RADII, "border quotient")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
     numer = float(TWO_PI * _annulus_sum(_disk_dists(pts, z), 0.5, r, _log_kernel(r)))
 
@@ -187,8 +187,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover with the eps-shift-and-reflect extension across the real axis.
     """
-    if r <= 1.0:
-        raise DomainViolation(f"puncture quotient needs r > 1, got {r}")
+    _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(q)
     if q.imag <= 0:
         raise WindowViolation("center lift must lie in the upper half plane")
@@ -204,6 +203,20 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
 # ---------------------------------------------------------------------------
 # Center nets and sweeps.
 
+def _greedy_separated(cands, sep, limit):
+    """The candidates, in order, each kept if it lies at pseudohyperbolic
+    distance >= sep from every one kept before it; at most `limit` kept."""
+    kept = np.empty(len(cands), dtype=complex)
+    k = 0
+    for c in cands:
+        if k >= limit:
+            break
+        if k == 0 or np.all(pseudo_dist(c, kept[:k]) >= sep):
+            kept[k] = c
+            k += 1
+    return kept[:k]
+
+
 def center_net(points, mesh, max_centers=64):
     """Greedy mesh-separated net covering the points plus one mesh margin.
 
@@ -216,14 +229,7 @@ def center_net(points, mesh, max_centers=64):
         return np.asarray([0.0], dtype=complex)
     ring = mesh * np.exp(1j * math.pi / 4.0 * np.arange(8))
     cands = [pts] + [mobius_involution(p, ring) for p in pts]
-    cands = np.concatenate(cands)
-    chosen = []
-    for c in cands:
-        if len(chosen) >= max_centers:
-            break
-        if all(pseudo_dist(c, o) >= 0.5 * mesh for o in chosen):
-            chosen.append(c)
-    return np.asarray(chosen, dtype=complex)
+    return _greedy_separated(np.concatenate(cands), 0.5 * mesh, max_centers)
 
 
 def _aggregate(per_r):
@@ -252,6 +258,15 @@ def _radius_sups(grid_centers, quotient, reports):
     return per_r
 
 
+def _side_grid(grid, radii, kind):
+    """One side's radii, each checked against that side's range."""
+    if not grid:
+        raise DomainViolation(f"the r grid has no radius for the {kind} part")
+    for r in grid:
+        _check_radius(r, radii, f"{kind} quotient")
+    return grid
+
+
 def density_sweep(
     seq: SequenceSet,
     weight: WeightModel,
@@ -267,18 +282,27 @@ def density_sweep(
     Disk sequences sweep the border quotient only.  Punctured-disk
     sequences are decomposed at split_a and both parts are swept; the
     estimate is the max of the two per the split definition of density.
+    r_grid None sweeps each side's built-in grid; an explicit grid goes to
+    the border part whole on the disk, split at r = 1 on the punctured
+    disk, and must leave each swept part at least one radius.
     """
     reports = []
     notes = []
+    if r_grid is None:
+        border_grid, puncture_grid = BORDER_R_GRID, PUNCTURE_R_GRID
+    else:
+        disk = seq.domain is Domain.DISK
+        border_grid = tuple(r for r in r_grid if disk or r < 1.0)
+        puncture_grid = tuple(r for r in r_grid if not r < 1.0)
 
     def run_border(part_points):
-        grid = tuple(r_grid) if r_grid is not None else BORDER_R_GRID
+        grid = _side_grid(border_grid, _BORDER_RADII, "border")
         ctrs = centers if centers is not None else center_net(part_points, mesh)
         quotient = lambda z, r: border_density_ratio(part_points, weight, z, r, rule)
         return _aggregate(_radius_sups(((r, ctrs) for r in grid), quotient, reports))
 
     def run_puncture(part_points):
-        grid = tuple(r_grid) if r_grid is not None else PUNCTURE_R_GRID
+        grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(np.asarray(part_points, dtype=complex)))
         grid_centers = []
         for r in grid:
@@ -356,7 +380,7 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
     sweep = density_sweep(
         seq,
         weight,
-        r_grid=None if seq.domain is Domain.PUNCTURED_DISK else params.r_grid_border,
+        r_grid=params.r_grid,
         mesh=params.mesh,
         split_a=params.split_a,
         eps=params.eps,
@@ -419,12 +443,7 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
         rho = np.sqrt(u * s_max / (1.0 + u * s_max))
         theta = rng.random(20000) * TWO_PI
         cands = np.concatenate(([0.0 + 0.0j], rho * np.exp(1j * theta)))
-        chosen = []
-        for c in cands:
-            if len(chosen) >= count:
-                break
-            if all(pseudo_dist(c, o) >= d for o in chosen):
-                chosen.append(complex(c))
+        chosen = _greedy_separated(cands, d, count)
         if len(chosen) < count:
             raise BergseqError(
                 f"hyperbolic-disk lattice: asked for {count} points, placed {len(chosen)}"

@@ -27,6 +27,9 @@ from .geometry import Domain, TWO_PI, lift_value, mobius_involution
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
+    _BORDER_RADII,
+    _PUNCTURE_RADII,
+    _check_radius,
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
@@ -216,8 +219,12 @@ def _covered_integrand(f, q, eps):
     """
 
     def integrand(zeta):
-        w = q - zeta
-        return f(np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps)))
+        # in place: the quadrature calls this on its largest node arrays
+        w = np.asarray(q - zeta)
+        low = ~(w.imag > eps)
+        w[low] = np.conjugate(w[low]) + 2j * eps
+        w *= 1j
+        return f(np.exp(w, out=w))
 
     return integrand
 
@@ -299,8 +306,7 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     phi_z coordinates; the angular integral is Jensen-exact and only the
     radial mean is quadrature.
     """
-    if not 0.5 < r < 1.0:
-        raise DomainViolation(f"border potential needs r in (1/2, 1), got {r}")
+    _check_radius(r, _BORDER_RADII, "border potential")
     d = _disk_dists(points, z)
     return _jensen_potential(d, 0.5, r, _hyper_weight, _harmonic_term(harmonic, z), rule)
 
@@ -343,8 +349,7 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     log|T|^2, Jensen-reduced as on the border side.  2 pi periodicity of
     the translate set makes the result independent of the chosen lift.
     """
-    if r <= 1.0:
-        raise DomainViolation(f"puncture potential needs r > 1, got {r}")
+    _check_radius(r, _PUNCTURE_RADII, "puncture potential")
     points = np.asarray(points, dtype=complex)
     if points.size and np.max(np.abs(points)) >= math.exp(-r):
         raise WindowViolation(f"sequence must satisfy |gamma| < e^-r = {math.exp(-r):.3g}")

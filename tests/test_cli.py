@@ -181,3 +181,31 @@ def test_gram_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "interpolation_constant:" in text
     assert "spectrum:" in text
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # exit code 2 is the Indeterminate verdict, so a usage error must not use it
+    lat = tmp_path / "lat.json"
+    main(["gen", "--kind", "hyperbolic-disk", "--count", "6", "--mesh", "0.7",
+          "--out", str(lat)])
+    capsys.readouterr()
+    assert main(["analyze", str(lat), "--seed", "3"]) == 1
+    assert "error:" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=abc\n")
+    assert main(["analyze", str(lat), "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_r_grid_split_by_side(tmp_path):
+    seq = tmp_path / "p.json"
+    # border points near the rim keep 0, where the standard-puncture
+    # curvature density is not smooth, out of every D_0.9(center)
+    border = [[0.97, 0.0], [0.0, -0.96], [-0.96, 0.1]]
+    star = [[math.exp(-k), 0.0] for k in range(1, 13)]
+    seq.write_text(json.dumps({"domain": "punctured-disk", "points": border + star}))
+    out = tmp_path / "table.csv"
+    assert main(["sweep", str(seq), "--weight", "standard-puncture:s=2,t=3",
+                 "--r-grid", "0.9,4", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert {(r[2], r[3]) for r in rows} == {("0.9", "border"), ("4.0", "puncture")}

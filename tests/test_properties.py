@@ -17,9 +17,11 @@ from bergseq import (
     border_potential,
     lift_value,
     lifted_translates,
+    pseudo_dist,
     puncture_density_form,
     puncture_potential,
 )
+from bergseq.sequences import _greedy_separated
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -114,3 +116,26 @@ def test_puncture_density_form_two_pi_periodic(case):
     here = puncture_density_form(points, r, q=q)
     assert math.isclose(puncture_density_form(points, r, q=q + 2.0 * math.pi), here,
                         rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _greedy_oracle(cands, sep, limit):
+    """The separated-set loop written pair by pair."""
+    kept = []
+    for c in cands:
+        if len(kept) >= limit:
+            break
+        if all(pseudo_dist(c, o) >= sep for o in kept):
+            kept.append(c)
+    return np.asarray(kept, dtype=complex)
+
+
+inner_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.99), angle)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(inner_point, min_size=1, max_size=80),
+       st.floats(0.05, 0.9, exclude_min=True, exclude_max=True), st.integers(1, 60))
+def test_greedy_separated_matches_pairwise_loop(cands, sep, limit):
+    cands = np.asarray(cands, dtype=complex)
+    got = _greedy_separated(cands, sep, limit)
+    assert got.tobytes() == _greedy_oracle(cands, sep, limit).tobytes()

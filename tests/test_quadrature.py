@@ -143,4 +143,6 @@ def test_domain_guards():
     with pytest.raises(DomainViolation):
         c_r_cyl(1.0)
     with pytest.raises(DomainViolation):
+        c_r_cyl(math.nan)
+    with pytest.raises(DomainViolation):
         annulus_log_integral_disk(0.45, ones)

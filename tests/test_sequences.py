@@ -197,3 +197,31 @@ def test_sweep_removal_stability_shrinks_with_r():
         drop = border_density_ratio(pts[1:], w, z, r).ratio
         diffs.append(abs(full - drop))
     assert diffs[1] < diffs[0] + 1e-12
+
+
+def test_border_density_ratio_checks_radius():
+    lat = generate_lattice("hyperbolic-disk", 12, seed=2, d=0.5)
+    for r in (0.3, 1.0):
+        with pytest.raises(DomainViolation):
+            border_density_ratio(lat, standard_disk(2.0), 0.1, r)
+
+
+def test_density_sweep_explicit_grid_errors():
+    lat = generate_lattice("hyperbolic-disk", 5, seed=1, d=0.5)
+    w = standard_disk(2.0)
+    with pytest.raises(DomainViolation):
+        density_sweep(lat, w, r_grid=())
+    with pytest.raises(DomainViolation):  # r >= 1 is not a border radius
+        density_sweep(lat, w, r_grid=(0.9, 1.5))
+    # a star part needs a radius above 1
+    star_only = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
+    with pytest.raises(DomainViolation, match="puncture"):
+        density_sweep(star_only, standard_puncture(2.0, 3.0), r_grid=(0.9,))
+
+
+def test_classify_r_grid_reaches_puncture_side():
+    seq = generate_lattice("puncture-exponential", 30, s=1.0, n=1)
+    v = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(r_grid=(4.0,)))
+    assert v.sweep.reports
+    assert {rep.radius for rep in v.sweep.reports} == {4.0}
+    assert {rep.kind for rep in v.sweep.reports} == {"puncture"}

@@ -122,3 +122,12 @@ def test_mean_comparison_stable_under_refinement():
     m_full = mean_comparison_margin(w, 0.5, grid)
     assert m_full >= m_half - 1e-14
     assert m_full <= 1.05 * m_half + 1e-12
+
+
+def test_mean_comparison_margin_of_zero_mean_harmonic_weight():
+    # the log-kernel mean of Re z about 0.3i is 0 exactly; convergence must
+    # not need a relative tolerance on a value that is 0
+    from bergseq import Domain, custom_weight
+
+    w = custom_weight(np.real, lambda z: np.zeros(np.shape(z)), Domain.DISK)
+    assert mean_comparison_margin(w, 0.8, [0.3j]) < 1e-12

@@ -198,3 +198,7 @@ def test_puncture_density_form_periodicity_and_value():
     b = puncture_density_form(pts, 4.0, q=q + 2 * math.pi)
     assert a == pytest.approx(b, abs=1e-14)
     assert a > 0.0
+
+
+def test_log_mean_disk_of_integrand_with_mean_zero():
+    assert abs(log_mean_disk(np.imag, 0.8, 0)) < 1e-12
