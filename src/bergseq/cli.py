@@ -138,6 +138,8 @@ def cmd_analyze(args):
             lines.append(f"{key}: {_fmt(getattr(verdict, key))}")
     for reason in verdict.reasons:
         lines.append(f"reason: {reason}")
+    if verdict.sweep is not None:
+        lines += [f"note: {note}" for note in verdict.sweep.notes]
     _emit(args.out, "\n".join(lines) + "\n")
     return 2 if verdict.verdict == "Indeterminate" else 0
 
@@ -164,6 +166,8 @@ def cmd_sweep(args):
             )
         )
     _emit(args.out, "\n".join(rows) + "\n")
+    for note in result.notes:  # stderr, so the CSV stays a plain table
+        print(f"note: {note}", file=sys.stderr)
     return 0
 
 

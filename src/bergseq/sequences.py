@@ -284,8 +284,11 @@ def density_sweep(
     estimate is the max of the two per the split definition of density.
     r_grid None sweeps each side's built-in grid; an explicit grid goes to
     the border part whole on the disk, split at r = 1 on the punctured
-    disk, and must leave each swept part at least one radius.
+    disk, and must leave each swept part at least one radius.  An explicit
+    list of centers must not be empty.
     """
+    if centers is not None and not len(centers):
+        raise DomainViolation("the center list is empty")
     reports = []
     notes = []
     if r_grid is None:

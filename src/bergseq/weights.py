@@ -9,9 +9,10 @@ consume.
 The potentials sigma and lambda of a finite sequence are computed by the
 Jensen reduction: the angular mean of log|w - a| on a circle of radius
 rho about the center is log max(rho, |a - center|), so the 2-D kernel
-integral collapses to a radial quadrature with kink breakpoints at the
-point distances.  This keeps the bound sigma <= 1 sharp to quadrature
-rounding even at points where it is attained.
+integral collapses to one radial mean per point.  On the border side that
+mean is a radial quadrature with kink breakpoints at the point distances;
+on the puncture side it is elementary and computed exactly.  Either way
+the bound sigma <= 1 stays sharp even at points where it is attained.
 """
 
 from __future__ import annotations
@@ -257,19 +258,18 @@ def _harmonic_term(harmonic, w):
     return 2.0 * (a * w + b).real
 
 
-def _jensen_potential(d, inner, r, radial_weight, harm, rule):
+def _jensen_potential(d, radial_means, harm):
     """(sigma, lambda) from the distances d of the zeros to the center.
 
     lambda is the log(r^2/rho^2)-weighted mean of log|T|^2 over the
-    annulus inner < rho < r against radial_weight; by Jensen the angular
-    mean of log|w - a|^2 is 2 log max(rho, |a|), so only the radial mean
-    is quadrature.  sigma = |T|^2 e^{-lambda} at the center.
+    side's annulus; by Jensen the angular mean of log|w - a|^2 is
+    2 log max(rho, |a|), so lambda is the sum over the zeros of
+    radial_means(d), the radial means of 2 log max(rho, d).
+    sigma = |T|^2 e^{-lambda} at the center.
     """
     if not d.size:
         return 1.0, harm
-    g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
-    means = radial_log_mean(g, inner, r, radial_weight, _log_kernel(r), rule, breaks=d)
-    lam = float(np.sum(means)) + harm
+    lam = float(np.sum(radial_means(d))) + harm
     if np.any(d == 0.0):
         return 0.0, lam
     log_t2 = float(2.0 * np.sum(np.log(d))) + harm
@@ -307,8 +307,12 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     radial mean is quadrature.
     """
     _check_radius(r, _BORDER_RADII, "border potential")
-    d = _disk_dists(points, z)
-    return _jensen_potential(d, 0.5, r, _hyper_weight, _harmonic_term(harmonic, z), rule)
+
+    def means(d):
+        g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
+        return radial_log_mean(g, 0.5, r, _hyper_weight, _log_kernel(r), rule, breaks=d)
+
+    return _jensen_potential(_disk_dists(points, z), means, _harmonic_term(harmonic, z))
 
 
 def border_density_form(points, r, z):
@@ -328,16 +332,55 @@ def border_density_form(points, r, z):
 # Sequence potentials (puncture side).
 
 def lifted_translates(points, q, radius):
-    """All preimages of the points under the cover within `radius` of q."""
-    out = []
-    for w in np.atleast_1d(lift_value(np.asarray(points, dtype=complex))):
-        k0 = round((q.real - w.real) / TWO_PI)
-        span = int(radius / TWO_PI) + 2
-        for k in range(k0 - span, k0 + span + 1):
-            t = w + TWO_PI * k
-            if abs(t - q) <= radius:
-                out.append(t)
-    return np.asarray(out, dtype=complex)
+    """All preimages of the points under the cover within `radius` of q.
+
+    Ordered point by point, and for each point by increasing translate.
+    """
+    w = np.atleast_1d(lift_value(np.asarray(points, dtype=complex)))
+    span = int(radius / TWO_PI) + 2
+    k = np.rint((q.real - w.real) / TWO_PI)[:, None] + np.arange(-span, span + 1)
+    t = w[:, None] + TWO_PI * k
+    off = t - q
+    # hypot, which abs() of a single complex number uses: numpy's array abs
+    # can differ from it in the last bit and move a translate across the cutoff
+    return t[np.hypot(off.real, off.imag) <= radius]
+
+
+# The moments int_0^b u^j (b - u) e^{2u} du, j = 0, 1, as power series,
+# b^(2+j) sum_n (2b)^n / (n! (n+1+j)(n+2+j)), for b < 1 where their
+# closed forms cancel; column j holds the coefficients of moment j.
+_SERIES = np.array([[1.0 / (math.factorial(n) * (n + 1 + j) * (n + 2 + j)) for j in (0, 1)]
+                    for n in range(25)])
+
+
+def _cyl_moments(b):
+    """e^{-2b} int_0^b u^j (b - u) e^{2u} du for j = 0 and j = 1, at each b >= 0."""
+    decay = np.exp(-2.0 * b)
+    norm = 0.25 * (1.0 - (1.0 + 2.0 * b) * decay)
+    excess = 0.25 * ((b - 1.0) + (b + 1.0) * decay)
+    small = b < 1.0
+    if np.any(small):
+        s = b[small]
+        series = np.vander(2.0 * s, len(_SERIES), increasing=True) @ _SERIES
+        norm[small] = decay[small] * s * s * series[:, 0]
+        excess[small] = decay[small] * s ** 3 * series[:, 1]
+    return norm, excess
+
+
+def _puncture_radial_means(d, r):
+    """Exact means of 2 log max(rho, d) against rho log(r^2/rho^2) drho on (1, r).
+
+    In t = log rho the measure is 2 (L - t) e^{2t} dt on (0, L), L = log r,
+    and max(t, log d) = a + (t - a)_+ with a = log max(d, 1).  The mean of
+    (t - a)_+ is the j = 1 moment of _cyl_moments at L - min(a, L) over
+    the j = 0 moment at L; both integrals carry a factor e^{2L}, which the
+    moments' e^{-2b} takes out.  So d <= 1 takes no log of d, and d >= r
+    gives exactly 2 log d.
+    """
+    L = math.log(r)
+    log_d = np.log(np.maximum(d, 1.0))
+    norm, excess = _cyl_moments(np.concatenate(([L], L - np.minimum(log_d, L))))
+    return 2.0 * log_d + 2.0 * excess[1:] / norm[0]
 
 
 def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT_RULE):
@@ -346,8 +389,10 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     The generator is the product of (w - gamma) over every lift of the
     sequence within Euclidean distance r + 2 pi of the lift of z; lambda
     is the Euclidean log-kernel annulus mean (inner radius 1, outer r) of
-    log|T|^2, Jensen-reduced as on the border side.  2 pi periodicity of
-    the translate set makes the result independent of the chosen lift.
+    log|T|^2, Jensen-reduced as on the border side.  Its radial means are
+    elementary and computed exactly, so `rule` has no effect here; it is
+    kept for symmetry with border_potential.  2 pi periodicity of the
+    translate set makes the result independent of the chosen lift.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture potential")
     points = np.asarray(points, dtype=complex)
@@ -357,7 +402,7 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     if q.imag <= r:
         raise WindowViolation(f"lift of z has Im = {q.imag:.3g} <= r = {r}")
     d = _translate_dists(points, q, r + TWO_PI)
-    return _jensen_potential(d, 1.0, r, _euclid_weight, _harmonic_term(harmonic, q), rule)
+    return _jensen_potential(d, lambda dist: _puncture_radial_means(dist, r), _harmonic_term(harmonic, q))
 
 
 def puncture_density_form(points, r, z=None, q=None):

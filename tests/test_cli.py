@@ -209,3 +209,22 @@ def test_sweep_r_grid_split_by_side(tmp_path):
                  "--r-grid", "0.9,4", "--out", str(out)]) == 0
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
     assert {(r[2], r[3]) for r in rows} == {("0.9", "border"), ("4.0", "puncture")}
+
+
+def test_sweep_notes_reach_the_user(tmp_path, capsys):
+    seq = tmp_path / "p.json"
+    main(["gen", "--kind", "puncture-exponential", "--count", "20", "--step", "1",
+          "--rays", "2", "--out", str(seq)])
+    flags = ["--weight", "standard-puncture:s=2,t=3", "--r-grid", "4,16"]
+    note = "note: no admissible center lifts at r = 16.0"  # the deepest lift has Im = 10
+    capsys.readouterr()
+    main(["analyze", str(seq)] + flags)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == note
+    assert [line for line in lines if line.startswith("reason: ")]
+    assert max(i for i, line in enumerate(lines) if line.startswith("reason: ")) < lines.index(note)
+    assert main(["sweep", str(seq)] + flags) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [note]
+    rows = out.splitlines()
+    assert rows[0] == SWEEP_HEADER and all(row.split(",")[2] == "4.0" for row in rows[1:])

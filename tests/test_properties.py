@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from bergseq import (
+    DEFAULT_RULE,
     FAST_RULE,
     border_potential,
     lift_value,
@@ -21,7 +22,10 @@ from bergseq import (
     puncture_density_form,
     puncture_potential,
 )
+from bergseq.geometry import TWO_PI
+from bergseq.quadrature import _euclid_weight, _log_kernel, radial_log_mean
 from bergseq.sequences import _greedy_separated
+from bergseq.weights import _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -139,3 +143,67 @@ def test_greedy_separated_matches_pairwise_loop(cands, sep, limit):
     cands = np.asarray(cands, dtype=complex)
     got = _greedy_separated(cands, sep, limit)
     assert got.tobytes() == _greedy_oracle(cands, sep, limit).tobytes()
+
+
+# The quadrature oracle's kernel weights log(r^2/rho^2) lose relative
+# precision as r -> 1 (about 3e-11 at r = 1 + 1e-5), so r starts at 1.001.
+@st.composite
+def radial_case(draw):
+    """(d, r): translate distances below 1, inside (1, r) and beyond r, with 0, 1 and r."""
+    r = draw(st.floats(1.001, 20.0))
+    below = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))
+    inside = draw(st.lists(st.floats(1.0, r, exclude_min=True, exclude_max=True), max_size=4))
+    beyond = draw(st.lists(st.floats(r, r + TWO_PI), max_size=3))
+    return np.asarray([0.0, 1.0, r] + below + inside + beyond), r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(radial_case())
+def test_puncture_radial_means_match_quadrature(case):
+    d, r = case
+    g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
+    # node doubling never splits the lower half of (1, r); without extra
+    # breaks there the oracle is off by 6e-10 relative at r = 19.9
+    breaks = np.concatenate((d, np.linspace(1.0, r, 17)))
+    want = radial_log_mean(g, 1.0, r, _euclid_weight, _log_kernel(r), DEFAULT_RULE, breaks=breaks)
+    got = _puncture_radial_means(d, r)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    beyond = d >= r
+    assert np.array_equal(got[beyond], 2.0 * np.log(d[beyond]))  # sigma <= 1 stays sharp
+
+
+def _translates_by_loop(points, q, radius):
+    """lifted_translates written point by point and translate by translate."""
+    out = []
+    for w in np.atleast_1d(lift_value(np.asarray(points, dtype=complex))):
+        k0 = round((q.real - w.real) / TWO_PI)
+        span = int(radius / TWO_PI) + 2
+        for k in range(k0 - span, k0 + span + 1):
+            t = w + TWO_PI * k
+            if abs(t - q) <= radius:
+                out.append(t)
+    return np.asarray(out, dtype=complex)
+
+
+@st.composite
+def translate_case(draw):
+    """(points, q, radius), some points with a lift about `radius` from q."""
+    radius = draw(st.floats(1.0, 20.0))
+    q = complex(draw(st.floats(-10.0, 10.0)), radius + draw(st.floats(0.1, 5.0)))
+    band = st.builds(
+        lambda a, eps, k: q + (radius + eps) * cmath.exp(1j * a) + TWO_PI * k,
+        angle, st.sampled_from([-1e-9, -1e-15, 0.0, 1e-15, 1e-9]), st.integers(-3, 3),
+    )
+    free = st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.05, 30.0))
+    lifts = draw(st.lists(st.one_of(band, free), max_size=8))
+    points = np.asarray([cmath.exp(1j * w) for w in lifts if w.imag > 0.01], dtype=complex)
+    return points, q, radius
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(translate_case())
+def test_lifted_translates_match_loop(case):
+    points, q, radius = case
+    got = lifted_translates(points, q, radius)
+    want = _translates_by_loop(points, q, radius)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -219,6 +219,12 @@ def test_density_sweep_explicit_grid_errors():
         density_sweep(star_only, standard_puncture(2.0, 3.0), r_grid=(0.9,))
 
 
+def test_density_sweep_rejects_empty_center_list():
+    lat = generate_lattice("hyperbolic-disk", 20, seed=1, d=0.5)
+    with pytest.raises(DomainViolation, match="center"):
+        density_sweep(lat, standard_disk(2.0), centers=[])
+
+
 def test_classify_r_grid_reaches_puncture_side():
     seq = generate_lattice("puncture-exponential", 30, s=1.0, n=1)
     v = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(r_grid=(4.0,)))

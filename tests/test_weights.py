@@ -175,6 +175,14 @@ def test_puncture_potential_guards():
         puncture_potential(pts, 0.9, 1e-4)
 
 
+def test_puncture_potential_sigma_at_a_point_of_the_sequence():
+    pts = np.exp(-np.arange(3.0, 8.0)) * np.exp(0.4j * np.arange(5))
+    for r in (2.0, 2.9):
+        sigma, lam = puncture_potential(pts, r, complex(pts[1]))
+        assert sigma == 0.0
+        assert math.isfinite(lam)
+
+
 def test_puncture_potential_bound_and_lift_periodicity():
     pts = np.exp(-np.arange(3.0, 10.0)) * np.exp(0.5j * np.arange(7))
     for _ in range(10):
