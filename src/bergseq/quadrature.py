@@ -93,21 +93,6 @@ def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     return nodes, weights
 
 
-def _sample(f, Z):
-    """Evaluate a caller-supplied function on a complex array.
-
-    Tries a single vectorized call; falls back to elementwise evaluation
-    for scalar-only callables.
-    """
-    try:
-        vals = np.asarray(f(Z), dtype=float)
-        if vals.shape != Z.shape:
-            vals = np.broadcast_to(vals, Z.shape).astype(float)
-    except (TypeError, ValueError):
-        vals = np.array([float(f(z)) for z in Z.ravel()]).reshape(Z.shape)
-    return vals
-
-
 def _converge(levels, rule, what):
     """Drive a level evaluator until two successive estimates agree.
 
@@ -147,6 +132,8 @@ def polar_integral(
 ):
     """Integrate f(zeta) k(rho) w(rho) over the annulus rho_lo < |zeta - center| < rho_hi.
 
+    f is called on 2-D complex arrays of nodes only, and its values must
+    broadcast to their shape; custom_weight wraps a scalar-only callable.
     With normalized=True, returns the mean of f against the measure
     k w rho drho dtheta, with the normalizer computed on the identical
     nodes so that constants are reproduced to machine precision.
@@ -163,7 +150,7 @@ def polar_integral(
             vals = np.empty((rho.size, n_th))
             rows = max(1, _BLOCK_NODES // n_th)
             for i in range(0, rho.size, rows):
-                vals[i:i + rows] = _sample(f, center + rho[i:i + rows, None] * ring[None, :])
+                vals[i:i + rows] = f(center + rho[i:i + rows, None] * ring[None, :])
             # non-finite samples (integrable log poles hit head-on) are
             # excised, which changes the integral by a set of measure zero
             if not np.all(np.isfinite(vals)):
@@ -263,10 +250,12 @@ def circle_mean(z, r, h, n=256):
     """Mean of h over the pseudohyperbolic circle of radius r about z.
 
     Parametrized as phi_z(r e^{i theta}); by Mobius invariance of the
-    Green current this equals the d^c G_z boundary mean.
+    Green current this equals the d^c G_z boundary mean.  h is called
+    once, on the array of the n circle points.
     """
     theta = (2.0 * math.pi / n) * np.arange(n)
-    vals = _sample(h, mobius_involution(z, r * np.exp(1j * theta)))
+    w = mobius_involution(z, r * np.exp(1j * theta))
+    vals = np.broadcast_to(np.asarray(h(w), dtype=float), w.shape)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))

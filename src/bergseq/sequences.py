@@ -352,8 +352,10 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
     Interpolating needs every separation radius above the numerical floor
     and the density estimate at most 1 - delta.  NotInterpolating needs a
     failed separation, a border estimate at least 1 + delta, or a
-    puncture estimate strictly above 1 + delta.  Everything else, or any
-    degenerate denominator or failed weight hypothesis, is Indeterminate.
+    puncture estimate strictly above 1 + delta under a weight that meets
+    the strict cylindrical lower bound (hypothesis flag puncture_strict).
+    Everything else, or any degenerate denominator or failed weight
+    hypothesis, is Indeterminate.
     """
     reasons = []
     if weight.domain is not seq.domain:
@@ -404,7 +406,14 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
         verdict = "NotInterpolating"
     elif d_p is not None and d_p > 1.0 + params.delta:
         reasons.append(f"puncture density estimate {d_p:.4f} > 1 + delta")
-        verdict = "NotInterpolating"
+        if flags.get("puncture_strict", True):
+            verdict = "NotInterpolating"
+        else:
+            # necessity needs the strict bound; without it the quotients are
+            # degenerate near the puncture and decide nothing
+            reasons.append("weight fails the strict cylindrical lower bound near the puncture,"
+                           " so the puncture estimate does not show non-interpolation")
+            verdict = "Indeterminate"
     else:
         # a puncture part with no admissible center lift leaves the
         # puncture density unestimated, which blocks a positive verdict

@@ -9,10 +9,11 @@ consume.
 The potentials sigma and lambda of a finite sequence are computed by the
 Jensen reduction: the angular mean of log|w - a| on a circle of radius
 rho about the center is log max(rho, |a - center|), so the 2-D kernel
-integral collapses to one radial mean per point.  On the border side that
-mean is a radial quadrature with kink breakpoints at the point distances;
-on the puncture side it is elementary and computed exactly.  Either way
-the bound sigma <= 1 stays sharp even at points where it is attained.
+integral collapses to one radial mean per point.  On both sides that
+mean is computed exactly, without quadrature: it is elementary on the
+puncture side and elementary up to a dilogarithm on the border side.
+Either way the bound sigma <= 1 stays sharp even at points where it is
+attained.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .quadrature import (
     c_r_cyl,
     c_r_disk,
     polar_integral,
-    radial_log_mean,
 )
 
 
@@ -120,6 +120,20 @@ def standard_puncture(s: float, t: float) -> WeightModel:
     )
 
 
+# Points inside the disk and the punctured disk, in the 2-D shape the
+# quadrature hands an integrand.
+_PROBE = np.array([[0.3, 0.5j], [-0.4 + 0.2j, 0.1 - 0.6j]])
+
+
+def _vectorized(f):
+    """f if it takes a complex array, else f wrapped in np.vectorize."""
+    try:
+        f(_PROBE)
+    except (TypeError, ValueError):
+        return np.vectorize(f, otypes=[float])
+    return f
+
+
 def custom_weight(
     phi,
     lap_poincare_ratio,
@@ -130,10 +144,20 @@ def custom_weight(
 ) -> WeightModel:
     """Wrap user callables; cross-checks the two Laplacian densities.
 
+    Each callable is called once on a small 2-D complex array inside the
+    domain.  One that raises TypeError or ValueError there, as a function
+    written with `math` does, is taken to be scalar-only and is wrapped
+    in np.vectorize, which calls it point by point: correct, but far
+    slower than a callable that takes arrays.  Everything downstream
+    calls the weight on arrays only.
+
     On the punctured disk the densities must satisfy
     ratio_cyl = ratio_poincare / (log 1/|z|^2)^2 wherever both are
     defined; checked on a radial sample grid at construction.
     """
+    phi, lap_poincare_ratio = _vectorized(phi), _vectorized(lap_poincare_ratio)
+    if lap_cyl_ratio is not None:
+        lap_cyl_ratio = _vectorized(lap_cyl_ratio)
     if domain is Domain.PUNCTURED_DISK and lap_cyl_ratio is not None:
         zs = np.exp(np.linspace(-8.0, -0.15, 40)) * np.exp(0.7j)
         got = np.asarray(lap_cyl_ratio(zs), dtype=float)
@@ -221,7 +245,7 @@ def _covered_integrand(f, q, eps):
 
     def integrand(zeta):
         # in place: the quadrature calls this on its largest node arrays
-        w = np.asarray(q - zeta)
+        w = q - zeta
         low = ~(w.imag > eps)
         w[low] = np.conjugate(w[low]) + 2j * eps
         w *= 1j
@@ -296,6 +320,88 @@ def _translate_dists(points, q, radius):
 # ---------------------------------------------------------------------------
 # Sequence potentials (border side).
 
+# The Bernoulli numbers B_2, B_4, ..., B_26 as (numerator, denominator).
+_BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                   (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+                   (-236364091, 2730), (8553103, 6))
+# Li2(1 - e^-u) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!, which converges
+# for |u| < 2 pi; the border needs 0 <= u <= log 4, where these 13 terms
+# reach double precision.  Integer true division rounds each coefficient once.
+_LI2_SERIES = np.array([num / (den * math.factorial(2 * k + 1))
+                        for k, (num, den) in enumerate(_BERNOULLI_EVEN, start=1)])
+
+
+def _li2_complement(u):
+    """Li2(1 - t) at t = e^-u, for 0 <= u <= log 4."""
+    u2 = u * u
+    return u - 0.25 * u2 + u * u2 * (np.vander(u2, len(_LI2_SERIES), increasing=True) @ _LI2_SERIES)
+
+
+def _narrow_series(n_terms):
+    """Taylor coefficients of Phi_k(x) / x^(k+1) for k = 0, 1, 2 (columns).
+
+    In x = log 4t the border measure is (X - x) G(x) dx on (0, X), X = log 4R,
+    with G = q/(1 - q)^2 = sum_m m q^m for q = e^x/4, so G has the Taylor
+    coefficients sum_m m^(n+1) 4^-m / n!; Phi_k(x) = int_0^x s^k G(s) ds.
+    Terms of the sum past m = 200 are below 1e-40 of it.
+    """
+    m = np.arange(1.0, 200.0)
+    g = np.array([(m ** (n + 1) * 0.25 ** m).sum() / math.factorial(n) for n in range(n_terms)])
+    return g[:, None] / (np.arange(n_terms)[:, None] + np.arange(1, 4))
+
+
+# G's nearest pole is at x = log 4, so below _NARROW_X 30 terms reach
+# double precision.
+_NARROW_SERIES = _narrow_series(30)
+_NARROW_X = 0.4
+
+
+def _border_moments(x):
+    """Phi_k(x) = int_0^x s^k G(s) ds for k = 0, 1, 2 (columns), at each 0 <= x <= _NARROW_X."""
+    series = np.vander(x, len(_NARROW_SERIES), increasing=True) @ _NARROW_SERIES
+    return series * x[:, None] ** np.arange(1, 4)
+
+
+def _border_radial_means(d, r):
+    """Exact means of 2 log max(rho, d) against rho log(r^2/rho^2)(1 - rho^2)^-2 drho on (1/2, r).
+
+    In t = rho^2 the measure is log(R/t)(1 - t)^-2 dt/2 on (1/4, R), R = r^2.
+    With D = clip(d^2, 1/4, R) the mean is 2 log max(d, 1/2) + E/N, where N
+    and E integrate 1 and log(t/D) against the measure over (1/4, R) and
+    (D, R).  So d <= 1/2 takes no log of d, and d >= r gives E = 0 and
+    exactly 2 log d.  The antiderivatives log(R/t)/(1 - t) + log(t/(1 - t))
+    and log t log(R/t)/(1 - t) - log R log(t/(1 - t)) + log^2 t + 2 Li2(1 - t)
+    reduce them to
+
+        N = log(3/4) - log(1 - R) - log(4R)/3,
+        E = 2 (Li2(1 - R) - Li2(1 - D)) + log(1/(RD)) log((1 - D)/(1 - R)).
+
+    N vanishes like (R - 1/4)^2 as r -> 1/2, where these lose digits.  For
+    X = log 4R below _NARROW_X, N and E come from the moments of
+    _border_moments instead, with a = log 4D and dPhi = Phi(X) - Phi(a):
+
+        N = X Phi_0(X) - Phi_1(X),
+        E = (X + a) dPhi_1 - dPhi_2 - a X dPhi_0.
+    """
+    x = np.concatenate(([r], np.clip(d, 0.5, r)))  # sqrt R, then sqrt D per point
+    log_4t = 2.0 * np.log1p(2.0 * x - 1.0)
+    if log_4t[0] < _NARROW_X:
+        X, a = log_4t[0], log_4t[1:]
+        phi = _border_moments(log_4t)
+        dphi = phi[0] - phi[1:]
+        norm = X * phi[0, 0] - phi[0, 1]
+        excess = (X + a) * dphi[:, 1] - dphi[:, 2] - a * X * dphi[:, 0]
+    else:
+        u = -2.0 * np.log(x)  # -log t
+        log_c = np.log((1.0 - x) * (1.0 + x))  # log(1 - t)
+        li2 = _li2_complement(u)
+        norm = math.log(0.75) - log_c[0] - (math.log(4.0) - u[0]) / 3.0
+        excess = 2.0 * (li2[0] - li2[1:]) + (u[0] + u[1:]) * (log_c[1:] - log_c[0])
+    # E vanishes at d >= r in exact arithmetic; the matrix products need
+    # not round the rows of r and of such a d alike, so it is set to 0
+    return 2.0 * np.log(np.maximum(d, 0.5)) + np.where(d < r, excess / norm, 0.0)
+
+
 def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT_RULE):
     """(sigma, lambda) of a border-supported finite sequence at z.
 
@@ -303,16 +409,14 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     optionally multiplied by exp(a zeta + b) with harmonic = (a, b); the
     returned sigma is provably independent of that factor.  lambda is the
     kernel-weighted annulus mean of log|T|^2 over 1/2 < |zeta| < r in the
-    phi_z coordinates; the angular integral is Jensen-exact and only the
-    radial mean is quadrature.
+    phi_z coordinates.  The angular integral is Jensen-exact, and the
+    radial means are elementary up to a dilogarithm and computed exactly,
+    so `rule` has no effect here, as in puncture_potential; it is kept so
+    that existing calls still work.
     """
     _check_radius(r, _BORDER_RADII, "border potential")
-
-    def means(d):
-        g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
-        return radial_log_mean(g, 0.5, r, _hyper_weight, _log_kernel(r), rule, breaks=d)
-
-    return _jensen_potential(_disk_dists(points, z), means, _harmonic_term(harmonic, z))
+    d = _disk_dists(points, z)
+    return _jensen_potential(d, lambda dist: _border_radial_means(dist, r), _harmonic_term(harmonic, z))
 
 
 def border_density_form(points, r, z):
@@ -390,9 +494,10 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     sequence within Euclidean distance r + 2 pi of the lift of z; lambda
     is the Euclidean log-kernel annulus mean (inner radius 1, outer r) of
     log|T|^2, Jensen-reduced as on the border side.  Its radial means are
-    elementary and computed exactly, so `rule` has no effect here; it is
-    kept for symmetry with border_potential.  2 pi periodicity of the
-    translate set makes the result independent of the chosen lift.
+    elementary and computed exactly, so `rule` has no effect here, as in
+    border_potential; it is kept so that existing calls still work.  2 pi
+    periodicity of the translate set makes the result independent of the
+    chosen lift.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture potential")
     points = np.asarray(points, dtype=complex)

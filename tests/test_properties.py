@@ -23,9 +23,9 @@ from bergseq import (
     puncture_potential,
 )
 from bergseq.geometry import TWO_PI
-from bergseq.quadrature import _euclid_weight, _log_kernel, radial_log_mean
+from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
 from bergseq.sequences import _greedy_separated
-from bergseq.weights import _puncture_radial_means
+from bergseq.weights import _border_radial_means, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -90,10 +90,9 @@ def test_border_potential_mobius_invariant(points, r, z, a, theta):
     move = _automorphism(a, theta)
     sigma, lam = border_potential(points, r, z, rule=FAST_RULE)
     sigma_m, lam_m = border_potential([move(p) for p in points], r, move(z), rule=FAST_RULE)
-    # the quadrature level at which convergence is accepted may differ
-    # between the two runs, so agreement is to the rule's tolerance
-    assert math.isclose(lam_m, lam, rel_tol=1e-6, abs_tol=1e-9)
-    assert math.isclose(sigma_m, sigma, rel_tol=1e-6, abs_tol=1e-9)
+    # both runs take the closed-form radial means, so they agree to rounding
+    assert math.isclose(lam_m, lam, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(sigma_m, sigma, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @PROPS
@@ -168,6 +167,30 @@ def test_puncture_radial_means_match_quadrature(case):
     want = radial_log_mean(g, 1.0, r, _euclid_weight, _log_kernel(r), DEFAULT_RULE, breaks=breaks)
     got = _puncture_radial_means(d, r)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    beyond = d >= r
+    assert np.array_equal(got[beyond], 2.0 * np.log(d[beyond]))  # sigma <= 1 stays sharp
+
+
+@st.composite
+def border_radial_case(draw):
+    """(d, r): distances below 1/2, inside (1/2, r) and from r up to 1, with 0, 1/2 and r."""
+    r = draw(st.floats(0.501, 0.9999))
+    below = draw(st.lists(st.floats(0.0, 0.5, exclude_max=True), max_size=3))
+    inside = draw(st.lists(st.floats(0.5, r, exclude_min=True, exclude_max=True), max_size=4))
+    beyond = draw(st.lists(st.floats(r, 1.0, exclude_max=True), max_size=3))
+    return np.asarray([0.0, 0.5, r] + below + inside + beyond), r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(border_radial_case())
+def test_border_radial_means_match_quadrature(case):
+    d, r = case
+    g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
+    # extra breaks, because node doubling never splits the middle panels
+    breaks = np.concatenate((d, np.linspace(0.5, r, 17)))
+    want = radial_log_mean(g, 0.5, r, _hyper_weight, _log_kernel(r), DEFAULT_RULE, breaks=breaks)
+    got = _border_radial_means(d, r)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-13))
     beyond = d >= r
     assert np.array_equal(got[beyond], 2.0 * np.log(d[beyond]))  # sigma <= 1 stays sharp
 

@@ -135,6 +135,20 @@ def test_circle_mean_rejects_singular_samples():
         circle_mean(0.0, 0.5, h)
 
 
+def test_integrand_errors_propagate():
+    # a vectorised integrand with a bug that only arrays reach; no
+    # elementwise retry may hide it
+    def flaky(z):
+        if np.ndim(z):
+            raise TypeError("bug in a vectorised integrand")
+        return 1.0
+
+    with pytest.raises(TypeError, match="bug"):
+        disk_log_integral(0.5, flaky)
+    with pytest.raises(TypeError, match="bug"):
+        circle_mean(0.0, 0.5, flaky)
+
+
 def test_domain_guards():
     with pytest.raises(DomainViolation):
         disk_log_integral(1.0, ones)

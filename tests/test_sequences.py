@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_border_density_nonconstant_ratio_path():
     assert fast.ratio == pytest.approx(slow.ratio, rel=1e-8)
 
 
+def test_custom_weight_wraps_scalar_only_callables():
+    # one curved weight written with numpy and with math: the math one
+    # raises TypeError on arrays, so custom_weight wraps it point by point
+    from bergseq import custom_weight
+
+    vec = custom_weight(lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2,
+                        lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2, Domain.DISK)
+    scal = custom_weight(lambda z: -2.0 * math.log1p(-abs(z) ** 2) + abs(z) ** 2,
+                         lambda z: 4.0 + 2.0 * math.pow(1.0 - abs(z) ** 2, 2), Domain.DISK)
+    zs = np.array([[0.0, 0.3 - 0.2j], [0.9j, -0.5]])
+    assert np.allclose(scal.phi(zs), vec.phi(zs), rtol=1e-15, atol=0.0)
+    pts = np.array([0.6, -0.55j])
+    want = border_density_ratio(pts, vec, 0.1, 0.9).denominator
+    assert border_density_ratio(pts, scal, 0.1, 0.9).denominator == pytest.approx(want, rel=1e-13)
+
+
 def test_puncture_density_ratio_guards():
     w = standard_puncture(2.0, 3.0)
     with pytest.raises(DomainViolation):
@@ -164,6 +181,20 @@ def test_classify_dense_lattice_not_interpolating():
     verdict = classify(lat, standard_disk(2.0))
     assert verdict.verdict == "NotInterpolating"
     assert verdict.density_border > 1.05
+
+
+@pytest.mark.parametrize("rays, estimate", [(1, 787.5), (2, 349.8), (3, 200.6)])
+def test_classify_puncture_estimate_needs_strict_bound(rays, estimate):
+    # standard_puncture fails the strict cylindrical lower bound, so its
+    # puncture quotients cannot show that a sequence is not interpolating
+    seq = generate_lattice("puncture-exponential", 30, s=1.0, n=rays)
+    w = standard_puncture(2.0, 3.0)
+    v = classify(seq, w)
+    assert v.density_puncture == pytest.approx(estimate, rel=1e-3)
+    assert v.verdict == "Indeterminate"
+    assert any("strict cylindrical lower bound" in reason for reason in v.reasons)
+    strict = replace(w, hypothesis_flags={**w.hypothesis_flags, "puncture_strict": True})
+    assert classify(seq, strict).verdict == "NotInterpolating"
 
 
 def test_classify_domain_mismatch_indeterminate():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import spence
 
 from bergseq import (
     Domain,
@@ -23,6 +24,7 @@ from bergseq import (
     truncated_log_mean,
 )
 from bergseq.errors import DomainViolation, WindowViolation
+from bergseq.weights import _li2_complement
 
 rng = np.random.default_rng(7)
 
@@ -210,3 +212,10 @@ def test_puncture_density_form_periodicity_and_value():
 
 def test_log_mean_disk_of_integrand_with_mean_zero():
     assert abs(log_mean_disk(np.imag, 0.8, 0)) < 1e-12
+
+
+def test_li2_complement_matches_scipy_spence():
+    # spence(t) is Li2(1 - t); the border means need t in [1/4, 1)
+    t = np.linspace(0.25, 1.0, 3001)[:-1]
+    want = spence(t)
+    assert np.all(np.abs(_li2_complement(-np.log(t)) - want) <= 1e-14 * np.abs(want))
