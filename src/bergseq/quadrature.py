@@ -13,6 +13,10 @@ accurate for smooth integrands on the circle.
 
 Node doubling doubles panels and angular nodes together; acceptance
 requires two successive estimates within the rule's relative tolerance.
+A kernel may give one column per radius, so that one pass over the
+largest disk serves several nested ones (the border quotients of one
+center); each component of such a vector estimate must then settle
+against its own magnitude.
 """
 
 from __future__ import annotations
@@ -97,19 +101,21 @@ def _converge(levels, rule, what):
     """Drive a level evaluator until two successive estimates agree.
 
     Each level yields (estimate, node count, a function giving the same
-    estimate of |integrand|).  The tolerance is relative to the largest of
-    the two estimates and that one, so an integral that cancels to 0
-    converges; the |integrand| pass runs only when the estimates alone
-    do not settle it.
+    estimate of |integrand|).  Every component must settle on its own:
+    |est_j - prev_j| <= rel_tol max(|est_j|, |prev_j|, 1e-12), or the same
+    against the |integrand| estimate's component j, so a small component
+    is not judged by a large one's magnitude and an integral that cancels
+    to 0 converges.  The |integrand| pass runs only when the estimates
+    alone do not settle it.
     """
     prev = None
     for est, n_nodes, abs_mean in levels:
         if np.size(est) == 0:
             return est
         if prev is not None:
-            diff = np.abs(np.subtract(est, prev)).max()
-            tol = rule.rel_tol * max(np.abs((est, prev)).max(), 1e-12)
-            if diff <= tol or diff <= rule.rel_tol * np.max(abs_mean()):
+            diff = np.abs(np.subtract(est, prev))
+            ok = diff <= rule.rel_tol * np.maximum(np.maximum(np.abs(est), np.abs(prev)), 1e-12)
+            if np.all(ok) or np.all(ok | (diff <= rule.rel_tol * abs_mean())):
                 return est
         if n_nodes * 4 > rule.max_nodes:
             if prev is not None:
@@ -134,9 +140,13 @@ def polar_integral(
 
     f is called on 2-D complex arrays of nodes only, and its values must
     broadcast to their shape; custom_weight wraps a scalar-only callable.
-    With normalized=True, returns the mean of f against the measure
-    k w rho drho dtheta, with the normalizer computed on the identical
-    nodes so that constants are reproduced to machine precision.
+    kernel(rho) returns shape (n_rho,), or (n_rho, k) for k kernels at
+    once, one column each; the result is then a length-k vector, each
+    component accepted on its own (see _converge), from one evaluation
+    of f per node.  With normalized=True, returns the mean of f against
+    the measure k w rho drho dtheta (per column), with the normalizer
+    computed on the identical nodes so that constants are reproduced to
+    machine precision.
     """
 
     def levels():
@@ -157,10 +167,10 @@ def polar_integral(
                 vals = np.where(np.isfinite(vals), vals, 0.0)
             radial = w_rho * rho * radial_weight(rho)
             if kernel is not None:
-                radial = radial * kernel(rho)
+                radial = (radial * kernel(rho).T).T
             step = 2.0 * math.pi / n_th
             mass = step * vals.sum(axis=1) @ radial
-            norm = 2.0 * math.pi * radial.sum() if normalized else 1.0
+            norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
             abs_mass = lambda: step * np.abs(vals).sum(axis=1) @ radial / norm
             yield mass / norm, rho.size * n_th, abs_mass
             n_pan *= 2

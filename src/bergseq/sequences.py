@@ -25,13 +25,16 @@ from .geometry import (
     mobius_involution,
     pseudo_dist,
 )
-from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, disk_log_integral, polar_integral
-from .quadrature import _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _log_kernel
+from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
+from .quadrature import _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight, _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
 from .weights import _annulus_sum, _covered_integrand, _disk_dists, _translate_dists
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
+# Most centers center_net returns by default; density_sweep notes when a
+# net reaches it, with the coverage radius it left.
+CENTER_CAP = 64
 DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 
@@ -76,6 +79,14 @@ class DensityReport:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Reports in (r, center) order per side, border side first.
+
+    n_centers is the number of border-side centers swept, and
+    coverage_radius the largest pseudohyperbolic distance from a
+    border-part point to its nearest such center (None with no border
+    part): the sup is taken over balls about those centers only.
+    """
+
     reports: tuple
     estimate: float
     border_estimate: Optional[float]
@@ -83,6 +94,8 @@ class SweepResult:
     decreasing: bool
     degenerate: bool
     notes: tuple = ()
+    n_centers: int = 0
+    coverage_radius: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,26 @@ def _report(center, r, numer, denom, kind) -> DensityReport:
     return DensityReport(complex(center), float(r), numer, denom, ratio, kind, degenerate)
 
 
+def _border_quotients(dists, weight: WeightModel, z, radii, rule):
+    """The border quotients at center z, one DensityReport per radius in order.
+
+    dists are the pseudohyperbolic distances |phi_z(gamma)| of the points.
+    A weight without constant curvature gets every denominator from one
+    polar_integral over D_max(radii)(0), with a break at each radius and
+    one kernel column log(max(r^2/rho^2, 1)) per radius, so the pulled-back
+    curvature density is sampled once for all of them.
+    """
+    numers = [float(TWO_PI * _annulus_sum(dists, 0.5, r, _log_kernel(r))) for r in radii]
+    if weight.constant_poincare_ratio is not None:
+        denoms = [(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]
+    else:
+        g = lambda zeta: weight.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
+        r2 = np.square(radii, dtype=float)
+        kernel = lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
+        denoms = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule, breaks=radii)
+    return [_report(z, r, n, float(d), "border") for r, n, d in zip(radii, numers, denoms)]
+
+
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
     """Point-count vs curvature-mass quotient at one (center, radius).
 
@@ -168,14 +201,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    numer = float(TWO_PI * _annulus_sum(_disk_dists(pts, z), 0.5, r, _log_kernel(r)))
-
-    if weight.constant_poincare_ratio is not None:
-        denom = (weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r)
-    else:
-        g = lambda zeta: weight.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
-        denom = float(disk_log_integral(r, g, "hyperbolic", rule))
-    return _report(z, r, numer, denom, "border")
+    return _border_quotients(_disk_dists(pts, z), weight, z, (r,), rule)[0]
 
 
 def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT_RULE) -> DensityReport:
@@ -217,7 +243,7 @@ def _greedy_separated(cands, sep, limit):
     return kept[:k]
 
 
-def center_net(points, mesh, max_centers=64):
+def center_net(points, mesh, max_centers=CENTER_CAP):
     """Greedy mesh-separated net covering the points plus one mesh margin.
 
     Candidates are the points themselves and a ring of eight neighbors at
@@ -241,20 +267,15 @@ def _aggregate(per_r):
     return estimate, decreasing
 
 
-def _radius_sups(grid_centers, quotient, reports):
-    """Per-radius sup of the nondegenerate quotients over (r, centers) pairs.
+def _radius_sups(groups, reports):
+    """Per-radius sup of the nondegenerate quotients over (r, reports) groups.
 
-    Every report is appended to `reports` in (r, center) order.
+    Every report is appended to `reports` in group order.
     """
     per_r = {}
-    for r, ctrs in grid_centers:
-        best = 0.0
-        for c in ctrs:
-            rep = quotient(c, r)
-            reports.append(rep)
-            if not rep.degenerate:
-                best = max(best, rep.ratio)
-        per_r[r] = best
+    for r, reps in groups:
+        reports.extend(reps)
+        per_r[r] = max((rep.ratio for rep in reps if not rep.degenerate), default=0.0)
     return per_r
 
 
@@ -291,6 +312,7 @@ def density_sweep(
         raise DomainViolation("the center list is empty")
     reports = []
     notes = []
+    n_centers, coverage_radius = 0, None
     if r_grid is None:
         border_grid, puncture_grid = BORDER_R_GRID, PUNCTURE_R_GRID
     else:
@@ -299,23 +321,34 @@ def density_sweep(
         puncture_grid = tuple(r for r in r_grid if not r < 1.0)
 
     def run_border(part_points):
+        nonlocal n_centers, coverage_radius
         grid = _side_grid(border_grid, _BORDER_RADII, "border")
         ctrs = centers if centers is not None else center_net(part_points, mesh)
-        quotient = lambda z, r: border_density_ratio(part_points, weight, z, r, rule)
-        return _aggregate(_radius_sups(((r, ctrs) for r in grid), quotient, reports))
+        nearest = np.full(len(part_points), math.inf)
+        per_center = []
+        for c in ctrs:
+            d = _disk_dists(part_points, c)
+            nearest = np.minimum(nearest, d)
+            per_center.append(_border_quotients(d, weight, c, grid, rule))
+        n_centers = len(ctrs)
+        coverage_radius = float(nearest.max()) if nearest.size else None
+        if centers is None and n_centers == CENTER_CAP:
+            notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
+                         f" coverage radius {coverage_radius:.3f}")
+        # per_center is center-major; the reports go out (r, center)-major
+        return _aggregate(_radius_sups(zip(grid, zip(*per_center)), reports))
 
     def run_puncture(part_points):
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(np.asarray(part_points, dtype=complex)))
-        grid_centers = []
+        groups = []
         for r in grid:
             qs = [q for q in lifts if q.imag > r + 1.0]
             if qs:
-                grid_centers.append((r, qs))
+                groups.append((r, [puncture_density_ratio(part_points, weight, q, r, eps, rule) for q in qs]))
             else:
                 notes.append(f"no admissible center lifts at r = {r}")
-        quotient = lambda q, r: puncture_density_ratio(part_points, weight, q, r, eps, rule)
-        per_r = _radius_sups(grid_centers, quotient, reports)
+        per_r = _radius_sups(groups, reports)
         if not per_r:
             return None, True
         return _aggregate(per_r)
@@ -339,7 +372,8 @@ def density_sweep(
     estimate = max(cands) if cands else math.inf
     degenerate = any(rep.degenerate for rep in reports)
     return SweepResult(
-        tuple(reports), estimate, border_est, punct_est, decreasing, degenerate, tuple(notes)
+        tuple(reports), estimate, border_est, punct_est, decreasing, degenerate, tuple(notes),
+        n_centers, coverage_radius,
     )
 
 

@@ -15,12 +15,17 @@ from hypothesis import assume, given, settings, strategies as st
 from bergseq import (
     DEFAULT_RULE,
     FAST_RULE,
+    Domain,
+    SequenceSet,
     border_potential,
+    custom_weight,
+    density_sweep,
     lift_value,
     lifted_translates,
     pseudo_dist,
     puncture_density_form,
     puncture_potential,
+    standard_disk,
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
@@ -119,6 +124,35 @@ def test_puncture_density_form_two_pi_periodic(case):
     here = puncture_density_form(points, r, q=q)
     assert math.isclose(puncture_density_form(points, r, q=q + 2.0 * math.pi), here,
                         rel_tol=1e-9, abs_tol=1e-12)
+
+
+_CURVED = custom_weight(
+    lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2,
+    lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2,
+    Domain.DISK,
+)
+
+
+def _check_superset_sweep(points, extra, centers, weight):
+    assume(extra not in points)
+    small = density_sweep(SequenceSet(points, Domain.DISK), weight, centers=centers)
+    big = density_sweep(SequenceSet(points + [extra], Domain.DISK), weight, centers=centers)
+    assert big.border_estimate >= small.border_estimate
+    for a, b in zip(small.reports, big.reports):
+        assert (a.center, a.radius, a.denominator) == (b.center, b.radius, b.denominator)
+        assert b.numerator >= a.numerator
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(disk_points, disk_point, st.lists(disk_point, min_size=1, max_size=4))
+def test_adding_a_point_never_lowers_the_border_estimate(points, extra, centers):
+    _check_superset_sweep(points, extra, centers, standard_disk(2.0))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(disk_points, disk_point, st.lists(disk_point, min_size=1, max_size=2))
+def test_adding_a_point_never_lowers_the_curved_border_estimate(points, extra, centers):
+    _check_superset_sweep(points, extra, centers, _CURVED)
 
 
 def _greedy_oracle(cands, sep, limit):

@@ -19,6 +19,7 @@ from bergseq import (
     radial_log_mean,
 )
 from bergseq.errors import DomainViolation
+from bergseq.quadrature import _converge, _hyper_weight
 
 
 def ones(z):
@@ -98,6 +99,27 @@ def test_normalized_mean_reproduces_constants_exactly():
     kernel = lambda rho: np.log(r * r / (rho * rho))
     got = polar_integral(lambda z: 4.25 * np.ones(z.shape), 0.0, 0.0, r, hyper, kernel, normalized=True)
     assert got == pytest.approx(4.25, abs=5e-15)
+
+
+def test_converge_judges_each_component_on_its_own():
+    # the small component still moves by 10% when the large one has
+    # settled; measured against the large one's magnitude it would pass
+    rule = QuadratureRule(rel_tol=1e-2)
+    ests = [np.array([100.0, 1.0]), np.array([100.0, 1.1]), np.array([100.0, 1.1001])]
+    levels = ((est, 16, lambda est=est: np.abs(est)) for est in ests)
+    assert _converge(levels, rule, "test") is ests[2]
+
+
+def test_kernel_columns_match_single_radius_integrals():
+    # one pass over D_0.99 with one column per radius gives each disk's integral
+    c, radii = 3.5, np.array([0.9, 0.99])
+    const = lambda z: c * np.ones(z.shape)
+    kernel = lambda rho: np.log(np.maximum(radii**2 / (rho * rho)[:, None], 1.0))
+    got = polar_integral(const, 0.0, 0.0, 0.99, _hyper_weight, kernel, breaks=tuple(radii))
+    assert got.shape == (2,)
+    for r, g in zip(radii, got):
+        assert g == pytest.approx(disk_log_integral(r, const), rel=1e-12)
+        assert g == pytest.approx(c * a_r_hyperbolic(r), rel=1e-10)
 
 
 def test_breakpoint_kink_integrated_sharply():

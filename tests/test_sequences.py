@@ -13,11 +13,14 @@ from bergseq import (
     border_density_ratio,
     center_net,
     classify,
+    custom_weight,
     cyl_dist,
     decompose,
     density_sweep,
+    disk_log_integral,
     generate_lattice,
     hyp_dist,
+    mobius_involution,
     pseudo_dist,
     puncture_density_ratio,
     separation_border,
@@ -26,6 +29,7 @@ from bergseq import (
     standard_puncture,
 )
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
+from bergseq.sequences import CENTER_CAP
 
 rng = np.random.default_rng(99)
 
@@ -262,3 +266,74 @@ def test_classify_r_grid_reaches_puncture_side():
     assert v.sweep.reports
     assert {rep.radius for rep in v.sweep.reports} == {4.0}
     assert {rep.kind for rep in v.sweep.reports} == {"puncture"}
+
+
+# phi = 2 log 1/(1-|z|^2) + |z|^2, so Delta phi / omega_P = 4 + 2 (1-|z|^2)^2
+CURVED = custom_weight(
+    lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2,
+    lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2,
+    Domain.DISK,
+)
+
+
+def test_one_pass_sweep_matches_per_radius_quotients():
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    sweep = density_sweep(lat, CURVED)
+    n = sweep.n_centers
+    assert len(sweep.reports) == len(BORDER_R_GRID) * n
+    ctrs = [rep.center for rep in sweep.reports[:n]]
+    for i, rep in enumerate(sweep.reports):
+        r, c = BORDER_R_GRID[i // n], ctrs[i % n]
+        assert (rep.radius, rep.center) == (r, c)
+        # the numerator does not depend on the weight, and is exact
+        assert rep.numerator == border_density_ratio(lat, standard_disk(2.0), c, r).numerator
+        g = lambda zeta: CURVED.lap_poincare_ratio(mobius_involution(c, zeta)) - 2.0
+        assert rep.denominator == pytest.approx(disk_log_integral(r, g), rel=1e-8)
+
+
+def test_one_pass_sweep_keeps_an_explicit_grid_order():
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    ctrs = [0.0, 0.3 - 0.2j, -0.6j]
+    reps = density_sweep(lat, CURVED, r_grid=(0.99, 0.9, 0.9), centers=ctrs).reports
+    assert [(rep.radius, rep.center) for rep in reps] == [(r, c) for r in (0.99, 0.9, 0.9) for c in ctrs]
+    assert reps[3:6] == reps[6:]
+
+
+def test_one_pass_sweep_reproduces_constant_curvature():
+    # a wrapped standard weight goes through quadrature: (6 - 2) a_r
+    s3 = standard_disk(3.0)
+    wrapped = custom_weight(s3.phi, s3.lap_poincare_ratio, Domain.DISK)
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    for rep in density_sweep(lat, wrapped).reports:
+        assert rep.denominator == pytest.approx(4.0 * a_r_hyperbolic(rep.radius), rel=1e-12)
+
+
+def _coverage(points, centers):
+    return max(min(pseudo_dist(p, c) for c in centers) for p in points)
+
+
+def test_sweep_reports_center_cap_and_coverage():
+    # the net takes the points first, so it needs more points than its cap
+    # to leave any at a positive distance
+    lat = generate_lattice("hyperbolic-disk", 80, seed=1, d=0.35, margin=0.02)
+    sweep = density_sweep(lat, standard_disk(2.0))
+    net = center_net(lat.array(), 0.3)
+    assert sweep.n_centers == len(net) == CENTER_CAP
+    assert sweep.coverage_radius == pytest.approx(_coverage(lat.points, net), rel=1e-12)
+    assert sweep.coverage_radius > 0.3
+    assert sweep.notes == (
+        f"center net reached its cap of 64 centers; coverage radius {sweep.coverage_radius:.3f}",
+    )
+    small = generate_lattice("hyperbolic-disk", 3, seed=1, d=0.35, margin=0.1)
+    sweep = density_sweep(small, standard_disk(2.0))
+    assert sweep.n_centers < CENTER_CAP and sweep.notes == ()
+    assert sweep.coverage_radius == 0.0  # every point is a center
+    # explicit centers get the coverage radius and never the note
+    ctrs = [0.0, 0.5j]
+    sweep = density_sweep(lat, standard_disk(2.0), centers=ctrs)
+    assert (sweep.n_centers, sweep.notes) == (2, ())
+    assert sweep.coverage_radius == pytest.approx(_coverage(lat.points, ctrs), rel=1e-12)
+    # a punctured-disk sequence with no border part has no coverage radius
+    star = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
+    sweep = density_sweep(star, standard_puncture(2.0, 3.0))
+    assert (sweep.n_centers, sweep.coverage_radius) == (0, None)
