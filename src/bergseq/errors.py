@@ -10,15 +10,20 @@ class DomainViolation(BergseqError):
 
 
 class QuadratureNotConverged(BergseqError):
-    """Node doubling hit the cap before successive estimates agreed.
+    """Refinement reached the node cap before the estimate settled.
 
-    Carries the last two estimates so callers can judge how far off the
-    result is.
+    Carries the last two estimates, so callers can judge how far off the
+    result is, and the discretization of the last level run: its radial
+    panels, its angular nodes (None for a radial mean) and its node count.
     """
 
-    def __init__(self, message, last_estimates):
-        super().__init__(f"{message}: last estimates {last_estimates!r}")
+    def __init__(self, message, last_estimates, n_panels, n_theta, n_nodes):
+        grid = f"{n_panels} panels" if n_theta is None else f"{n_panels} panels x {n_theta} angles"
+        super().__init__(f"{message}: last estimates {last_estimates!r} at {grid}, {n_nodes} nodes")
         self.last_estimates = tuple(last_estimates)
+        self.n_panels = n_panels
+        self.n_theta = n_theta
+        self.n_nodes = n_nodes
 
 
 class WindowViolation(BergseqError):

@@ -11,12 +11,17 @@ which resolves the (1 - rho^2)^-2 blow-up of the hyperbolic density near
 the outer rim.  Angular integration is the trapezoid rule, spectrally
 accurate for smooth integrands on the circle.
 
-Node doubling doubles panels and angular nodes together; acceptance
-requires two successive estimates within the rule's relative tolerance.
-A kernel may give one column per radius, so that one pass over the
-largest disk serves several nested ones (the border quotients of one
-center); each component of such a vector estimate must then settle
-against its own magnitude.
+Refinement is per axis.  Each level of polar_integral gives two error
+indicators for free: the angular one compares the estimate with the one
+from the even-indexed angles alone, and the radial one compares it with
+the previous level's estimate on the same angles.  The next level
+doubles only the axes whose indicator fails, and the integral is
+accepted when both pass.  The samples are reduced to per-radius row sums
+block by block, so no level holds its whole sample array.  A kernel may
+give one column per radius, so that one pass over the largest disk
+serves several nested ones (the border quotients of one center, the
+puncture quotients of one lift); each component of such a vector
+estimate must then settle against its own magnitude.
 """
 
 from __future__ import annotations
@@ -42,7 +47,13 @@ _BLOCK_NODES = 2 ** 12
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Initial discretization and convergence policy."""
+    """Initial discretization and convergence policy.
+
+    n_panels and n_theta are the first level's radial panel parameter and
+    angular node count; each later level doubles the axes that have not
+    settled to rel_tol.  max_nodes bounds the node count of one level: a
+    level that would pass it raises QuadratureNotConverged instead.
+    """
 
     n_panels: int = 8
     n_theta: int = 64
@@ -97,32 +108,64 @@ def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     return nodes, weights
 
 
+def _settled(est, ref, rule, abs_mean):
+    """Whether every component of est agrees with ref to rule.rel_tol.
+
+    Component j settles when |est_j - ref_j| <= rel_tol max(|est_j|,
+    |ref_j|, 1e-12), or when the difference is that small against
+    abs_mean()_j, the same estimate of |integrand|; so a small component
+    is not judged by a large one's magnitude, and an integral that cancels
+    to 0 settles.  abs_mean is called only when the estimates alone do not
+    settle it.
+    """
+    diff = np.abs(np.subtract(est, ref))
+    ok = diff <= rule.rel_tol * np.maximum(np.maximum(np.abs(est), np.abs(ref)), 1e-12)
+    return bool(np.all(ok) or np.all(ok | (diff <= rule.rel_tol * abs_mean())))
+
+
 def _converge(levels, rule, what):
-    """Drive a level evaluator until two successive estimates agree.
+    """Drive a level evaluator until two successive estimates settle.
 
     Each level yields (estimate, node count, a function giving the same
-    estimate of |integrand|).  Every component must settle on its own:
-    |est_j - prev_j| <= rel_tol max(|est_j|, |prev_j|, 1e-12), or the same
-    against the |integrand| estimate's component j, so a small component
-    is not judged by a large one's magnitude and an integral that cancels
-    to 0 converges.  The |integrand| pass runs only when the estimates
-    alone do not settle it.
+    estimate of |integrand|), and each yields twice the nodes of the one
+    before; see _settled for the test.
     """
     prev = None
     for est, n_nodes, abs_mean in levels:
         if np.size(est) == 0:
             return est
-        if prev is not None:
-            diff = np.abs(np.subtract(est, prev))
-            ok = diff <= rule.rel_tol * np.maximum(np.maximum(np.abs(est), np.abs(prev)), 1e-12)
-            if np.all(ok) or np.all(ok | (diff <= rule.rel_tol * abs_mean())):
-                return est
-        if n_nodes * 4 > rule.max_nodes:
-            if prev is not None:
-                raise QuadratureNotConverged(what, (prev, est))
+        if prev is not None and _settled(est, prev, rule, abs_mean):
             return est
+        if n_nodes * 2 > rule.max_nodes:
+            last = (est,) if prev is None else (prev, est)
+            raise QuadratureNotConverged(what, last, n_nodes // _GL_ORDER, None, n_nodes)
         prev = est
-    return prev
+
+
+def _row_sums(f, center, rho, n_theta):
+    """Sums of f over the ring of n_theta angles at each radius rho.
+
+    Returns an array of shape (3, len(rho)): the sums over all angles,
+    over the even-indexed angles, and of |f| over all angles.  f is
+    sampled a block of whole rows at a time and each block is reduced at
+    once, so no len(rho) x n_theta array is held.
+    """
+    theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
+    ring = np.exp(1j * theta)
+    sums = np.empty((3, rho.size))
+    rows = max(1, _BLOCK_NODES // n_theta)
+    for i in range(0, rho.size, rows):
+        nodes = center + rho[i:i + rows, None] * ring[None, :]
+        vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+        # non-finite samples (integrable log poles hit head-on) are
+        # excised, which changes the integral by a set of measure zero
+        if not np.all(np.isfinite(vals)):
+            vals = np.where(np.isfinite(vals), vals, 0.0)
+        even = vals[:, ::2].sum(axis=1)
+        sums[0, i:i + rows] = even + vals[:, 1::2].sum(axis=1)
+        sums[1, i:i + rows] = even
+        sums[2, i:i + rows] = np.abs(vals).sum(axis=1)
+    return sums
 
 
 def polar_integral(
@@ -142,41 +185,47 @@ def polar_integral(
     broadcast to their shape; custom_weight wraps a scalar-only callable.
     kernel(rho) returns shape (n_rho,), or (n_rho, k) for k kernels at
     once, one column each; the result is then a length-k vector, each
-    component accepted on its own (see _converge), from one evaluation
+    component accepted on its own (see _settled), from one evaluation
     of f per node.  With normalized=True, returns the mean of f against
     the measure k w rho drho dtheta (per column), with the normalizer
     computed on the identical nodes so that constants are reproduced to
     machine precision.
+
+    The angular indicator of a level compares its estimate with the one
+    from its even-indexed angles; the radial indicator compares it with
+    the previous level's estimate on the same angles (the even-indexed
+    ones when that level had half as many).  A level that doubled no
+    panels keeps the radial verdict of the level before.
     """
-
-    def levels():
-        n_pan, n_th = rule.n_panels, rule.n_theta
-        while True:
-            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
-            theta = (2.0 * math.pi / n_th) * np.arange(n_th)
-            ring = np.exp(1j * theta)
-            # whole radial rows at a time, which bounds the integrand's
-            # temporaries without changing any sample or sum
-            vals = np.empty((rho.size, n_th))
-            rows = max(1, _BLOCK_NODES // n_th)
-            for i in range(0, rho.size, rows):
-                vals[i:i + rows] = f(center + rho[i:i + rows, None] * ring[None, :])
-            # non-finite samples (integrable log poles hit head-on) are
-            # excised, which changes the integral by a set of measure zero
-            if not np.all(np.isfinite(vals)):
-                vals = np.where(np.isfinite(vals), vals, 0.0)
-            radial = w_rho * rho * radial_weight(rho)
-            if kernel is not None:
-                radial = (radial * kernel(rho).T).T
-            step = 2.0 * math.pi / n_th
-            mass = step * vals.sum(axis=1) @ radial
-            norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
-            abs_mass = lambda: step * np.abs(vals).sum(axis=1) @ radial / norm
-            yield mass / norm, rho.size * n_th, abs_mass
+    n_pan, n_th = rule.n_panels, rule.n_theta
+    prev = prev_th = None
+    radial_ok = refined_rho = False
+    while True:
+        rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
+        if prev is not None and rho.size * n_th > rule.max_nodes:
+            raise QuadratureNotConverged("polar integral", last, *grid)
+        grid = (rho.size // _GL_ORDER, n_th, rho.size * n_th)
+        radial = w_rho * rho * radial_weight(rho)
+        if kernel is not None:
+            radial = (radial * kernel(rho).T).T
+        norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
+        step = 2.0 * math.pi / n_th
+        total, even, absolute = _row_sums(f, center, rho, n_th) @ radial * step / norm
+        if np.size(total) == 0:
+            return total
+        even = 2.0 * even
+        abs_mean = lambda: absolute
+        angular_ok = _settled(total, even, rule, abs_mean)
+        if refined_rho:
+            radial_ok = _settled(total if n_th == prev_th else even, prev, rule, abs_mean)
+        if angular_ok and radial_ok:
+            return total
+        last = (total,) if prev is None else (prev, total)
+        prev, prev_th, refined_rho = total, n_th, not radial_ok
+        if not radial_ok:
             n_pan *= 2
+        if not angular_ok:
             n_th *= 2
-
-    return _converge(levels(), rule, "polar integral")
 
 
 # ---------------------------------------------------------------------------

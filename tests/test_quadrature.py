@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from bergseq import (
     polar_integral,
     radial_log_mean,
 )
-from bergseq.errors import DomainViolation
-from bergseq.quadrature import _converge, _hyper_weight
+from bergseq.errors import DomainViolation, QuadratureNotConverged
+from bergseq.geometry import mobius_involution
+from bergseq.quadrature import _converge, _hyper_weight, _log_kernel
 
 
 def ones(z):
@@ -120,6 +122,86 @@ def test_kernel_columns_match_single_radius_integrals():
     for r, g in zip(radii, got):
         assert g == pytest.approx(disk_log_integral(r, const), rel=1e-12)
         assert g == pytest.approx(c * a_r_hyperbolic(r), rel=1e-10)
+
+
+def _angle_counts(f):
+    """f, and the angular node counts of the arrays the quadrature hands it."""
+    seen = set()
+
+    def counted(z):
+        seen.add(z.shape[1])
+        return f(z)
+
+    return counted, seen
+
+
+def test_radial_integrand_never_doubles_angles():
+    # no theta dependence: the even-angle estimate equals the full one, so
+    # only the panels are refined
+    f, seen = _angle_counts(lambda z: 1.0 / (1.0 + np.abs(z) ** 2))
+    got = polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9))
+    oracle, _ = integrate.quad(
+        lambda rho: 2 * math.pi * rho * math.log(0.81 / rho**2) / ((1 + rho**2) * (1 - rho**2) ** 2),
+        0.0, 0.9, epsabs=0.0, epsrel=1e-13,
+    )
+    assert seen == {DEFAULT_RULE.n_theta}
+    assert got == pytest.approx(oracle, rel=1e-10)
+
+
+def test_border_integrand_near_the_rim_doubles_angles():
+    # the curved weight's pulled-back density about c = 0.94 peaks sharply
+    # in theta, which 64 angles do not resolve
+    c, r = 0.94, 0.99
+    lap = lambda w: 4.0 + 2.0 * (1.0 - np.abs(w) ** 2) ** 2
+    f, seen = _angle_counts(lambda zeta: lap(mobius_involution(c, zeta)) - 2.0)
+    polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r))
+    assert max(seen) > DEFAULT_RULE.n_theta
+
+
+def _sawtooth(z):
+    # jumps by -2 pi at theta = pi, where every level samples the one-sided
+    # value pi: the full and even-angle estimates differ by pi/n_theta of
+    # the radial mass, so the angles never settle
+    return np.angle(z)
+
+
+def test_level_memory_is_bounded_by_the_block():
+    # the last level has 192 radii x 2048 angles, so its whole sample array
+    # alone would take 3 MB
+    rule = QuadratureRule(max_nodes=2**19)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNotConverged) as err:
+            polar_integral(_sawtooth, 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9), rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.n_nodes >= 2**18
+    assert peak < 2**20
+
+
+def test_not_converged_reports_the_last_level():
+    rule = QuadratureRule(max_nodes=2**16)
+    with pytest.raises(QuadratureNotConverged) as err:
+        polar_integral(_sawtooth, 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9), rule)
+    exc = err.value
+    # the radii settle after one doubling, to 16 panels of 12 Gauss nodes,
+    # and from then on only the angles double
+    assert (exc.n_panels, exc.n_theta, exc.n_nodes) == (16, 256, 16 * 12 * 256)
+    assert exc.n_nodes * 2 > rule.max_nodes
+    assert len(exc.last_estimates) == 2
+    assert "16 panels x 256 angles, 49152 nodes" in str(exc)
+
+
+def test_radial_mean_not_converged_reports_the_last_level():
+    # estimates that never settle, from levels of 96, 192 and 384 nodes
+    levels = ((np.array([float(k)]), 96 * 2**k, lambda: np.ones(1)) for k in range(10))
+    with pytest.raises(QuadratureNotConverged) as err:
+        _converge(levels, QuadratureRule(max_nodes=700), "radial mean")
+    exc = err.value
+    assert (exc.n_panels, exc.n_theta, exc.n_nodes) == (32, None, 384)
+    assert [float(e[0]) for e in exc.last_estimates] == [1.0, 2.0]
+    assert "at 32 panels, 384 nodes" in str(exc)
 
 
 def test_breakpoint_kink_integrated_sharply():

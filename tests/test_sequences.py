@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from bergseq import (
     BORDER_R_GRID,
@@ -20,6 +21,7 @@ from bergseq import (
     disk_log_integral,
     generate_lattice,
     hyp_dist,
+    lift_value,
     mobius_involution,
     pseudo_dist,
     puncture_density_ratio,
@@ -29,7 +31,7 @@ from bergseq import (
     standard_puncture,
 )
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
-from bergseq.sequences import CENTER_CAP
+from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated
 
 rng = np.random.default_rng(99)
 
@@ -151,6 +153,21 @@ def test_generate_lattice_examples():
         generate_lattice("moebius-strip", 5)
     with pytest.raises(BergseqError, match="asked for 30 points, placed 12"):
         generate_lattice("hyperbolic-disk", 30, seed=3, d=0.5, margin=0.3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_hyperbolic_lattice_matches_the_plain_formula(seed):
+    # the in-place candidate build must draw the same points, bit for bit
+    rmax, n = 0.98, 20000
+    gen = np.random.default_rng(seed)
+    u = gen.random(n)
+    s_max = rmax * rmax / (1.0 - rmax * rmax)
+    rho = np.sqrt(u * s_max / (1.0 + u * s_max))
+    theta = gen.random(n) * 2.0 * math.pi
+    cands = np.concatenate(([0.0 + 0.0j], rho * np.exp(1j * theta)))
+    want = _greedy_separated(cands, 0.35, 100)
+    got = generate_lattice("hyperbolic-disk", 100, seed=seed, d=0.35, margin=0.02).array()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_density_sweep_monotone_under_superset():
@@ -306,6 +323,73 @@ def test_one_pass_sweep_reproduces_constant_curvature():
     lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
     for rep in density_sweep(lat, wrapped).reports:
         assert rep.denominator == pytest.approx(4.0 * a_r_hyperbolic(rep.radius), rel=1e-12)
+
+
+def test_curved_denominator_near_the_rim_matches_closed_form():
+    # 1 - |phi_c(zeta)|^2 = (1 - |c|^2)(1 - rho^2)/|1 - conj(c) zeta|^2, and the
+    # mean of |1 - conj(c) zeta|^-4 over |zeta| = rho is (1 + x)/(1 - x)^3
+    # with x = |c|^2 rho^2, so the denominator is a 1-d integral
+    c, r = 0.97 * np.exp(0.3j), 0.99
+    a = abs(c) ** 2
+
+    def radial(rho):
+        x = a * rho * rho
+        lap = 2.0 / (1.0 - rho * rho) ** 2 + 2.0 * (1.0 - a) ** 2 * (1.0 + x) / (1.0 - x) ** 3
+        return 2.0 * math.pi * rho * math.log(r * r / (rho * rho)) * lap
+
+    exact, _ = integrate.quad(radial, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
+    sweep = density_sweep(SequenceSet((0.3,), Domain.DISK), CURVED, r_grid=(r,), centers=[c])
+    assert sweep.reports[0].denominator == pytest.approx(exact, rel=1e-12)
+
+
+def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):
+    """The border denominator of standard_puncture(s, t) at (c, r) by nested
+    scipy quad, with breaks at the pulled-back puncture, rho = |c| and
+    theta = arg c.  Delta phi / omega_P = 2t + 2s u L^2/(1 - u)^2 with
+    u = |w|^2 and L = log(1/u)."""
+    th0 = math.atan2(c.imag, c.real) % (2.0 * math.pi)
+
+    def f(theta, rho):
+        zeta = rho * complex(math.cos(theta), math.sin(theta))
+        u = abs((c - zeta) / (1.0 - c.conjugate() * zeta)) ** 2
+        lap = 2.0 * t + (2.0 * s * u * math.log(u) ** 2 / (1.0 - u) ** 2 if u > 0.0 else 0.0)
+        return (lap - 2.0) * math.log(r * r / (rho * rho)) * rho / (1.0 - rho * rho) ** 2
+
+    def ring(rho):
+        return integrate.quad(f, 0.0, 2.0 * math.pi, args=(rho,), points=[th0], epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    return integrate.quad(ring, 0.0, r, points=[abs(c)], epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def test_punctured_border_quotients_converge():
+    # the border part of this lattice reaches |z| = 0.61, so every border
+    # disk holds the pulled-back puncture, where the weight is not smooth
+    v = classify(generate_lattice("puncture-exponential", 40, s=0.5, n=2), standard_puncture(2.0, 3.0))
+    assert v.verdict == "Indeterminate"
+    border = [rep for rep in v.sweep.reports if rep.kind == "border"]
+    for rep in (border[0], border[-1]):
+        assert rep.denominator == pytest.approx(_puncture_border_denominator_scipy(rep.center, rep.radius), rel=1e-8)
+
+
+def test_one_pass_puncture_quotients_match_single_radius_quotients():
+    # lifts up to Im q = 20, so each lift is admissible at one to all three radii
+    seq = generate_lattice("puncture-exponential", 40, s=1.0, n=2)
+    w = standard_puncture(2.0, 3.0)
+    star, _ = decompose(seq, 0.5)
+    reps = density_sweep(seq, w).reports
+    assert {rep.kind for rep in reps} == {"puncture"}
+    # (r, lift)-major: every radius of the grid in order, each over the
+    # lifts admissible at it in lift order
+    assert [rep.radius for rep in reps] == sorted(rep.radius for rep in reps)
+    assert {rep.radius for rep in reps} == set(PUNCTURE_R_GRID)
+    for r in PUNCTURE_R_GRID:
+        lifts = [rep.center for rep in reps if rep.radius == r]
+        want = [complex(q) for q in lift_value(star.array()) if q.imag > r + 1.0]
+        assert lifts == want
+    for rep in reps:
+        one = puncture_density_ratio(star, w, rep.center, rep.radius)
+        assert rep.numerator == one.numerator
+        assert rep.denominator == pytest.approx(one.denominator, rel=1e-12)
 
 
 def _coverage(points, centers):

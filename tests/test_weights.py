@@ -23,7 +23,7 @@ from bergseq import (
     standard_puncture,
     truncated_log_mean,
 )
-from bergseq.errors import DomainViolation, WindowViolation
+from bergseq.errors import DomainViolation, QuadratureNotConverged, WindowViolation
 from bergseq.weights import _li2_complement
 
 rng = np.random.default_rng(7)
@@ -124,6 +124,25 @@ def test_extended_covered_mean_lift_invariance():
     a = extended_covered_mean(psi, 0.1, 3.0, 1e-4)
     b = extended_covered_mean(psi, 0.1, 3.0, 1e-4 * np.exp(2j * math.pi * 1e-15))
     assert a == pytest.approx(b, rel=1e-10)
+
+
+# The reflected lift of standard_puncture(2, 3) about z = 0.3 + 5j, with
+# eps = 0.1, is kinked along the line Im(q - zeta) = eps.  These means come
+# from Gauss-Legendre panels in theta broken where the line meets the circle
+# |zeta| = r, and in rho broken where each ray crosses the line; nested
+# scipy.integrate.quad with the same breaks agrees to 2e-14.
+_KINKED_MEANS = {2.0: -3.3917300382578, 4.0: -3.0494730482284}
+
+
+@pytest.mark.parametrize("r", sorted(_KINKED_MEANS))
+def test_extended_covered_mean_kink_is_not_accepted_early(r):
+    # the kink follows neither polar axis; a quadrature that settles too early
+    # would return a value off by far more than rel_tol
+    try:
+        got = extended_covered_mean(standard_puncture(2.0, 3.0), 0.1, r, 0.3 + 5j)
+    except QuadratureNotConverged:
+        return
+    assert got == pytest.approx(_KINKED_MEANS[r], rel=1e-8)
 
 
 def test_border_potential_sigma_at_a_point_of_the_sequence():
