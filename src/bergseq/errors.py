@@ -14,12 +14,13 @@ class QuadratureNotConverged(BergseqError):
 
     Carries the last two estimates, so callers can judge how far off the
     result is, and the discretization of the last level run: its radial
-    panels, its angular nodes (None for a radial mean) and its node count.
+    panels, its angular nodes and its node count.  Every level has angles,
+    a radial mean's too: its profile is constant in theta.
     """
 
     def __init__(self, message, last_estimates, n_panels, n_theta, n_nodes):
-        grid = f"{n_panels} panels" if n_theta is None else f"{n_panels} panels x {n_theta} angles"
-        super().__init__(f"{message}: last estimates {last_estimates!r} at {grid}, {n_nodes} nodes")
+        super().__init__(f"{message}: last estimates {last_estimates!r} at "
+                         f"{n_panels} panels x {n_theta} angles, {n_nodes} nodes")
         self.last_estimates = tuple(last_estimates)
         self.n_panels = n_panels
         self.n_theta = n_theta

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainViolation, SingularSystem
 from .geometry import DISK_AREA_CONSTANT, Domain, _check_disk, area_A_punctured
-from .quadrature import DEFAULT_RULE, QuadratureRule, _euclid_weight, polar_integral, radial_log_mean
+from .quadrature import DEFAULT_RULE, QuadratureRule, _one, polar_integral
 from .weights import WeightModel, standard_disk
 
 
@@ -28,19 +28,15 @@ class KernelSpec:
     name: str = ""
 
 
-def _disk_norm_mass(s, rule: QuadratureRule):
-    """Integral of (1 - |zeta|^2)^(s-2) over the unit disk, by quadrature."""
-    f = lambda zeta: (1.0 - np.abs(zeta) ** 2) ** (s - 2.0)
-    # integrand blows up integrably near the rim for s < 2; the graded
-    # panels of the radial rule absorb it
-    return float(polar_integral(f, 0.0, 0.0, 1.0 - 1e-12, _euclid_weight, _euclid_weight, rule))
-
-
 def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
-    """K(z, w) = c_s (1 - z conj(w))^{-s} with c_s fixed by K(0,0) = 1/mass."""
+    """K(z, w) = c_s (1 - z conj(w))^{-s} with c_s fixed by K(0,0) = 1/mass.
+
+    The mass, the integral of (1 - |zeta|^2)^(s-2) over the unit disk, is
+    the squared norm of the monomial 1, by quadrature.
+    """
     if s <= 1.0:
         raise ValueError(f"need s > 1, got {s}")
-    c_s = 1.0 / _disk_norm_mass(s, rule)
+    c_s = 1.0 / _monomial_norms(s, 0, rule)[0]
 
     def evaluate(z, w):
         return c_s * (1.0 - np.asarray(z, dtype=complex) * np.conjugate(w)) ** (-s)
@@ -51,15 +47,15 @@ def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
 def _monomial_norms(s, degree, rule: QuadratureRule):
     """Squared weighted norms of 1, z, ..., z^degree, by quadrature.
 
-    The norms are radial, so the angular factor is exact and the moments
-    come from one vector-valued radial mean times the total mass.
+    One polar_integral of 1 against the columns rho^(2k) (1 - rho^2)^(s-2),
+    k = 0, ..., degree.  The norms are radial, so the trapezoid rule in
+    theta is exact and only the panels are refined; the weight's integrable
+    blow-up at the rim for s < 2 is absorbed by the rim-graded panels.
     """
     ks = np.arange(degree + 1)
-    mass = _disk_norm_mass(s, rule)
-    g = lambda rho: rho[:, None] ** (2 * ks)
     w = lambda rho: (1.0 - rho * rho) ** (s - 2.0)
-    means = radial_log_mean(g, 0.0, 1.0 - 1e-12, w, _euclid_weight, rule)
-    return np.asarray(means, dtype=float) * mass
+    moments = lambda rho: rho[:, None] ** (2 * ks)
+    return polar_integral(_one, 0.0, 0.0, 1.0 - 1e-12, w, moments, rule)
 
 
 def numeric_gram_kernel(s, degree=160, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:

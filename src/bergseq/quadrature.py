@@ -21,7 +21,9 @@ block by block, so no level holds its whole sample array.  A kernel may
 give one column per radius, so that one pass over the largest disk
 serves several nested ones (the border quotients of one center, the
 puncture quotients of one lift); each component of such a vector
-estimate must then settle against its own magnitude.
+estimate must then settle against its own magnitude.  polar_integral is
+the only level loop: a radial mean is one of its integrals of the
+constant 1, with the profile in the kernel columns.
 """
 
 from __future__ import annotations
@@ -71,22 +73,16 @@ class QuadratureRule:
 
 DEFAULT_RULE = QuadratureRule()
 
-# Cheaper rule for bulk sampling (potentials at thousands of points).
+# A cheaper rule, kept for callers; both potentials are closed-form and ignore it.
 FAST_RULE = QuadratureRule(n_panels=4, n_theta=32, rel_tol=1e-7)
 
 
-def _unit_edges(n_panels, grade_lo, grade_hi):
-    """Panel edges on [0, 1], geometrically clustered at graded ends."""
-    n = max(2, n_panels)
-    if grade_lo and grade_hi:
-        h = max(1, n // 2)
-        left = np.concatenate(([0.0], 0.5 * 2.0 ** -np.arange(h - 1, -1.0, -1.0)))
-        return np.unique(np.concatenate((left, 1.0 - left)))
+def _unit_edges(n_panels, grade_lo):
+    """Panel edges on [0, 1], geometrically clustered toward 1, and toward 0 if grade_lo."""
     if grade_lo:
-        return np.concatenate(([0.0], 2.0 ** -np.arange(n - 1, -1.0, -1.0)))
-    if grade_hi:
-        return 1.0 - np.concatenate(([0.0], 2.0 ** -np.arange(n - 1, -1.0, -1.0)))[::-1]
-    return np.linspace(0.0, 1.0, n + 1)
+        left = np.append(0.0, 2.0 ** -np.arange(n_panels // 2, 0, -1))
+        return np.unique(np.concatenate((left, 1.0 - left)))
+    return np.append(1.0 - 2.0 ** -np.arange(n_panels), 1.0)
 
 
 def _with_breaks(edges, breaks):
@@ -99,7 +95,7 @@ def _with_breaks(edges, breaks):
 
 def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     """Gauss-Legendre nodes and weights on rim-graded panels of (rho_lo, rho_hi)."""
-    edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_panels, rho_lo == 0.0, True)
+    edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_panels, rho_lo == 0.0)
     edges = _with_breaks(edges, breaks)
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
@@ -113,33 +109,13 @@ def _settled(est, ref, rule, abs_mean):
 
     Component j settles when |est_j - ref_j| <= rel_tol max(|est_j|,
     |ref_j|, 1e-12), or when the difference is that small against
-    abs_mean()_j, the same estimate of |integrand|; so a small component
+    abs_mean_j, the same estimate of |integrand|; so a small component
     is not judged by a large one's magnitude, and an integral that cancels
-    to 0 settles.  abs_mean is called only when the estimates alone do not
-    settle it.
+    to 0 settles.
     """
     diff = np.abs(np.subtract(est, ref))
     ok = diff <= rule.rel_tol * np.maximum(np.maximum(np.abs(est), np.abs(ref)), 1e-12)
-    return bool(np.all(ok) or np.all(ok | (diff <= rule.rel_tol * abs_mean())))
-
-
-def _converge(levels, rule, what):
-    """Drive a level evaluator until two successive estimates settle.
-
-    Each level yields (estimate, node count, a function giving the same
-    estimate of |integrand|), and each yields twice the nodes of the one
-    before; see _settled for the test.
-    """
-    prev = None
-    for est, n_nodes, abs_mean in levels:
-        if np.size(est) == 0:
-            return est
-        if prev is not None and _settled(est, prev, rule, abs_mean):
-            return est
-        if n_nodes * 2 > rule.max_nodes:
-            last = (est,) if prev is None else (prev, est)
-            raise QuadratureNotConverged(what, last, n_nodes // _GL_ORDER, None, n_nodes)
-        prev = est
+    return bool(np.all(ok | (diff <= rule.rel_tol * abs_mean)))
 
 
 def _row_sums(f, center, rho, n_theta):
@@ -210,14 +186,16 @@ def polar_integral(
             radial = (radial * kernel(rho).T).T
         norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
         step = 2.0 * math.pi / n_th
-        total, even, absolute = _row_sums(f, center, rho, n_th) @ radial * step / norm
+        sums = _row_sums(f, center, rho, n_th)
+        total, even = sums[:2] @ radial * step / norm
         if np.size(total) == 0:
             return total
         even = 2.0 * even
-        abs_mean = lambda: absolute
-        angular_ok = _settled(total, even, rule, abs_mean)
+        # |radial|, since a kernel column may change sign
+        absolute = sums[2] @ np.abs(radial) * step / norm
+        angular_ok = _settled(total, even, rule, absolute)
         if refined_rho:
-            radial_ok = _settled(total if n_th == prev_th else even, prev, rule, abs_mean)
+            radial_ok = _settled(total if n_th == prev_th else even, prev, rule, absolute)
         if angular_ok and radial_ok:
             return total
         last = (total,) if prev is None else (prev, total)
@@ -275,6 +253,10 @@ def _euclid_weight(rho):
     return np.ones_like(rho)
 
 
+def _one(z):
+    return 1.0
+
+
 def _log_kernel(r):
     """The Green-type kernel rho -> log(r^2/rho^2) of a disk of radius r."""
     return lambda rho: np.log(r * r / (rho * rho))
@@ -327,17 +309,16 @@ def radial_log_mean(g, rho_lo, rho_hi, radial_weight, r_kernel, rule=DEFAULT_RUL
 
     g(rho) may return shape (len(rho), m); the mean is taken per column
     with the normalizer on the same nodes.  Used for integrands whose
-    angular means are known in closed form.
+    angular means are known in closed form.  It is one polar_integral of
+    1 against the kernel columns (k, k g_1, ..., k g_m), whose angles are
+    exact and settle at the first level, so it shares max_nodes and
+    QuadratureNotConverged with the 2-D integrals.
     """
 
-    def levels():
-        n_pan = max(rule.n_panels, 4)
-        while True:
-            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
-            wt = w_rho * rho * radial_weight(rho) * r_kernel(rho)
-            vals = np.atleast_2d(np.asarray(g(rho), dtype=float).T).T
-            norm = wt.sum()
-            yield wt @ vals / norm, rho.size, lambda: wt @ np.abs(vals) / norm
-            n_pan *= 2
+    def columns(rho):
+        k = r_kernel(rho)
+        vals = np.atleast_2d(np.asarray(g(rho), dtype=float).T).T
+        return np.column_stack((k, k[:, None] * vals))
 
-    return _converge(levels(), rule, "radial mean")
+    est = polar_integral(_one, 0.0, rho_lo, rho_hi, radial_weight, columns, rule, breaks)
+    return est[1:] / est[0]

@@ -426,8 +426,6 @@ def border_density_form(points, r, z):
     log(1/rho^2) over the points whose phi_z image lands in the annulus
     1/2 < rho < r.
     """
-    if len(points) == 0:
-        return 0.0
     total = _annulus_sum(_disk_dists(points, z), 0.5, r, _log_kernel(1.0))
     return float((TWO_PI / c_r_disk(r)) * total)
 
@@ -521,6 +519,4 @@ def puncture_density_form(points, r, z=None, q=None):
         if z is None:
             raise DomainViolation("need either z or a lift q")
         q = complex(lift_value(z))
-    if len(points) == 0:
-        return 0.0
     return float(_annulus_sum(_translate_dists(points, q, r), 1.0, r, _log_kernel(r)) / c_r_cyl(r))

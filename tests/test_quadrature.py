@@ -21,7 +21,7 @@ from bergseq import (
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import mobius_involution
-from bergseq.quadrature import _converge, _hyper_weight, _log_kernel
+from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, _settled
 
 
 def ones(z):
@@ -103,13 +103,13 @@ def test_normalized_mean_reproduces_constants_exactly():
     assert got == pytest.approx(4.25, abs=5e-15)
 
 
-def test_converge_judges_each_component_on_its_own():
+def test_settled_judges_each_component_on_its_own():
     # the small component still moves by 10% when the large one has
     # settled; measured against the large one's magnitude it would pass
     rule = QuadratureRule(rel_tol=1e-2)
     ests = [np.array([100.0, 1.0]), np.array([100.0, 1.1]), np.array([100.0, 1.1001])]
-    levels = ((est, 16, lambda est=est: np.abs(est)) for est in ests)
-    assert _converge(levels, rule, "test") is ests[2]
+    assert not _settled(ests[1], ests[0], rule, np.abs(ests[1]))
+    assert _settled(ests[2], ests[1], rule, np.abs(ests[2]))
 
 
 def test_kernel_columns_match_single_radius_integrals():
@@ -194,14 +194,26 @@ def test_not_converged_reports_the_last_level():
 
 
 def test_radial_mean_not_converged_reports_the_last_level():
-    # estimates that never settle, from levels of 96, 192 and 384 nodes
-    levels = ((np.array([float(k)]), 96 * 2**k, lambda: np.ones(1)) for k in range(10))
+    # a profile of fresh noise at every level never settles; the levels
+    # have 8 and 16 panels of 12 Gauss nodes on 64 angles, and the next
+    # one (32 panels, 24576 nodes) would pass max_nodes
+    noise = lambda rho: np.random.default_rng(5).standard_normal(rho.size)
+    rule = QuadratureRule(max_nodes=2**14)
     with pytest.raises(QuadratureNotConverged) as err:
-        _converge(levels, QuadratureRule(max_nodes=700), "radial mean")
+        radial_log_mean(noise, 0.0, 0.9, _euclid_weight, ones, rule)
     exc = err.value
-    assert (exc.n_panels, exc.n_theta, exc.n_nodes) == (32, None, 384)
-    assert [float(e[0]) for e in exc.last_estimates] == [1.0, 2.0]
-    assert "at 32 panels, 384 nodes" in str(exc)
+    assert (exc.n_panels, exc.n_theta, exc.n_nodes) == (16, 64, 16 * 12 * 64)
+    assert len(exc.last_estimates) == 2
+    assert "at 16 panels x 64 angles, 12288 nodes" in str(exc)
+
+
+def test_radial_mean_that_cancels_to_zero_settles():
+    # int_0^1 (2/3 - rho) rho drho = 0: the signed profile column has no
+    # magnitude of its own, so it settles only against the mean of |.|,
+    # at the second level; max_nodes allows no third
+    rule = QuadratureRule(max_nodes=2**14)
+    got = radial_log_mean(lambda rho: 2.0 / 3.0 - rho, 0.0, 1.0, _euclid_weight, ones, rule)
+    assert abs(float(got[0])) < 1e-15
 
 
 def test_breakpoint_kink_integrated_sharply():

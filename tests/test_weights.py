@@ -177,6 +177,16 @@ def test_border_density_form_hand_value():
     assert border_density_form(np.array([]), r, 0.0) == 0.0
 
 
+def test_density_forms_check_the_radius_of_no_points():
+    # no points add nothing, but a radius outside the annulus's range
+    # is an error all the same
+    assert puncture_density_form([], 2.0, z=0.01j) == 0.0
+    with pytest.raises(DomainViolation):
+        border_density_form([], 0.3, 0.1j)
+    with pytest.raises(DomainViolation):
+        puncture_density_form([], 0.5, z=0.01j)
+
+
 def test_lifted_translates_window():
     pts = np.array([math.exp(-5.0)])
     q = 0.0 + 5.0j
