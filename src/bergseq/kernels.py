@@ -39,7 +39,13 @@ def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
     c_s = 1.0 / _monomial_norms(s, 0, rule)[0]
 
     def evaluate(z, w):
-        return c_s * (1.0 - np.asarray(z, dtype=complex) * np.conjugate(w)) ** (-s)
+        # in place, so that an n x n evaluation holds one n x n buffer; the
+        # outer asarray makes a scalar product 0-d, which out= accepts
+        t = np.asarray(np.asarray(z, dtype=complex) * np.conjugate(w))
+        np.subtract(1.0, t, out=t)
+        np.power(t, -s, out=t)
+        t *= c_s
+        return t[()]
 
     return KernelSpec(evaluate, standard_disk(s), f"standard-disk s={s}")
 

@@ -253,7 +253,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
 def _greedy_separated(cands, sep, limit):
     """The candidates, in order, each kept if it lies at pseudohyperbolic
     distance >= sep from every one kept before it; at most `limit` kept."""
-    kept = np.empty(len(cands), dtype=complex)
+    kept = np.empty(min(len(cands), limit), dtype=complex)
     k = 0
     for c in cands:
         if k >= limit:

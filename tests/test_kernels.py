@@ -14,6 +14,8 @@ from bergseq import (
     standard_kernel,
 )
 from bergseq.errors import DomainViolation
+from bergseq.kernels import _diag_scale, _monomial_norms
+from bergseq.quadrature import DEFAULT_RULE
 
 rng = np.random.default_rng(13)
 
@@ -50,6 +52,20 @@ def test_numeric_gram_matches_closed_form():
         num = kn.evaluate(grid[:, None], grid[None, :])
         ref = kc.evaluate(grid[:, None], grid[None, :])
         assert np.max(np.abs(num - ref) / np.abs(ref)) < 1e-4
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
+def test_in_place_gram_is_bit_identical_to_the_plain_formula(s, n):
+    k = standard_kernel(s)
+    pts = generate_lattice("hyperbolic-disk", n, seed=11, d=0.35, margin=0.02).array()
+    g = gram_assemble(k, pts)
+    c_s = 1.0 / _monomial_norms(s, 0, DEFAULT_RULE)[0]
+    raw = c_s * (1.0 - pts[:, None] * np.conjugate(pts[None, :])) ** (-s)
+    root = np.sqrt(_diag_scale(k.weight, pts))
+    scaled = raw * root[:, None] * root[None, :]
+    assert g.raw.tobytes() == raw.tobytes()
+    assert g.normalized.tobytes() == (0.5 * (scaled + scaled.conj().T)).tobytes()
 
 
 def test_gram_normalized_hermitian_psd():

@@ -16,7 +16,9 @@ from bergseq import (
     DEFAULT_RULE,
     FAST_RULE,
     Domain,
+    QuadratureRule,
     SequenceSet,
+    border_density_ratio,
     border_potential,
     custom_weight,
     density_sweep,
@@ -131,6 +133,19 @@ _CURVED = custom_weight(
     lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2,
     Domain.DISK,
 )
+
+
+# a fine reference rule; max_nodes lets it double both axes near the rim
+_FINE = QuadratureRule(n_panels=64, n_theta=512, rel_tol=1e-13, max_nodes=2**22)
+
+
+@PROPS
+@given(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.95), angle), st.floats(0.55, 0.99))
+def test_curved_border_denominator_is_not_accepted_early(z, r):
+    # two levels that agree to rel_tol must carry no larger shared error
+    got = border_density_ratio([], _CURVED, z, r).denominator
+    ref = border_density_ratio([], _CURVED, z, r, rule=_FINE).denominator
+    assert math.isclose(got, ref, rel_tol=1e-11)
 
 
 def _check_superset_sweep(points, extra, centers, weight):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import bergseq
 from bergseq import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -21,7 +25,7 @@ from bergseq import (
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import mobius_involution
-from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, _settled
+from bergseq.quadrature import _GL_W, _GL_X, _euclid_weight, _hyper_weight, _log_kernel, _settled
 
 
 def ones(z):
@@ -158,6 +162,50 @@ def test_border_integrand_near_the_rim_doubles_angles():
     assert max(seen) > DEFAULT_RULE.n_theta
 
 
+def _level_radii(f):
+    """f, and the radii of each level the quadrature samples it on.
+
+    Within a level the rows come in increasing radius, so a level starts
+    wherever the radius drops.
+    """
+    rows = []
+
+    def counted(z):
+        rows.extend(np.abs(z[:, 0]))
+        return f(z)
+
+    def levels():
+        starts = [0] + [i for i in range(1, len(rows)) if rows[i] < rows[i - 1]] + [len(rows)]
+        return [b - a for a, b in zip(starts, starts[1:])]
+
+    return counted, levels
+
+
+@pytest.mark.parametrize("measure, r", [
+    (_euclid_weight, 0.5), (_euclid_weight, 0.9), (_euclid_weight, 0.99),
+    (_hyper_weight, 0.5), (_hyper_weight, 0.9),
+])
+@pytest.mark.parametrize(
+    "profile", [lambda z: np.ones(z.shape), lambda z: 1.0 / (1.0 + np.abs(z) ** 2)], ids=["constant", "radial"]
+)
+def test_origin_centred_integrals_settle_at_the_second_level(measure, r, profile):
+    # the mapped center panel takes the kernel's rho log(1/rho) out of the
+    # radial error, so 8 and 16 panels of 12 nodes agree and no third
+    # level (384 radii) runs.  (Under the hyperbolic measure at r = 0.99
+    # the outer rim panel, not the center, still asks for a third.)
+    f, levels = _level_radii(profile)
+    f, seen = _angle_counts(f)
+    polar_integral(f, 0.0, 0.0, r, measure, _log_kernel(r))
+    assert levels() == [96, 192]
+    assert seen == {DEFAULT_RULE.n_theta}
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.9, 0.99])
+def test_disk_log_integral_of_one_matches_the_closed_forms(r):
+    assert disk_log_integral(r, ones, "hyperbolic") == pytest.approx(a_r_hyperbolic(r), rel=1e-13)
+    assert disk_log_integral(r, ones, "euclidean") == pytest.approx(a_r_euclidean(r), rel=1e-13)
+
+
 def _sawtooth(z):
     # jumps by -2 pi at theta = pi, where every level samples the one-sided
     # value pi: the full and even-angle estimates differ by pi/n_theta of
@@ -233,6 +281,26 @@ def test_breakpoint_kink_integrated_sharply():
     hyper = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
     got = radial_log_mean(g, 0.0, r, hyper, lambda rho: np.ones_like(rho), breaks=(b,))
     assert float(got[0]) == pytest.approx(oracle / norm, rel=1e-11)
+
+
+def test_gauss_rule_is_numpys():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert _GL_X.tobytes() == x.tobytes()
+    assert _GL_W.tobytes() == w.tobytes()
+
+
+def test_quadrature_imports_neither_numpy_ma_nor_numpy_polynomial():
+    # together they add about 2 MB to the resident size of a process
+    code = (
+        "import sys, numpy as np, bergseq\n"
+        "bergseq.polar_integral(lambda z: np.abs(z), 0.0, 0.0, 0.9, np.ones_like,"
+        " lambda rho: np.log(0.81 / rho ** 2), breaks=(0.3, 0.6))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bergseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_circle_mean_harmonic_exact():

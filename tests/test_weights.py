@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import spence
 
 from bergseq import (
@@ -24,7 +25,7 @@ from bergseq import (
     truncated_log_mean,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged, WindowViolation
-from bergseq.weights import _li2_complement
+from bergseq.weights import _covered_integrand, _li2_complement
 
 rng = np.random.default_rng(7)
 
@@ -124,6 +125,23 @@ def test_extended_covered_mean_lift_invariance():
     a = extended_covered_mean(psi, 0.1, 3.0, 1e-4)
     b = extended_covered_mean(psi, 0.1, 3.0, 1e-4 * np.exp(2j * math.pi * 1e-15))
     assert a == pytest.approx(b, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+def test_extended_covered_mean_matches_nested_quad(r):
+    # the lift of z = 0.3 + 5j has Im q = -1.61, so for r < 1.71 every node
+    # is reflected and the integrand is smooth: the only hard spot is the
+    # kernel's rho log(1/rho) at the center
+    weight, z = standard_puncture(2.0, 3.0), 0.3 + 5j
+    f = _covered_integrand(weight.phi, complex(lift_value(z)), 0.1)
+    ring = lambda rho: integrate.quad(
+        lambda t: float(f(np.full((1, 1), rho * np.exp(1j * t)))[0, 0]),
+        0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0]
+    num, _ = integrate.quad(lambda rho: rho * math.log(r * r / (rho * rho)) * ring(rho), 0.0, r,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    oracle = num / (math.pi * r * r)
+    assert extended_covered_mean(weight, 0.1, r, z) == pytest.approx(oracle, abs=1e-13)
 
 
 # The reflected lift of standard_puncture(2, 3) about z = 0.3 + 5j, with
