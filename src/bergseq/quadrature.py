@@ -15,6 +15,19 @@ density near the outer rim and on the mapped center panel.  Angular
 integration is the trapezoid rule, spectrally accurate for smooth
 integrands on the circle.
 
+An integrand pulled back through the disk automorphism phi_z (the
+border quotients, log-kernel means and identity checks about a center
+z) carries powers of |1 - conj(z) zeta|^-2: on the ring |zeta| = rho a
+Poisson-type peak at arg z, which uniform angles resolve only at the
+geometric rate x = |z| rho, so centers near the rim run to 1024-2048
+angles.  polar_integral(..., pullback=z) samples f o phi_z itself and,
+once the first level's angles fail, moves to Mobius-balanced angles
+e^{i theta} = e^{i arg z}(v + a)/(1 + a v), v uniform and a the
+pseudohyperbolic midpoint of 0 and x.  The map is a periodic-trapezoid
+form of the conformal maps of Hale and Trefethen (SIAM J. Numer. Anal.
+46, 2008): it takes the peak's rate and the Jacobian's both to a, and
+the same rim centers settle at 128-256 angles.
+
 Refinement is per axis.  Each level of polar_integral gives two error
 indicators for free: the angular one compares the estimate with the one
 from the even-indexed angles alone, and the radial one compares it with
@@ -156,29 +169,74 @@ def _settled(est, ref, rule, abs_mean):
     return bool(np.all(ok | (diff <= rule.rel_tol * abs_mean)))
 
 
-def _row_sums(f, center, rho, n_theta):
+def _pullback_point(z, center, rho_hi):
+    """z as a complex number, once it is checked to be a valid pull-back point."""
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise DomainViolation(f"pull-back point needs |z| < 1, got {z}")
+    if center != 0 or rho_hi > 1.0:
+        raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
+    return z
+
+
+def _balanced_rings(z, rho, ring):
+    """phi_z on the rings rho e^{i theta} at Mobius-balanced angles, with the Jacobians.
+
+    e^{i theta} = e^{i alpha} (v + a)/(1 + a v) for v on `ring`, alpha =
+    arg z and a = x/(1 + sqrt(1 - x^2)), x = |z| rho: the pseudohyperbolic
+    midpoint of 0 and x, which moves both the pole of |1 - conj(z) zeta|^-2
+    and the pole of the Jacobian (1 - a^2)/|1 + a v|^2 to |v| = 1/a.  The
+    composition phi_z(rho e^{i theta}) is one real-coefficient Mobius map
+    of v per ring.  rho has shape (rows, 1).
+    """
+    m = abs(z)
+    x = m * rho
+    a = x / (1.0 + np.sqrt((1.0 - x) * (1.0 + x)))
+    turn = z / m
+    nodes = turn * ((m - rho * a) + (m * a - rho) * ring) / ((1.0 - x * a) + (a - x) * ring)
+    jac = (1.0 - a * a) / (1.0 + a * (a + 2.0 * ring.real))
+    return nodes, jac, a[:, 0]
+
+
+def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
     """Sums of f over the ring of n_theta angles at each radius rho.
 
     Returns an array of shape (3, len(rho)): the sums over all angles,
     over the even-indexed angles, and of |f| over all angles.  f is
     sampled a block of whole rows at a time and each block is reduced at
-    once, so no len(rho) x n_theta array is held.
+    once, so no len(rho) x n_theta array is held.  With a pullback point
+    z, f is sampled at phi_z of the nodes; balanced takes the angles of
+    _balanced_rings, weights each sample by its Jacobian, and scales each
+    ring's sums by (1 - a^N)/(1 + a^N), N the angles summed, the inverse
+    of the N-angle trapezoid sum of the Jacobian: constants stay exact.
     """
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     ring = np.exp(1j * theta)
     sums = np.empty((3, rho.size))
     rows = max(1, _BLOCK_NODES // n_theta)
+    a = np.empty(rho.size) if balanced else None
     for i in range(0, rho.size, rows):
-        nodes = center + rho[i:i + rows, None] * ring[None, :]
+        if balanced:
+            nodes, jac, a[i:i + rows] = _balanced_rings(pullback, rho[i:i + rows, None], ring)
+        else:
+            nodes = center + rho[i:i + rows, None] * ring[None, :]
+            if pullback is not None:
+                nodes = (pullback - nodes) / (1.0 - np.conjugate(pullback) * nodes)
         vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         # non-finite samples (integrable log poles hit head-on) are
         # excised, which changes the integral by a set of measure zero
         if not np.all(np.isfinite(vals)):
             vals = np.where(np.isfinite(vals), vals, 0.0)
+        if balanced:
+            vals = vals * jac
         even = vals[:, ::2].sum(axis=1)
         sums[0, i:i + rows] = even + vals[:, 1::2].sum(axis=1)
         sums[1, i:i + rows] = even
         sums[2, i:i + rows] = np.abs(vals).sum(axis=1)
+    if balanced:
+        a_n, a_half = a ** n_theta, a ** (n_theta // 2)
+        scale = (1.0 - a_n) / (1.0 + a_n)
+        sums *= (scale, (1.0 - a_half) / (1.0 + a_half), scale)
     return sums
 
 
@@ -192,6 +250,7 @@ def polar_integral(
     rule: QuadratureRule = DEFAULT_RULE,
     breaks: Sequence[float] = (),
     normalized: bool = False,
+    pullback: complex | None = None,
 ):
     """Integrate f(zeta) k(rho) w(rho) over the annulus rho_lo < |zeta - center| < rho_hi.
 
@@ -205,12 +264,27 @@ def polar_integral(
     computed on the identical nodes so that constants are reproduced to
     machine precision.
 
+    pullback=z integrates f o phi_z instead, phi_z the disk automorphism
+    swapping 0 and z: f is called on phi_z of the nodes.  It needs
+    |z| < 1, center 0 and rho_hi <= 1, and raises DomainViolation before
+    any sampling otherwise.  On the ring |zeta| = rho the pulled-back
+    integrand peaks at arg z like |1 - conj(z) zeta|^-2, where uniform
+    angles converge at the rate |z| rho only.  When the first level's
+    angular indicator fails, the loop switches to Mobius-balanced angles
+    (see _balanced_rings), which converge at the smaller rate a, and
+    restarts its level pair on the same grid.  A first level that
+    settles its angles keeps uniform angles throughout, which are
+    cheaper to generate.
+
     The angular indicator of a level compares its estimate with the one
     from its even-indexed angles; the radial indicator compares it with
     the previous level's estimate on the same angles (the even-indexed
     ones when that level had half as many).  A level that doubled no
     panels keeps the radial verdict of the level before.
     """
+    if pullback is not None:
+        pullback = _pullback_point(pullback, center, rho_hi)
+    balanced = False
     n_pan, n_th = rule.n_panels, rule.n_theta
     prev = prev_th = None
     radial_ok = refined_rho = False
@@ -224,7 +298,7 @@ def polar_integral(
             radial = (radial * kernel(rho).T).T
         norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
         step = 2.0 * math.pi / n_th
-        sums = _row_sums(f, center, rho, n_th)
+        sums = _row_sums(f, center, rho, n_th, pullback, balanced)
         total, even = sums[:2] @ radial * step / norm
         if np.size(total) == 0:
             return total
@@ -232,6 +306,10 @@ def polar_integral(
         # |radial|, since a kernel column may change sign
         absolute = sums[2] @ np.abs(radial) * step / norm
         angular_ok = _settled(total, even, rule, absolute)
+        # pullback 0 (phi_0(zeta) = -zeta) has no peak to balance
+        if not angular_ok and prev is None and pullback and not balanced:
+            balanced = True
+            continue
         if refined_rho:
             radial_ok = _settled(total if n_th == prev_th else even, prev, rule, absolute)
         if angular_ok and radial_ok:
@@ -303,14 +381,15 @@ def _log_kernel(r):
 _WEIGHTS = {"hyperbolic": _hyper_weight, "euclidean": _euclid_weight}
 
 
-def disk_log_integral(r, f, measure="hyperbolic", rule=DEFAULT_RULE):
+def disk_log_integral(r, f, measure="hyperbolic", rule=DEFAULT_RULE, pullback=None):
     """int_{D_r(0)} f(zeta) log(r^2/|zeta|^2) dmu(zeta).
 
     measure is "hyperbolic" (the curvature -4 area form) or "euclidean".
+    pullback=z integrates f o phi_z, as in polar_integral.
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
-    return polar_integral(f, 0.0, 0.0, r, _WEIGHTS[measure], _log_kernel(r), rule)
+    return polar_integral(f, 0.0, 0.0, r, _WEIGHTS[measure], _log_kernel(r), rule, pullback=pullback)
 
 
 def annulus_log_integral_disk(r, f, rule=DEFAULT_RULE):

@@ -194,11 +194,12 @@ def _border_quotients(dists, weight: WeightModel, z, radii, rule):
     if weight.constant_poincare_ratio is not None:
         denoms = [(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]
     else:
-        g = lambda zeta: weight.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
+        g = lambda w: weight.lap_poincare_ratio(w) - 2.0
         # a punctured-disk weight is singular at the puncture, which phi_z
         # pulls back to modulus |z|; a break there keeps the kink off a panel
         breaks = tuple(radii) + ((abs(z),) if weight.domain is Domain.PUNCTURED_DISK else ())
-        denoms = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, _nested_kernel(radii), rule, breaks=breaks)
+        denoms = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, _nested_kernel(radii), rule,
+                                breaks=breaks, pullback=z)
     return [_report(z, r, n, float(d), "border") for r, n, d in zip(radii, numers, denoms)]
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .geometry import mobius_involution, pseudo_dist
+from .geometry import pseudo_dist
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -112,8 +112,7 @@ def poisson_jensen_residual(
     center = float(u(np.asarray([z]))[0])
     zero_term = sum(math.log(r * r / (rho * rho)) for rho in rhos if rho < r)
 
-    g = lambda zeta: np.asarray(ratio_fn(mobius_involution(z, zeta)), dtype=float)
-    curv = float(disk_log_integral(r, g, "hyperbolic", rule)) / (2.0 * math.pi)
+    curv = float(disk_log_integral(r, ratio_fn, "hyperbolic", rule, pullback=z)) / (2.0 * math.pi)
 
     rhs = center + zero_term - curv
     return abs(lhs - rhs)
@@ -138,11 +137,10 @@ def bergman_inequality_margin(
     cs = np.asarray(list(coeffs)[::-1], dtype=complex)
     phi, _ = _phi_and_ratio(weight)
 
-    def g(zeta):
-        w = mobius_involution(z, zeta)
+    def g(w):
         return np.abs(np.polyval(cs, w)) ** 2 * np.exp(-np.asarray(phi(w), dtype=float))
 
-    mass = float(polar_integral(g, 0.0, 0.0, r, _hyper_weight, None, rule))
+    mass = float(polar_integral(g, 0.0, 0.0, r, _hyper_weight, None, rule, pullback=z))
     point = abs(np.polyval(cs, z)) ** 2 * math.exp(-float(np.atleast_1d(phi(np.asarray([z])))[0]))
     if point == 0.0:
         return 0.0

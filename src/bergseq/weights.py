@@ -208,9 +208,8 @@ def log_mean_disk(phi, r, z, rule: QuadratureRule = DEFAULT_RULE):
     Reproduces constants exactly (same-node normalizer) and harmonic
     functions to angular-rule accuracy.
     """
-    f = _phi_fn(phi)
-    pulled = lambda zeta: f(mobius_involution(z, zeta))
-    return float(polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, normalized=True))
+    return float(polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule,
+                                normalized=True, pullback=z))
 
 
 def cutoff(x, c):

@@ -10,7 +10,7 @@ import cmath
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bergseq import (
     DEFAULT_RULE,
@@ -24,6 +24,8 @@ from bergseq import (
     density_sweep,
     lift_value,
     lifted_translates,
+    mobius_involution,
+    polar_integral,
     pseudo_dist,
     puncture_density_form,
     puncture_potential,
@@ -135,17 +137,25 @@ _CURVED = custom_weight(
 )
 
 
-# a fine reference rule; max_nodes lets it double both axes near the rim
-_FINE = QuadratureRule(n_panels=64, n_theta=512, rel_tol=1e-13, max_nodes=2**22)
+# a fine reference rule; max_nodes lets uniform angles reach 4096 near the rim
+_FINE = QuadratureRule(n_panels=64, n_theta=512, rel_tol=1e-13, max_nodes=2**23)
 
 
 @PROPS
-@given(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.95), angle), st.floats(0.55, 0.99))
+@given(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.995, exclude_max=True), angle),
+       st.floats(0.55, 0.99))
+# the derandomized draws stay below |z| = 0.86; the rim, where uniform
+# angles run to 4096 in the reference, is pinned by hand
+@example(0.97 * cmath.exp(0.3j), 0.99)
+@example(0.994 * cmath.exp(2.0j), 0.99)
+@example(-0.994j, 0.9)
 def test_curved_border_denominator_is_not_accepted_early(z, r):
-    # two levels that agree to rel_tol must carry no larger shared error
+    # two levels that agree to rel_tol must carry no larger shared error;
+    # the reference samples the explicit pull-back on uniform angles
     got = border_density_ratio([], _CURVED, z, r).denominator
-    ref = border_density_ratio([], _CURVED, z, r, rule=_FINE).denominator
-    assert math.isclose(got, ref, rel_tol=1e-11)
+    pulled = lambda zeta: _CURVED.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
+    ref = polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), _FINE)
+    assert math.isclose(got, ref, rel_tol=1e-12)
 
 
 def _check_superset_sweep(points, extra, centers, weight):

@@ -25,7 +25,7 @@ from bergseq import (
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import mobius_involution
-from bergseq.quadrature import _GL_W, _GL_X, _euclid_weight, _hyper_weight, _log_kernel, _settled
+from bergseq.quadrature import _GL_W, _GL_X, _euclid_weight, _hyper_weight, _log_kernel, _row_sums, _settled
 
 
 def ones(z):
@@ -160,6 +160,99 @@ def test_border_integrand_near_the_rim_doubles_angles():
     f, seen = _angle_counts(lambda zeta: lap(mobius_involution(c, zeta)) - 2.0)
     polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r))
     assert max(seen) > DEFAULT_RULE.n_theta
+
+
+@pytest.mark.parametrize("n_theta", [16, 64, 1024])
+@pytest.mark.parametrize("z", [0.5, 0.97 * np.exp(0.3j), -0.995j])
+def test_balanced_rings_keep_constants_exact(z, n_theta):
+    # each ring's factor (1 - a^N)/(1 + a^N) undoes the N-angle trapezoid
+    # sum of the Jacobian, for the full and for the even-angle sums
+    rho = np.array([0.05, 0.5, 0.9, 0.99])
+    sums = _row_sums(lambda w: np.full(w.shape, -2.5), 0.0, rho, n_theta, z, balanced=True)
+    np.testing.assert_allclose(sums, np.outer([-2.5 * n_theta, -1.25 * n_theta, 2.5 * n_theta], np.ones(4)),
+                               rtol=1e-14)
+
+    # and the samples are phi_z of points on the rings |zeta| = rho (one
+    # block of 4 rows; the round trip through phi_z near the rim costs
+    # up to (1 + |z|)/(1 - |z|) ulps)
+    def on_rings(w):
+        np.testing.assert_allclose(np.abs(mobius_involution(z, w)), np.broadcast_to(rho[:, None], w.shape),
+                                   rtol=1e-12)
+        return np.ones(w.shape)
+
+    _row_sums(on_rings, 0.0, rho, n_theta, z, balanced=True)
+
+
+@pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_pullback_point_is_checked_before_sampling(z):
+    # the balanced rings would take sqrt(1 - |z|^2 rho^2) and sample NaN,
+    # which the row sums excise to 0
+    calls = []
+
+    def f(w):
+        calls.append(w.shape)
+        return np.ones(w.shape)
+
+    with pytest.raises(DomainViolation):
+        polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=z)
+    with pytest.raises(DomainViolation):
+        disk_log_integral(0.9, f, pullback=z)
+    assert calls == []
+
+
+@pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0), complex(0.0, math.inf)])
+@pytest.mark.parametrize("call", [
+    lambda w, z: bergseq.border_density_ratio([], w, z, 0.9),
+    lambda w, z: bergseq.log_mean_disk(w, 0.8, z),
+    lambda w, z: bergseq.truncated_log_mean(w, 0.8, 0.2, z),
+    lambda w, z: bergseq.mean_comparison_margin(w, 0.8, [z]),
+    lambda w, z: bergseq.poisson_jensen_residual(bergseq.BlaschkeSpec(()), w, z, 0.8),
+    lambda w, z: bergseq.bergman_inequality_margin([1.0, 0.5], w, z, 0.8),
+], ids=["border_quotient", "log_mean_disk", "truncated_log_mean", "mean_comparison_margin",
+        "poisson_jensen_residual", "bergman_inequality_margin"])
+def test_every_pullback_caller_rejects_a_bad_center(call, z):
+    calls = []
+
+    def counted(f):
+        def g(w):
+            calls.append(np.shape(w))
+            return f(w)
+        return g
+
+    weight = bergseq.custom_weight(counted(lambda w: np.abs(w) ** 2), counted(lambda w: 4.0 + np.abs(w) ** 2),
+                                   bergseq.Domain.DISK)
+    calls.clear()
+    with pytest.raises(DomainViolation):
+        call(weight, z)
+    # no quadrature node was sampled (those come as 2-D arrays)
+    assert [shape for shape in calls if len(shape) == 2] == []
+
+
+def test_pullback_needs_a_disk_about_zero_inside_the_unit_disk():
+    with pytest.raises(DomainViolation):
+        polar_integral(ones, 0.1, 0.0, 0.5, _hyper_weight, None, pullback=0.3)
+    with pytest.raises(DomainViolation):
+        polar_integral(ones, 0.0, 0.0, 1.5, _euclid_weight, None, pullback=0.3)
+
+
+def test_pullback_at_zero_keeps_uniform_angles():
+    # phi_0(zeta) = -zeta leaves no peak to balance: no restart on
+    # balanced angles, and the same nodes as the explicit pull-back
+    counts = []
+
+    def counted(f):
+        def g(w):
+            counts.append(w.size)
+            return f(w)
+        return g
+
+    got = polar_integral(counted(lambda w: np.real(w) ** 40), 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9),
+                         pullback=0.0)
+    n_pullback, counts[:] = sum(counts), []
+    want = polar_integral(counted(lambda zeta: np.real(-zeta) ** 40), 0.0, 0.0, 0.9, _hyper_weight,
+                          _log_kernel(0.9))
+    assert got == want
+    assert n_pullback == sum(counts)
 
 
 def _level_radii(f):

@@ -31,7 +31,8 @@ from bergseq import (
     standard_puncture,
 )
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
-from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated
+from bergseq.quadrature import _hyper_weight, polar_integral
+from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated, _nested_kernel
 
 rng = np.random.default_rng(99)
 
@@ -340,6 +341,54 @@ def test_curved_denominator_near_the_rim_matches_closed_form():
     exact, _ = integrate.quad(radial, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
     sweep = density_sweep(SequenceSet((0.3,), Domain.DISK), CURVED, r_grid=(r,), centers=[c])
     assert sweep.reports[0].denominator == pytest.approx(exact, rel=1e-12)
+
+
+def _counting_curved():
+    """CURVED with a curvature density that records the shape of every
+    node array the quadrature hands it."""
+    shapes = []
+
+    def lap(w):
+        if np.ndim(w) == 2:
+            shapes.append(w.shape)
+        return CURVED.lap_poincare_ratio(w)
+
+    return custom_weight(CURVED.phi, lap, Domain.DISK), shapes
+
+
+@pytest.mark.parametrize("c, grid, max_angles", [
+    (0.97 * np.exp(0.3j), (0.99,), 128),            # fault F2; uniform angles reach 1024
+    (0.995 * np.exp(2.0j), BORDER_R_GRID, 256),     # uniform angles reach 2048
+])
+def test_rim_center_denominators_settle_on_balanced_angles(c, grid, max_angles):
+    weight, shapes = _counting_curved()
+    density_sweep(SequenceSet((0.3,), Domain.DISK), weight, r_grid=grid, centers=[c])
+    assert max(n_theta for _, n_theta in shapes) <= max_angles
+
+
+def test_denominators_that_settle_at_the_first_level_keep_uniform_angles():
+    # a wrapped standard weight is constant under phi_z, so its angles
+    # settle at once and the denominators are those of the explicit
+    # uniform-angle pull-back, bit for bit
+    s3 = standard_disk(3.0)
+    wrapped = custom_weight(s3.phi, s3.lap_poincare_ratio, Domain.DISK)
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    sweep = density_sweep(lat, wrapped)
+    n = sweep.n_centers
+    for k, c in enumerate(rep.center for rep in sweep.reports[:n]):
+        g = lambda zeta: s3.lap_poincare_ratio(mobius_involution(c, zeta)) - 2.0
+        want = polar_integral(g, 0.0, 0.0, max(BORDER_R_GRID), _hyper_weight, _nested_kernel(BORDER_R_GRID),
+                              breaks=BORDER_R_GRID)
+        assert [rep.denominator for rep in sweep.reports[k::n]] == list(want)
+
+
+def test_curved_sweep_node_budget():
+    # the curved-weight sweep of a pinned lattice sampled 1 919 232 nodes
+    # on balanced angles, and 4 334 592 on uniform angles: a silent
+    # fall-back to uniform angles fails here without any timing
+    weight, shapes = _counting_curved()
+    density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
+    assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1919232
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):

@@ -5,15 +5,28 @@ import pytest
 
 from bergseq import (
     BlaschkeSpec,
+    Domain,
+    QuadratureRule,
     bergman_inequality_margin,
     circle_mean,
+    custom_weight,
     mean_comparison_margin,
+    mobius_involution,
+    polar_integral,
     poisson_jensen_residual,
     standard_disk,
 )
 from bergseq.errors import DomainViolation
+from bergseq.quadrature import _hyper_weight
 
 rng = np.random.default_rng(17)
+
+# phi = 2 log 1/(1 - |z|^2) + |z|^2, with Delta phi / omega_P = 4 + 2 (1 - |z|^2)^2
+CURVED = custom_weight(
+    lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2,
+    lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2,
+    Domain.DISK,
+)
 
 
 def test_blaschke_validation():
@@ -71,6 +84,30 @@ def test_pj_boundary_zero_rejected():
     f = BlaschkeSpec(zeros=(0.5,))
     with pytest.raises(DomainViolation):
         poisson_jensen_residual(f, None, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("zeros", [(), (0.9 * np.exp(0.5j),), (0.95 * np.exp(0.75j), 0.3)])
+@pytest.mark.parametrize("r", [0.5, 0.8, 0.95])
+def test_pj_curved_weight_at_a_rim_center(zeros, r):
+    assert poisson_jensen_residual(BlaschkeSpec(zeros), CURVED, 0.97 * np.exp(0.7j), r) <= 1e-10
+
+
+@pytest.mark.parametrize("weight", [CURVED, standard_disk(2.0)], ids=["curved", "standard"])
+@pytest.mark.parametrize("r", [0.5, 0.8, 0.95])
+def test_margin_at_a_rim_center_matches_a_dense_reference(weight, r):
+    # the reference samples the explicit pull-back on uniform angles
+    z = 0.97 * np.exp(-1.1j)
+    coeffs = [1.0, -0.5, 0.25j]
+    cs = np.asarray(coeffs[::-1])
+
+    def pulled(zeta):
+        w = mobius_involution(z, zeta)
+        return np.abs(np.polyval(cs, w)) ** 2 * np.exp(-np.asarray(weight.phi(w), dtype=float))
+
+    fine = QuadratureRule(n_panels=64, n_theta=512, rel_tol=1e-13, max_nodes=2**23)
+    mass = polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, None, fine)
+    point = abs(np.polyval(cs, z)) ** 2 * math.exp(-float(weight.phi(np.asarray([z]))[0]))
+    assert bergman_inequality_margin(coeffs, weight, z, r) == pytest.approx(point / mass, rel=1e-10)
 
 
 def test_margin_trivial_zero():

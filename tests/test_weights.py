@@ -90,6 +90,27 @@ def test_log_mean_disk_constants_and_harmonics():
         assert log_mean_disk(h, 0.5, z) == pytest.approx(h(np.asarray(z)), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [0.9, 0.97, 0.99])
+def test_log_mean_disk_at_rim_centers(m):
+    # the mean-value property: a harmonic function's log-kernel mean over
+    # D_r(z) is its value at z, with no reference integral.  Its pull-back
+    # peaks at arg z, so these run on balanced angles: uniform ones reach
+    # 256-512 angles at r = 0.95
+    z = m * np.exp(0.7j)
+    angles = set()
+
+    def h(w):
+        if np.ndim(w) == 2:
+            angles.add(w.shape[1])
+        return np.real(np.asarray(w) ** 3) - 0.5 * np.imag(w) + 1.0
+
+    for r in (0.5, 0.8, 0.95):
+        assert log_mean_disk(h, r, z) == pytest.approx(h(np.asarray(z)), abs=1e-12)
+    assert max(angles) <= 128
+    const = lambda w: np.full(np.shape(w), -2.5)
+    assert log_mean_disk(const, 0.95, z) == pytest.approx(-2.5, rel=1e-15)
+
+
 def test_cutoff_shape():
     assert cutoff(0.1, 0.2) == 0.0  # flat below c/2
     assert cutoff(0.15, 0.2) == pytest.approx(0.5)
