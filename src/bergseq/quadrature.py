@@ -41,10 +41,20 @@ puncture quotients of one lift); each component of such a vector
 estimate must then settle against its own magnitude.  polar_integral is
 the only level loop: a radial mean is one of its integrals of the
 constant 1, with the profile in the kernel columns.
+
+A level on the previous level's angles samples only the radii that level
+did not: a radial doubling leaves most panels whole, with bit-identical
+nodes, and their row sums carry over.  A pull-back may be a 1-D array of
+points (the centers of a density sweep): one level loop then serves all
+of them, each point keeping its own levels and verdicts, and each level
+samples the rings of all points on one grid together, so the per-level
+and per-block cost is shared.  Each point's result is bit-identical to
+its own call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -129,6 +139,7 @@ def _with_breaks(edges, breaks):
     return _sorted_unique(np.concatenate((edges, br)))
 
 
+@functools.lru_cache(maxsize=128)
 def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     """Gauss-Legendre nodes and weights on rim-graded panels of (rho_lo, rho_hi).
 
@@ -142,6 +153,10 @@ def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     falling from level to level and the radial indicator sees it; a
     mapped panel of fixed width would keep its error while two levels
     agreed.
+
+    breaks is a tuple (the arguments are the cache key), and the arrays
+    are read-only, since every caller with the same key shares them.  A
+    panel that a radial doubling leaves whole keeps bit-identical nodes.
     """
     edges = rho_lo + (rho_hi - rho_lo) * _unit_edges(n_panels, rho_lo == 0.0)
     edges = _with_breaks(edges, breaks)
@@ -152,7 +167,9 @@ def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     if rho_lo == 0.0:
         nodes[0] = edges[1] * _CENTER_X
         weights[0] = edges[1] * _CENTER_W
-    return nodes.ravel(), weights.ravel()
+    nodes, weights = nodes.ravel(), weights.ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _settled(est, ref, rule, abs_mean):
@@ -169,17 +186,28 @@ def _settled(est, ref, rule, abs_mean):
     return bool(np.all(ok | (diff <= rule.rel_tol * abs_mean)))
 
 
-def _pullback_point(z, center, rho_hi):
-    """z as a complex number, once it is checked to be a valid pull-back point."""
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainViolation(f"pull-back point needs |z| < 1, got {z}")
+def _pullback_points(pullback, center, rho_hi):
+    """The pull-back points as a (3, n) complex array of columns (z, |z|, z/|z|).
+
+    Raises DomainViolation unless every |z| < 1, center is 0 and rho_hi
+    <= 1.  |z| and z/|z| are Python's complex abs and division, one point
+    at a time (numpy's differ in the last bit), so that a point's nodes
+    do not depend on the points sampled with it.
+    """
+    zs = np.asarray(pullback, dtype=complex)
+    if zs.ndim > 1:
+        raise DomainViolation(f"pull-back points must be one point or a 1-D array, got shape {zs.shape}")
+    zs = [complex(z) for z in zs.ravel()]
+    for z in zs:
+        if not abs(z) < 1.0:
+            raise DomainViolation(f"pull-back point needs |z| < 1, got {z}")
     if center != 0 or rho_hi > 1.0:
         raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
-    return z
+    columns = [(z, abs(z), z / abs(z) if z else 0.0) for z in zs]
+    return np.array(columns, dtype=complex).reshape(-1, 3).T
 
 
-def _balanced_rings(z, rho, ring):
+def _balanced_rings(m, turn, rho, ring):
     """phi_z on the rings rho e^{i theta} at Mobius-balanced angles, with the Jacobians.
 
     e^{i theta} = e^{i alpha} (v + a)/(1 + a v) for v on `ring`, alpha =
@@ -187,12 +215,11 @@ def _balanced_rings(z, rho, ring):
     midpoint of 0 and x, which moves both the pole of |1 - conj(z) zeta|^-2
     and the pole of the Jacobian (1 - a^2)/|1 + a v|^2 to |v| = 1/a.  The
     composition phi_z(rho e^{i theta}) is one real-coefficient Mobius map
-    of v per ring.  rho has shape (rows, 1).
+    of v per ring.  m = |z|, turn = z/|z| and rho have shape (rows, 1),
+    one ring per row.
     """
-    m = abs(z)
     x = m * rho
     a = x / (1.0 + np.sqrt((1.0 - x) * (1.0 + x)))
-    turn = z / m
     nodes = turn * ((m - rho * a) + (m * a - rho) * ring) / ((1.0 - x * a) + (a - x) * ring)
     jac = (1.0 - a * a) / (1.0 + a * (a + 2.0 * ring.real))
     return nodes, jac, a[:, 0]
@@ -204,11 +231,14 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
     Returns an array of shape (3, len(rho)): the sums over all angles,
     over the even-indexed angles, and of |f| over all angles.  f is
     sampled a block of whole rows at a time and each block is reduced at
-    once, so no len(rho) x n_theta array is held.  With a pullback point
-    z, f is sampled at phi_z of the nodes; balanced takes the angles of
-    _balanced_rings, weights each sample by its Jacobian, and scales each
-    ring's sums by (1 - a^N)/(1 + a^N), N the angles summed, the inverse
-    of the N-angle trapezoid sum of the Jacobian: constants stay exact.
+    once, so no len(rho) x n_theta array is held.  pullback, when given,
+    is a (3, len(rho)) array of _pullback_points columns, one per ring,
+    and f is sampled at phi_z of that ring's nodes.  balanced takes the
+    angles of _balanced_rings, weights each sample by its Jacobian, and
+    scales each ring's sums by (1 - a^N)/(1 + a^N), N the angles summed,
+    the inverse of the N-angle trapezoid sum of the Jacobian: constants
+    stay exact.  Each ring's sums depend on its own radius and point
+    only, not on the rings sampled with it.
     """
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     ring = np.exp(1j * theta)
@@ -217,11 +247,13 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
     a = np.empty(rho.size) if balanced else None
     for i in range(0, rho.size, rows):
         if balanced:
-            nodes, jac, a[i:i + rows] = _balanced_rings(pullback, rho[i:i + rows, None], ring)
+            _, m, turn = pullback[:, i:i + rows, None]
+            nodes, jac, a[i:i + rows] = _balanced_rings(m.real, turn, rho[i:i + rows, None], ring)
         else:
             nodes = center + rho[i:i + rows, None] * ring[None, :]
             if pullback is not None:
-                nodes = (pullback - nodes) / (1.0 - np.conjugate(pullback) * nodes)
+                z = pullback[0, i:i + rows, None]
+                nodes = (z - nodes) / (1.0 - np.conjugate(z) * nodes)
         vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         # non-finite samples (integrable log poles hit head-on) are
         # excised, which changes the integral by a set of measure zero
@@ -240,6 +272,39 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
     return sums
 
 
+class _PointLoop:
+    """One point's state in the level loop of polar_integral."""
+
+    __slots__ = ("k", "peaked", "n_pan", "n_th", "balanced", "prev", "prev_th", "radial_ok", "refined_rho",
+                 "last", "grid", "rho", "sums", "angles")
+
+    def __init__(self, k, peaked, rule):
+        self.k = k  # column of the point in the _pullback_points array
+        # pullback 0 (phi_0(zeta) = -zeta) has no peak to balance
+        self.peaked = peaked
+        self.n_pan, self.n_th, self.balanced = rule.n_panels, rule.n_theta, False
+        self.prev = self.prev_th = None
+        self.radial_ok = self.refined_rho = False
+        # the previous level's radii and row sums, and its (angles, balanced)
+        self.rho = self.sums = self.angles = None
+
+    def fresh(self, rho):
+        """The radii of rho the previous level did not sample on this level's angles."""
+        if self.angles != (self.n_th, self.balanced):
+            return np.ones(rho.size, dtype=bool)
+        old = np.minimum(np.searchsorted(self.rho, rho), self.rho.size - 1)
+        return self.rho[old] != rho
+
+    def merge(self, rho, fresh, new_sums):
+        """This level's row sums: new_sums on the fresh radii, the previous level's elsewhere."""
+        sums = np.empty((3, rho.size))
+        sums[:, fresh] = new_sums
+        if not fresh.all():
+            sums[:, ~fresh] = self.sums[:, np.searchsorted(self.rho, rho[~fresh])]
+        self.rho, self.sums, self.angles = rho, sums, (self.n_th, self.balanced)
+        return sums
+
+
 def polar_integral(
     f: Callable,
     center: complex,
@@ -250,7 +315,7 @@ def polar_integral(
     rule: QuadratureRule = DEFAULT_RULE,
     breaks: Sequence[float] = (),
     normalized: bool = False,
-    pullback: complex | None = None,
+    pullback: complex | Sequence[complex] | None = None,
 ):
     """Integrate f(zeta) k(rho) w(rho) over the annulus rho_lo < |zeta - center| < rho_hi.
 
@@ -276,50 +341,83 @@ def polar_integral(
     settles its angles keeps uniform angles throughout, which are
     cheaper to generate.
 
+    pullback may also be a 1-D array of n points; the result then has
+    a leading axis of length n, and each row equals the scalar call at
+    that point bit for bit.  Each point keeps its own levels, angles and
+    verdicts, and raises QuadratureNotConverged with its own estimates
+    and grid; every point is checked before any sampling.  A level
+    samples the rings of all points on the same grid together, in the
+    same blocks of whole rows, so the per-level cost is shared.
+
     The angular indicator of a level compares its estimate with the one
     from its even-indexed angles; the radial indicator compares it with
     the previous level's estimate on the same angles (the even-indexed
     ones when that level had half as many).  A level that doubled no
-    panels keeps the radial verdict of the level before.
+    panels keeps the radial verdict of the level before.  A level on the
+    previous level's angles samples only its new radii: the panels a
+    radial doubling leaves whole keep their nodes, and their row sums are
+    reused as they are.
     """
-    if pullback is not None:
-        pullback = _pullback_point(pullback, center, rho_hi)
-    balanced = False
-    n_pan, n_th = rule.n_panels, rule.n_theta
-    prev = prev_th = None
-    radial_ok = refined_rho = False
-    while True:
-        rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
-        if prev is not None and rho.size * n_th > rule.max_nodes:
-            raise QuadratureNotConverged("polar integral", last, *grid)
-        grid = (rho.size // _GL_ORDER, n_th, rho.size * n_th)
-        radial = w_rho * rho * radial_weight(rho)
-        if kernel is not None:
-            radial = (radial * kernel(rho).T).T
-        norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
-        step = 2.0 * math.pi / n_th
-        sums = _row_sums(f, center, rho, n_th, pullback, balanced)
-        total, even = sums[:2] @ radial * step / norm
-        if np.size(total) == 0:
-            return total
-        even = 2.0 * even
-        # |radial|, since a kernel column may change sign
-        absolute = sums[2] @ np.abs(radial) * step / norm
-        angular_ok = _settled(total, even, rule, absolute)
-        # pullback 0 (phi_0(zeta) = -zeta) has no peak to balance
-        if not angular_ok and prev is None and pullback and not balanced:
-            balanced = True
-            continue
-        if refined_rho:
-            radial_ok = _settled(total if n_th == prev_th else even, prev, rule, absolute)
-        if angular_ok and radial_ok:
-            return total
-        last = (total,) if prev is None else (prev, total)
-        prev, prev_th, refined_rho = total, n_th, not radial_ok
-        if not radial_ok:
-            n_pan *= 2
-        if not angular_ok:
-            n_th *= 2
+    breaks = tuple(breaks)
+    points = None if pullback is None else _pullback_points(pullback, center, rho_hi)
+    if points is None:
+        loops = [_PointLoop(0, False, rule)]
+    else:
+        loops = [_PointLoop(k, bool(z), rule) for k, z in enumerate(points[0])]
+    results = [None] * len(loops)
+    while loops:
+        groups = {}
+        for p in loops:
+            rho, _ = _radial_nodes(rho_lo, rho_hi, p.n_pan, breaks)
+            if p.prev is not None and rho.size * p.n_th > rule.max_nodes:
+                raise QuadratureNotConverged("polar integral", p.last, *p.grid)
+            p.grid = (rho.size // _GL_ORDER, p.n_th, rho.size * p.n_th)
+            groups.setdefault((p.n_pan, p.n_th, p.balanced), []).append(p)
+        for (n_pan, n_th, balanced), members in groups.items():
+            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
+            radial = w_rho * rho * radial_weight(rho)
+            if kernel is not None:
+                radial = (radial * kernel(rho).T).T
+            abs_radial = np.abs(radial)  # a kernel column may change sign
+            norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
+            step = 2.0 * math.pi / n_th
+            fresh = [p.fresh(rho) for p in members]
+            counts = [np.count_nonzero(m) for m in fresh]
+            owners = np.repeat([p.k for p in members], counts)
+            sampled = _row_sums(f, center, np.concatenate([rho[m] for m in fresh]), n_th,
+                                None if points is None else points[:, owners], balanced)
+            bounds = np.cumsum([0] + counts)
+            for p, m, lo, hi in zip(members, fresh, bounds, bounds[1:]):
+                sums = p.merge(rho, m, sampled[:, lo:hi])
+                total, even = sums[:2] @ radial * step / norm
+                if np.size(total) == 0:
+                    results[p.k] = total
+                    continue
+                even = 2.0 * even
+                absolute = sums[2] @ abs_radial * step / norm
+                angular_ok = _settled(total, even, rule, absolute)
+                if not angular_ok and p.prev is None and p.peaked and not p.balanced:
+                    p.balanced = True
+                    continue
+                if p.refined_rho:
+                    p.radial_ok = _settled(total if n_th == p.prev_th else even, p.prev, rule, absolute)
+                if angular_ok and p.radial_ok:
+                    results[p.k] = total
+                    continue
+                p.last = (total,) if p.prev is None else (p.prev, total)
+                p.prev, p.prev_th, p.refined_rho = total, n_th, not p.radial_ok
+                if not p.radial_ok:
+                    p.n_pan *= 2
+                if not angular_ok:
+                    p.n_th *= 2
+        loops = [p for p in loops if results[p.k] is None]
+    if points is None or np.ndim(pullback) == 0:
+        return results[0]
+    if not results:
+        # no point: only the kernel's columns give the shape of a result
+        rho, _ = _radial_nodes(rho_lo, rho_hi, rule.n_panels, breaks)
+        return np.empty((0,) + (np.shape(kernel(rho))[1:] if kernel is not None else ()))
+    return np.array(results)
 
 
 # ---------------------------------------------------------------------------

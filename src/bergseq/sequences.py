@@ -39,6 +39,10 @@ DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 # Random candidates generate_lattice("hyperbolic-disk", ...) draws.
 _CANDIDATES = 20000
+# Border sweep centers that share one polar_integral level loop.  Each
+# point's loop keeps its previous level's row sums, so a chunk's live
+# state stays near 0.2 MB.
+_CENTER_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -181,26 +185,38 @@ def _nested_kernel(radii):
     return lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
 
 
-def _border_quotients(dists, weight: WeightModel, z, radii, rule):
-    """The border quotients at center z, one DensityReport per radius in order.
+def _border_quotients(dists, weight: WeightModel, centers, radii, rule):
+    """The border quotients at each center: one list of DensityReports per center, radii in order.
 
-    dists are the pseudohyperbolic distances |phi_z(gamma)| of the points.
-    A weight without constant curvature gets every denominator from one
-    polar_integral over D_max(radii)(0), with a break at each radius and
-    one kernel column log(max(r^2/rho^2, 1)) per radius, so the pulled-back
-    curvature density is sampled once for all of them.
+    dists[k] are the pseudohyperbolic distances |phi_z(gamma)| of the
+    points from z = centers[k].  A weight without constant curvature gets
+    every denominator of a center from one polar_integral over
+    D_max(radii)(0), with a break at each radius and one kernel column
+    log(max(r^2/rho^2, 1)) per radius, so the pulled-back curvature
+    density is sampled once for all of them; and the centers share their
+    level loops, _CENTER_CHUNK at a time.
     """
-    numers = [float(TWO_PI * _annulus_sum(dists, 0.5, r, _log_kernel(r))) for r in radii]
+    numers = [[float(TWO_PI * _annulus_sum(d, 0.5, r, _log_kernel(r))) for r in radii] for d in dists]
     if weight.constant_poincare_ratio is not None:
-        denoms = [(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]
+        denoms = [[(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]] * len(centers)
     else:
         g = lambda w: weight.lap_poincare_ratio(w) - 2.0
-        # a punctured-disk weight is singular at the puncture, which phi_z
-        # pulls back to modulus |z|; a break there keeps the kink off a panel
-        breaks = tuple(radii) + ((abs(z),) if weight.domain is Domain.PUNCTURED_DISK else ())
-        denoms = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, _nested_kernel(radii), rule,
-                                breaks=breaks, pullback=z)
-    return [_report(z, r, n, float(d), "border") for r, n, d in zip(radii, numers, denoms)]
+        kernel = _nested_kernel(radii)
+
+        def pass_of(zs, breaks=()):
+            return polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
+                                  breaks=tuple(radii) + breaks, pullback=zs)
+
+        if weight.domain is Domain.PUNCTURED_DISK:
+            # a punctured-disk weight is singular at the puncture, which phi_z
+            # pulls back to modulus |z|; a break there keeps the kink off a
+            # panel, and gives each center a grid of its own
+            denoms = [pass_of(z, (abs(z),)) for z in centers]
+        else:
+            chunks = range(0, len(centers), _CENTER_CHUNK)
+            denoms = [den for i in chunks for den in pass_of(centers[i:i + _CENTER_CHUNK])]
+    return [[_report(z, r, n, float(d), "border") for r, n, d in zip(radii, ns, ds)]
+            for z, ns, ds in zip(centers, numers, denoms)]
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
@@ -212,7 +228,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    return _border_quotients(_disk_dists(pts, z), weight, z, (r,), rule)[0]
+    return _border_quotients([_disk_dists(pts, z)], weight, [z], (r,), rule)[0][0]
 
 
 def _puncture_quotients(points, weight: WeightModel, q, radii, eps, rule):
@@ -346,12 +362,9 @@ def density_sweep(
         nonlocal n_centers, coverage_radius
         grid = _side_grid(border_grid, _BORDER_RADII, "border")
         ctrs = centers if centers is not None else center_net(part_points, mesh)
-        nearest = np.full(len(part_points), math.inf)
-        per_center = []
-        for c in ctrs:
-            d = _disk_dists(part_points, c)
-            nearest = np.minimum(nearest, d)
-            per_center.append(_border_quotients(d, weight, c, grid, rule))
+        dists = [_disk_dists(part_points, c) for c in ctrs]
+        per_center = _border_quotients(dists, weight, ctrs, grid, rule)
+        nearest = np.min(dists, axis=0)
         n_centers = len(ctrs)
         coverage_radius = float(nearest.max()) if nearest.size else None
         if centers is None and n_centers == CENTER_CAP:
@@ -369,7 +382,8 @@ def density_sweep(
         for q in lifts:
             admissible = [i for i, r in enumerate(grid) if q.imag > r + 1.0]
             if admissible:
-                reps = _puncture_quotients(part_points, weight, complex(q), [grid[i] for i in admissible], eps, rule)
+                radii = tuple(grid[i] for i in admissible)
+                reps = _puncture_quotients(part_points, weight, complex(q), radii, eps, rule)
                 for i, rep in zip(admissible, reps):
                     by_radius[i].append(rep)
         groups = []

@@ -165,9 +165,7 @@ def mean_comparison_margin(
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
     pts = np.atleast_1d(np.asarray(grid, dtype=complex))
     worst = 0.0
-    for z in pts:
-        z = complex(z)
-        mean = log_mean_disk(weight.phi, r, z, rule)
+    for z, mean in zip(pts, log_mean_disk(weight.phi, r, pts, rule)):
         here = float(np.atleast_1d(weight.phi(np.asarray([z])))[0])
-        worst = max(worst, abs(here - mean))
+        worst = max(worst, abs(here - float(mean)))
     return worst

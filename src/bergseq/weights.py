@@ -206,10 +206,12 @@ def log_mean_disk(phi, r, z, rule: QuadratureRule = DEFAULT_RULE):
     """Normalized log-kernel mean of phi over the pseudohyperbolic disk D_r(z).
 
     Reproduces constants exactly (same-node normalizer) and harmonic
-    functions to angular-rule accuracy.
+    functions to angular-rule accuracy.  z may be a 1-D array of centers,
+    whose means come back as an array from one level loop.
     """
-    return float(polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule,
-                                normalized=True, pullback=z))
+    mean = polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, normalized=True,
+                          pullback=z)
+    return mean if np.ndim(z) else float(mean)
 
 
 def cutoff(x, c):

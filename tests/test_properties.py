@@ -158,6 +158,29 @@ def test_curved_border_denominator_is_not_accepted_early(z, r):
     assert math.isclose(got, ref, rel_tol=1e-12)
 
 
+rim_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.995), angle)
+
+
+@PROPS
+@given(st.lists(rim_point, max_size=5), st.floats(0.55, 0.99), st.floats(0.5, 0.99))
+# F2; a center whose balanced angles double twice; one whose first
+# uniform level settles; each alone, and together with 0 and a repeat
+@example([0.97 * cmath.exp(0.3j)], 0.99, 0.9)
+@example([0.995 * cmath.exp(2.0j)], 0.99, 0.9)
+@example([0.5], 0.99, 0.9)
+@example([0.5, 0.97 * cmath.exp(0.3j), 0.0, 0.995 * cmath.exp(2.0j), 0.5], 0.99, 0.9)
+def test_vector_pullback_equals_the_scalar_calls_bit_for_bit(zs, r, frac):
+    # two nested kernel columns, as in the border quotients
+    radii = (frac * r, r)
+    kernel = lambda rho: np.log(np.maximum(np.square(radii) / (rho * rho)[:, None], 1.0))
+    pulled = lambda w: _CURVED.lap_poincare_ratio(w) - 2.0
+    integral = lambda z: polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, kernel, breaks=radii, pullback=z)
+    got = integral(zs)
+    assert got.shape == (len(zs), 2)
+    want = np.array([integral(z) for z in zs]).reshape(-1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
 def _check_superset_sweep(points, extra, centers, weight):
     assume(extra not in points)
     small = density_sweep(SequenceSet(points, Domain.DISK), weight, centers=centers)

@@ -25,7 +25,17 @@ from bergseq import (
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import mobius_involution
-from bergseq.quadrature import _GL_W, _GL_X, _euclid_weight, _hyper_weight, _log_kernel, _row_sums, _settled
+from bergseq.quadrature import (
+    _GL_W,
+    _GL_X,
+    _euclid_weight,
+    _hyper_weight,
+    _log_kernel,
+    _pullback_points,
+    _radial_nodes,
+    _row_sums,
+    _settled,
+)
 
 
 def ones(z):
@@ -168,6 +178,7 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
     # each ring's factor (1 - a^N)/(1 + a^N) undoes the N-angle trapezoid
     # sum of the Jacobian, for the full and for the even-angle sums
     rho = np.array([0.05, 0.5, 0.9, 0.99])
+    z = np.repeat(_pullback_points(z, 0.0, 1.0), rho.size, axis=1)
     sums = _row_sums(lambda w: np.full(w.shape, -2.5), 0.0, rho, n_theta, z, balanced=True)
     np.testing.assert_allclose(sums, np.outer([-2.5 * n_theta, -1.25 * n_theta, 2.5 * n_theta], np.ones(4)),
                                rtol=1e-14)
@@ -176,7 +187,7 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
     # block of 4 rows; the round trip through phi_z near the rim costs
     # up to (1 + |z|)/(1 - |z|) ulps)
     def on_rings(w):
-        np.testing.assert_allclose(np.abs(mobius_involution(z, w)), np.broadcast_to(rho[:, None], w.shape),
+        np.testing.assert_allclose(np.abs(mobius_involution(z[0, :, None], w)), np.broadcast_to(rho[:, None], w.shape),
                                    rtol=1e-12)
         return np.ones(w.shape)
 
@@ -197,6 +208,9 @@ def test_pullback_point_is_checked_before_sampling(z):
         polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=z)
     with pytest.raises(DomainViolation):
         disk_log_integral(0.9, f, pullback=z)
+    # anywhere in a vector of points, ahead of good ones and after them
+    with pytest.raises(DomainViolation):
+        polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=[0.5, -0.2j, z, 0.0])
     assert calls == []
 
 
@@ -208,8 +222,11 @@ def test_pullback_point_is_checked_before_sampling(z):
     lambda w, z: bergseq.mean_comparison_margin(w, 0.8, [z]),
     lambda w, z: bergseq.poisson_jensen_residual(bergseq.BlaschkeSpec(()), w, z, 0.8),
     lambda w, z: bergseq.bergman_inequality_margin([1.0, 0.5], w, z, 0.8),
+    lambda w, z: bergseq.mean_comparison_margin(w, 0.8, [0.3, -0.4j, z, 0.1]),
+    lambda w, z: bergseq.density_sweep(bergseq.SequenceSet((0.3,), bergseq.Domain.DISK), w,
+                                       centers=[0.2, 0.5j, z]),
 ], ids=["border_quotient", "log_mean_disk", "truncated_log_mean", "mean_comparison_margin",
-        "poisson_jensen_residual", "bergman_inequality_margin"])
+        "poisson_jensen_residual", "bergman_inequality_margin", "mean_comparison_grid", "density_sweep"])
 def test_every_pullback_caller_rejects_a_bad_center(call, z):
     calls = []
 
@@ -256,7 +273,7 @@ def test_pullback_at_zero_keeps_uniform_angles():
 
 
 def _level_radii(f):
-    """f, and the radii of each level the quadrature samples it on.
+    """f, and the number of radii the quadrature samples it on at each level.
 
     Within a level the rows come in increasing radius, so a level starts
     wherever the radius drops.
@@ -285,12 +302,73 @@ def test_origin_centred_integrals_settle_at_the_second_level(measure, r, profile
     # the mapped center panel takes the kernel's rho log(1/rho) out of the
     # radial error, so 8 and 16 panels of 12 nodes agree and no third
     # level (384 radii) runs.  (Under the hyperbolic measure at r = 0.99
-    # the outer rim panel, not the center, still asks for a third.)
+    # the outer rim panel, not the center, still asks for a third.)  The
+    # six panels the doubling leaves whole, 72 radii, are not sampled again.
     f, levels = _level_radii(profile)
     f, seen = _angle_counts(f)
-    polar_integral(f, 0.0, 0.0, r, measure, _log_kernel(r))
-    assert levels() == [96, 192]
+    grids = []
+
+    def weight(rho):
+        grids.append(rho.size)
+        return measure(rho)
+
+    polar_integral(f, 0.0, 0.0, r, weight, _log_kernel(r))
+    assert grids == [96, 192]
+    assert levels() == [96, 120]
     assert seen == {DEFAULT_RULE.n_theta}
+
+
+@pytest.mark.parametrize("pullback", [None, 0.3 - 0.2j])
+def test_no_node_is_sampled_twice_on_equal_angles(pullback):
+    # a radial profile doubles the panels on 64 angles: the second level
+    # samples only the radii of the panels it split
+    nodes = []
+
+    def counted(z):
+        nodes.extend(z.ravel().tolist())
+        return 1.0 / (1.0 + np.abs(z) ** 2)
+
+    got = polar_integral(counted, 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9), pullback=pullback)
+    assert len(nodes) == (96 + 120) * DEFAULT_RULE.n_theta
+    assert len(set(nodes)) == len(nodes)
+    # and reuse keeps the sum of a call that samples every level whole
+    flat = lambda z: 1.0 / (1.0 + np.abs(z) ** 2)
+    assert got == polar_integral(flat, 0.0, 0.0, 0.9, _hyper_weight, _log_kernel(0.9), pullback=pullback)
+
+
+def test_radial_nodes_are_shared_and_read_only():
+    rho, w = _radial_nodes(0.0, 0.9, 16, (0.3,))
+    assert _radial_nodes(0.0, 0.9, 16, (0.3,)) == (rho, w)
+    assert _radial_nodes(0.0, 0.9, 16, (0.3,))[0] is rho
+    assert not rho.flags.writeable and not w.flags.writeable
+
+
+def test_empty_pullback_vector_returns_an_empty_result():
+    def f(w):
+        raise AssertionError("no node is sampled")
+
+    kernel = lambda rho: np.log(np.maximum(np.array([0.81, 0.25]) / (rho * rho)[:, None], 1.0))
+    assert polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, kernel, breaks=(0.5,), pullback=[]).shape == (0, 2)
+    assert polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=np.array([])).shape == (0,)
+    with pytest.raises(DomainViolation):
+        polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=np.zeros((2, 2)))
+
+
+def test_a_point_that_does_not_converge_raises_with_its_own_level():
+    # the pulled-back step jumps across Re w = 0.5, which the disk of
+    # pseudohyperbolic radius 0.3 about 0.5 crosses and the ones about
+    # -0.5 and 0.1j do not
+    rule = QuadratureRule(max_nodes=2**16)
+    step = lambda w: (w.real > 0.5).astype(float)
+    integral = lambda z: polar_integral(step, 0.0, 0.0, 0.3, _hyper_weight, None, rule, pullback=z)
+    with pytest.raises(QuadratureNotConverged) as alone:
+        integral(0.5)
+    with pytest.raises(QuadratureNotConverged) as among:
+        integral([-0.5, 0.1j, 0.5])
+    a, b = alone.value, among.value
+    assert (b.n_panels, b.n_theta, b.n_nodes) == (a.n_panels, a.n_theta, a.n_nodes)
+    assert b.last_estimates == a.last_estimates
+    assert list(integral([-0.5, 0.1j])) == [integral(-0.5), integral(0.1j)]
 
 
 @pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.9, 0.99])

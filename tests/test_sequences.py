@@ -30,6 +30,7 @@ from bergseq import (
     standard_disk,
     standard_puncture,
 )
+from bergseq import sequences
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
 from bergseq.quadrature import _hyper_weight, polar_integral
 from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated, _nested_kernel
@@ -382,13 +383,23 @@ def test_denominators_that_settle_at_the_first_level_keep_uniform_angles():
         assert [rep.denominator for rep in sweep.reports[k::n]] == list(want)
 
 
-def test_curved_sweep_node_budget():
-    # the curved-weight sweep of a pinned lattice sampled 1 919 232 nodes
-    # on balanced angles, and 4 334 592 on uniform angles: a silent
-    # fall-back to uniform angles fails here without any timing
+def test_curved_sweep_node_budget(monkeypatch):
+    # the curved-weight sweep of a pinned lattice samples 1 556 740 nodes
+    # on balanced angles (1 919 232 when every level sampled all its
+    # rings), and 4 334 592 on uniform angles: a silent fall-back to
+    # uniform angles fails here without any timing.  Its 64 centers share
+    # four level loops.
     weight, shapes = _counting_curved()
-    density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
-    assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1919232
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(kwargs.get("pullback")))
+        return polar_integral(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "polar_integral", counted)
+    sweep = density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
+    assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1556740
+    assert sweep.n_centers == 64 and calls == [16] * 4
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):
