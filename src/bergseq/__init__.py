@@ -13,22 +13,16 @@ from .errors import (
 from .geometry import (
     DISK_AREA_CONSTANT,
     Domain,
-    DomainPoint,
-    LiftedPoint,
     area_A,
-    area_A_punctured,
     cover_P,
     cyl_dist,
     hyp_dist,
     injectivity_radius,
-    lift_puncture,
     lift_value,
     mobius_involution,
-    pdisk_arc_dist,
     pdisk_radial_dist,
     poincare_coeff,
     pseudo_dist,
-    punctured_coeff,
 )
 from .quadrature import (
     DEFAULT_RULE,

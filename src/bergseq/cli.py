@@ -86,9 +86,6 @@ def parse_sequence_file(path) -> SequenceSet:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise DomainViolation(f"sequence file {path}: points[{i}] is not a [re, im] pair")
         pts.append(complex(float(pair[0]), float(pair[1])))
-    for i, p in enumerate(pts):
-        if not abs(p) < 1.0 or (domain is Domain.PUNCTURED_DISK and p == 0):
-            raise DomainViolation(f"sequence file {path}: points[{i}] outside the domain")
     return SequenceSet(tuple(pts), domain, str(doc.get("label", "")))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation, SingularSystem
-from .geometry import DISK_AREA_CONSTANT, Domain, _check_disk, area_A_punctured
+from .geometry import area_A
 from .quadrature import DEFAULT_RULE, QuadratureRule, _one, polar_integral
 from .weights import WeightModel, standard_disk
 
@@ -87,14 +87,8 @@ def numeric_gram_kernel(s, degree=160, rule: QuadratureRule = DEFAULT_RULE) -> K
 
 
 def _diag_scale(weight: WeightModel, z):
-    """e^{-phi} A at an array of domain points, A the area function."""
-    _check_disk(np.max(np.abs(z)))
-    if weight.domain is Domain.DISK:
-        area = DISK_AREA_CONSTANT
-    elif np.any(z == 0):
-        raise DomainViolation("punctured-disk point at the origin")
-    else:
-        area = area_A_punctured(z)
+    """e^{-phi} A at an array of points of the weight's domain, A the area function."""
+    area = area_A(z, weight.domain)
     return np.exp(-np.asarray(weight.phi(z), dtype=float)) * area
 
 
@@ -106,7 +100,7 @@ def kernel_diag_check(kernel: KernelSpec, z):
     1 up to quadrature error.
     """
     z = np.asarray(z, dtype=complex)
-    return np.asarray(np.real(kernel.evaluate(z, z)) * _diag_scale(kernel.weight, z))
+    return np.asarray(_diag_scale(kernel.weight, z) * np.real(kernel.evaluate(z, z)))
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,8 @@ def gram_assemble(kernel: KernelSpec, points) -> GramSystem:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or pts.size == 0:
         raise DomainViolation("need a nonempty 1-d array of points")
-    raw = np.asarray(kernel.evaluate(pts[:, None], pts[None, :]), dtype=complex)
     scale = _diag_scale(kernel.weight, pts)
+    raw = np.asarray(kernel.evaluate(pts[:, None], pts[None, :]), dtype=complex)
     root = np.sqrt(scale)
     # in place, so that at most three n x n matrices are alive at once
     normalized = raw * root[:, None]

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation, QuadratureNotConverged
-from .geometry import mobius_involution
+from .geometry import _check_domain, _mobius, mobius_involution
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
 # .leggauss(12) gives it (a test pins the two equal); written out so that
@@ -194,13 +194,10 @@ def _pullback_points(pullback, center, rho_hi):
     at a time (numpy's differ in the last bit), so that a point's nodes
     do not depend on the points sampled with it.
     """
-    zs = np.asarray(pullback, dtype=complex)
+    zs = _check_domain(pullback, name="pullback")
     if zs.ndim > 1:
         raise DomainViolation(f"pull-back points must be one point or a 1-D array, got shape {zs.shape}")
     zs = [complex(z) for z in zs.ravel()]
-    for z in zs:
-        if not abs(z) < 1.0:
-            raise DomainViolation(f"pull-back point needs |z| < 1, got {z}")
     if center != 0 or rho_hi > 1.0:
         raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
     columns = [(z, abs(z), z / abs(z) if z else 0.0) for z in zs]
@@ -252,8 +249,7 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
         else:
             nodes = center + rho[i:i + rows, None] * ring[None, :]
             if pullback is not None:
-                z = pullback[0, i:i + rows, None]
-                nodes = (z - nodes) / (1.0 - np.conjugate(z) * nodes)
+                nodes = _mobius(pullback[0, i:i + rows, None], nodes)
         vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         # non-finite samples (integrable log poles hit head-on) are
         # excised, which changes the integral by a set of measure zero

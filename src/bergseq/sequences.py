@@ -16,15 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
-from .geometry import (
-    Domain,
-    TWO_PI,
-    cyl_dist,
-    hyp_dist,
-    lift_value,
-    mobius_involution,
-    pseudo_dist,
-)
+from .geometry import Domain, TWO_PI, _check_domain, _cylindrical, _hyperbolic, _mobius, lift_value
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
 from .quadrature import _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight, _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
@@ -56,12 +48,7 @@ class SequenceSet:
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        for i, p in enumerate(pts):
-            r = abs(p)
-            if not r < 1.0:
-                raise DomainViolation(f"point {i} has |z| = {r} >= 1")
-            if self.domain is Domain.PUNCTURED_DISK and r == 0.0:
-                raise DomainViolation(f"point {i} is the puncture")
+        _check_domain(pts, self.domain, "points")
         if len(set(pts)) != len(pts):
             raise DomainViolation("sequence points must be pairwise distinct")
 
@@ -134,9 +121,14 @@ class ClassificationVerdict:
 # Separation and decomposition.
 
 def decompose(seq: SequenceSet, a: float):
-    """Split a punctured-disk sequence at modulus a (|gamma| = a goes inward)."""
+    """Split a punctured-disk sequence at modulus a (|gamma| = a goes inward).
+
+    Raises DomainViolation unless 0 < a < 1.
+    """
     if seq.domain is not Domain.PUNCTURED_DISK:
         raise DomainViolation("decompose applies to punctured-disk sequences")
+    if not 0.0 < a < 1.0:
+        raise DomainViolation(f"the split modulus must lie in (0, 1), got {a}")
     star = tuple(p for p in seq.points if abs(p) <= a)
     border = tuple(p for p in seq.points if abs(p) > a)
     return (
@@ -146,6 +138,7 @@ def decompose(seq: SequenceSet, a: float):
 
 
 def _min_pairwise(points, dist):
+    """Least dist over the pairs of checked points; dist takes a point and an array."""
     n = len(points)
     if n < 2:
         return math.inf
@@ -160,13 +153,13 @@ def separation_border(seq: SequenceSet):
     """Half the minimal pairwise distance, pseudohyperbolic on the disk,
     hyperbolic (disk-wise) for punctured-disk border parts."""
     if seq.domain is Domain.DISK:
-        return 0.5 * _min_pairwise(seq.points, pseudo_dist)
-    return 0.5 * _min_pairwise(seq.points, hyp_dist)
+        return 0.5 * _min_pairwise(seq.points, lambda z, w: np.abs(_mobius(z, w)))
+    return 0.5 * _min_pairwise(seq.points, lambda z, w: _hyperbolic(np.abs(_mobius(z, w))))
 
 
 def separation_puncture(seq: SequenceSet):
     """Half the minimal pairwise cylindrical distance."""
-    return 0.5 * _min_pairwise(seq.points, cyl_dist)
+    return 0.5 * _min_pairwise(seq.points, _cylindrical)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +220,8 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z.
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
-    pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
+    _check_domain(z)
+    pts = seq.array() if isinstance(seq, SequenceSet) else _check_domain(seq, name="points")
     return _border_quotients([_disk_dists(pts, z)], weight, [z], (r,), rule)[0][0]
 
 
@@ -239,10 +233,10 @@ def _puncture_quotients(points, weight: WeightModel, q, radii, eps, rule):
     per radius, so the lifted curvature density is sampled once for all of
     them; every numerator from one set of translate distances.
     """
-    d = _translate_dists(points, q, max(radii))
-    numers = [float(TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r))) for r in radii]
     _, psi_ratio = shifted_cyl_weight(weight)
     density = _covered_integrand(psi_ratio, q, eps)
+    d = _translate_dists(points, q, max(radii))
+    numers = [float(TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r))) for r in radii]
     denoms = polar_integral(density, 0.0, 0.0, max(radii), _euclid_weight, _nested_kernel(radii), rule, breaks=radii)
     return [_report(q, r, n, float(den), "puncture") for r, n, den in zip(radii, numers, denoms)]
 
@@ -258,7 +252,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(q)
-    if q.imag <= 0:
+    if not q.imag > 0:
         raise WindowViolation("center lift must lie in the upper half plane")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
     return _puncture_quotients(pts, weight, q, (r,), eps, rule)[0]
@@ -269,13 +263,15 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
 
 def _greedy_separated(cands, sep, limit):
     """The candidates, in order, each kept if it lies at pseudohyperbolic
-    distance >= sep from every one kept before it; at most `limit` kept."""
+    distance >= sep from every one kept before it; at most `limit` kept.
+    Raises DomainViolation unless every candidate lies in the disk."""
+    _check_domain(cands, name="candidates")
     kept = np.empty(min(len(cands), limit), dtype=complex)
     k = 0
     for c in cands:
         if k >= limit:
             break
-        if k == 0 or np.all(pseudo_dist(c, kept[:k]) >= sep):
+        if k == 0 or np.all(np.abs(_mobius(c, kept[:k])) >= sep):
             kept[k] = c
             k += 1
     return kept[:k]
@@ -286,13 +282,16 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
 
     Candidates are the points themselves and a ring of eight neighbors at
     pseudohyperbolic distance mesh around each; greedy acceptance at
-    separation mesh/2 keeps the net small and deterministic.
+    separation mesh/2 keeps the net small and deterministic.  Raises
+    DomainViolation unless 0 < mesh < 1.
     """
-    pts = np.asarray(points, dtype=complex)
+    if not 0.0 < mesh < 1.0:
+        raise DomainViolation(f"the mesh must lie in (0, 1), got {mesh}")
+    pts = _check_domain(points, name="points")
     if pts.size == 0:
         return np.asarray([0.0], dtype=complex)
     ring = mesh * np.exp(1j * math.pi / 4.0 * np.arange(8))
-    cands = [pts] + [mobius_involution(p, ring) for p in pts]
+    cands = [pts] + [_mobius(p, ring) for p in pts]
     return _greedy_separated(np.concatenate(cands), 0.5 * mesh, max_centers)
 
 
@@ -346,8 +345,10 @@ def density_sweep(
     disk, and must leave each swept part at least one radius.  An explicit
     list of centers must not be empty.
     """
-    if centers is not None and not len(centers):
-        raise DomainViolation("the center list is empty")
+    if centers is not None:
+        if not len(centers):
+            raise DomainViolation("the center list is empty")
+        _check_domain(centers, name="centers")
     reports = []
     notes = []
     n_centers, coverage_radius = 0, None
@@ -375,7 +376,7 @@ def density_sweep(
 
     def run_puncture(part_points):
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
-        lifts = np.atleast_1d(lift_value(np.asarray(part_points, dtype=complex)))
+        lifts = np.atleast_1d(lift_value(part_points))
         # one pass per lift serves its admissible radii; the reports go
         # out (r, lift)-major
         by_radius = [[] for _ in grid]
@@ -493,13 +494,10 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
                            " so the puncture estimate does not show non-interpolation")
             verdict = "Indeterminate"
     else:
-        # a puncture part with no admissible center lift leaves the
-        # puncture density unestimated, which blocks a positive verdict
-        punct_missing = (
-            seq.domain is Domain.PUNCTURED_DISK
-            and d_p is None
-            and any(abs(p) <= params.split_a for p in seq.points)
-        )
+        # on the punctured disk, d_p is None when the puncture part has
+        # points but no admissible center lift: its density is unestimated,
+        # which blocks a positive verdict
+        punct_missing = seq.domain is Domain.PUNCTURED_DISK and d_p is None
         below = max(d_b or 0.0, d_p or 0.0) <= 1.0 - params.delta
         if below and not punct_missing:
             verdict = "Interpolating"

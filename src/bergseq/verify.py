@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .geometry import pseudo_dist
+from .geometry import _check_domain, _mobius
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -43,9 +43,7 @@ class BlaschkeSpec:
     def __post_init__(self):
         zs = tuple(complex(a) for a in self.zeros)
         object.__setattr__(self, "zeros", zs)
-        for a in zs:
-            if abs(a) >= 1.0:
-                raise DomainViolation(f"zero {a} outside the open disk")
+        _check_domain(zs, name="zeros")
         cs = tuple(complex(c) for c in self.outer_coeffs)
         object.__setattr__(self, "outer_coeffs", cs)
         if all(c == 0 for c in cs):
@@ -62,7 +60,7 @@ class BlaschkeSpec:
             if a == 0:
                 val = val * z
             else:
-                val = val * (abs(a) / a) * (a - z) / (1.0 - np.conjugate(a) * z)
+                val = val * (abs(a) / a) * _mobius(a, z)
         return val
 
     def log_abs(self, z):
@@ -94,10 +92,10 @@ def poisson_jensen_residual(
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
-    z = complex(z)
+    z = complex(_check_domain(z))
     phi, ratio_fn = _phi_and_ratio(psi)
 
-    rhos = [pseudo_dist(a, z) for a in f.zeros]
+    rhos = [abs(_mobius(a, z)) for a in f.zeros]
     for a, rho in zip(f.zeros, rhos):
         if abs(rho - r) <= _BOUNDARY_GUARD:
             raise DomainViolation(f"zero {a} sits on the integration circle")
@@ -164,8 +162,6 @@ def mean_comparison_margin(
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
     pts = np.atleast_1d(np.asarray(grid, dtype=complex))
-    worst = 0.0
-    for z, mean in zip(pts, log_mean_disk(weight.phi, r, pts, rule)):
-        here = float(np.atleast_1d(weight.phi(np.asarray([z])))[0])
-        worst = max(worst, abs(here - float(mean)))
-    return worst
+    means = log_mean_disk(weight.phi, r, pts, rule)
+    here = np.broadcast_to(np.asarray(weight.phi(pts), dtype=float), pts.shape)
+    return float(np.max(np.abs(here - means), initial=0.0))

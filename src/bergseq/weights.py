@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation, WindowViolation
-from .geometry import Domain, TWO_PI, lift_value, mobius_involution
+from .geometry import Domain, TWO_PI, _check_domain, _log_L, _mobius, lift_value
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -58,11 +58,6 @@ class WeightModel:
     params: dict = field(default_factory=dict)
     constant_poincare_ratio: Optional[float] = None
     hypothesis_flags: dict = field(default_factory=dict)
-
-
-def _log_L(z):
-    """log(1/|z|^2), vectorized."""
-    return np.log(1.0 / np.abs(z) ** 2)
 
 
 def standard_disk(s: float) -> WeightModel:
@@ -242,7 +237,10 @@ def _covered_integrand(f, q, eps):
 
     Points with Im w <= eps are reflected across the line Im w = eps,
     which is the eps-shift-and-reflect extension across the real axis.
+    Raises DomainViolation unless eps > 0.
     """
+    if not eps > 0:
+        raise DomainViolation(f"eps must be positive, got {eps}")
 
     def integrand(zeta):
         # in place: the quadrature calls this on its largest node arrays
@@ -262,11 +260,16 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
     half plane, shifted into the interior by eps, reflected across the
     real axis, and averaged with the Euclidean log kernel over a disk of
     radius r about the lift of z.  2 pi periodicity of the lift makes the
-    projected value well defined.
+    projected value well defined.  The extension is defined on the whole
+    plane, so z may be any nonzero finite point: a lift below the real
+    axis averages the reflected values.
     """
-    if eps <= 0 or r <= 0:
-        raise DomainViolation("eps and r must be positive")
-    integrand = _covered_integrand(_phi_fn(psi), complex(lift_value(z)), eps)
+    if not r > 0:
+        raise DomainViolation(f"r must be positive, got {r}")
+    q = complex(lift_value(z))
+    if not np.isfinite(q):
+        raise DomainViolation(f"z = {z} has no finite lift")
+    integrand = _covered_integrand(_phi_fn(psi), q, eps)
     return float(polar_integral(integrand, 0.0, 0.0, r, _euclid_weight, _log_kernel(r), rule, normalized=True))
 
 
@@ -308,9 +311,8 @@ def _annulus_sum(d, inner, r, kernel):
 
 
 def _disk_dists(points, z):
-    """Pseudohyperbolic distances |phi_z(gamma)| of the points to z."""
-    pts = np.asarray(points, dtype=complex)
-    return np.abs(mobius_involution(z, pts)) if pts.size else np.empty(0)
+    """Pseudohyperbolic distances |phi_z(gamma)| of checked points to a checked z."""
+    return np.abs(_mobius(z, np.asarray(points, dtype=complex)))
 
 
 def _translate_dists(points, q, radius):
@@ -416,7 +418,7 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     that existing calls still work.
     """
     _check_radius(r, _BORDER_RADII, "border potential")
-    d = _disk_dists(points, z)
+    d = _disk_dists(_check_domain(points, name="points"), _check_domain(z))
     return _jensen_potential(d, lambda dist: _border_radial_means(dist, r), _harmonic_term(harmonic, z))
 
 
@@ -427,7 +429,7 @@ def border_density_form(points, r, z):
     log(1/rho^2) over the points whose phi_z image lands in the annulus
     1/2 < rho < r.
     """
-    total = _annulus_sum(_disk_dists(points, z), 0.5, r, _log_kernel(1.0))
+    total = _annulus_sum(_disk_dists(_check_domain(points, name="points"), _check_domain(z)), 0.5, r, _log_kernel(1.0))
     return float((TWO_PI / c_r_disk(r)) * total)
 
 
@@ -439,7 +441,7 @@ def lifted_translates(points, q, radius):
 
     Ordered point by point, and for each point by increasing translate.
     """
-    w = np.atleast_1d(lift_value(np.asarray(points, dtype=complex)))
+    w = np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
     span = int(radius / TWO_PI) + 2
     k = np.rint((q.real - w.real) / TWO_PI)[:, None] + np.arange(-span, span + 1)
     t = w[:, None] + TWO_PI * k
@@ -499,13 +501,12 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     chosen lift.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture potential")
-    points = np.asarray(points, dtype=complex)
-    if points.size and np.max(np.abs(points)) >= math.exp(-r):
-        raise WindowViolation(f"sequence must satisfy |gamma| < e^-r = {math.exp(-r):.3g}")
-    q = complex(lift_value(z))
+    q = complex(lift_value(_check_domain(z, Domain.PUNCTURED_DISK)))
     if q.imag <= r:
         raise WindowViolation(f"lift of z has Im = {q.imag:.3g} <= r = {r}")
-    d = _translate_dists(points, q, r + TWO_PI)
+    d = _translate_dists(points, q, r + TWO_PI)  # lifted_translates checks the points
+    if np.size(points) and np.max(np.abs(points)) >= math.exp(-r):
+        raise WindowViolation(f"sequence must satisfy |gamma| < e^-r = {math.exp(-r):.3g}")
     return _jensen_potential(d, lambda dist: _puncture_radial_means(dist, r), _harmonic_term(harmonic, q))
 
 
@@ -519,5 +520,5 @@ def puncture_density_form(points, r, z=None, q=None):
     if q is None:
         if z is None:
             raise DomainViolation("need either z or a lift q")
-        q = complex(lift_value(z))
+        q = complex(lift_value(_check_domain(z, Domain.PUNCTURED_DISK)))
     return float(_annulus_sum(_translate_dists(points, q, r), 1.0, r, _log_kernel(r)) / c_r_cyl(r))

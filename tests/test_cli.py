@@ -195,6 +195,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     cfg.write_text("delta=abc\n")
     assert main(["analyze", str(lat), "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+    punct = tmp_path / "punct.json"
+    main(["gen", "--kind", "puncture-exponential", "--count", "12", "--step", "0.3", "--rays", "6",
+          "--out", str(punct)])
+    capsys.readouterr()
+    assert main(["analyze", str(punct), "--weight", "standard-puncture:s=2,t=3", "--split-a", "nan"]) == 1
+    assert "split modulus" in capsys.readouterr().err
 
 
 def test_sweep_r_grid_split_by_side(tmp_path):

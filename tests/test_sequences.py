@@ -59,6 +59,17 @@ def test_decompose_split():
         decompose(SequenceSet((0.1,), Domain.DISK), 0.5)
 
 
+@pytest.mark.parametrize("a", [math.nan, -1.0, 0.0, 1.0])
+def test_split_modulus_must_lie_in_the_unit_interval(a):
+    # NaN once put every point in neither part, and -1 every star point on
+    # the border side, so either classified anything as Interpolating
+    seq = generate_lattice("puncture-exponential", 60, s=0.3, n=6)
+    with pytest.raises(DomainViolation):
+        decompose(seq, a)
+    with pytest.raises(DomainViolation):
+        classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(split_a=a))
+
+
 def test_separation_values():
     seq = SequenceSet((0.0, 0.5), Domain.DISK)
     assert separation_border(seq) == pytest.approx(0.25, abs=1e-15)
@@ -121,6 +132,9 @@ def test_puncture_density_ratio_guards():
         puncture_density_ratio(np.array([1e-4]), w, 8j, 0.5)
     with pytest.raises(WindowViolation):
         puncture_density_ratio(np.array([1e-4]), w, -8j, 4.0)
+    for eps in (math.nan, 0.0):  # NaN eps once gave the denominator 0.0
+        with pytest.raises(DomainViolation):
+            puncture_density_ratio(np.exp(-np.arange(1.0, 8.0)), w, 8j, 4.0, eps=eps)
 
 
 def test_puncture_density_ratio_center_lift_invariance():
@@ -140,6 +154,15 @@ def test_center_net_is_separated_and_covers():
     # every sequence point is within one mesh of some center
     for p in pts:
         assert min(pseudo_dist(p, c) for c in net) <= 0.3 + 1e-12
+
+
+@pytest.mark.parametrize("mesh", [0.0, -0.3, math.nan, 1.0])
+def test_center_net_needs_a_mesh_in_the_unit_interval(mesh):
+    # mesh 0 once repeated each point in the net, a negative mesh kept the
+    # first CENTER_CAP candidates unseparated
+    pts = generate_lattice("hyperbolic-disk", 10, seed=1, d=0.5).array()
+    with pytest.raises(DomainViolation):
+        center_net(pts, mesh)
 
 
 def test_generate_lattice_examples():

@@ -139,6 +139,14 @@ def test_extended_covered_mean_constants():
         assert extended_covered_mean(const, 0.1, 4.0, z) == pytest.approx(7.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps, r", [(math.nan, 2.0), (0.0, 2.0), (0.1, math.nan), (0.1, 0.0)])
+def test_covered_means_need_positive_eps_and_r(eps, r):
+    # NaN eps once returned 0.0, and NaN r sampled 393 216 nodes
+    w = standard_puncture(2.0, 3.0)
+    with pytest.raises(DomainViolation):
+        extended_covered_mean(w.phi, eps, r, 0.01)
+
+
 def test_extended_covered_mean_lift_invariance():
     # rotating z by e^{2 pi i} is a no-op; a smooth 2 pi periodic psi
     # gives the same mean for points on the same fiber
