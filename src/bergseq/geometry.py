@@ -17,6 +17,7 @@ points.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 
@@ -53,6 +54,12 @@ def _check_domain(z, domain=Domain.DISK, name="z"):
         where = f"{name}[{k}]" if z.ndim else name
         raise DomainViolation(f"{where} = {z.ravel()[k]} lies outside the {domain.value}")
     return z
+
+
+def _check_finite(x, name):
+    """Raises DomainViolation, naming the number x, unless it is finite."""
+    if not cmath.isfinite(x):
+        raise DomainViolation(f"{name} = {x} is not finite")
 
 
 def _mobius(z, zeta):

@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation, QuadratureNotConverged
-from .geometry import _check_domain, _mobius, mobius_involution
+from .geometry import _check_domain, _check_finite, _mobius, mobius_involution
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
 # .leggauss(12) gives it (a test pins the two equal); written out so that
@@ -323,7 +323,9 @@ def polar_integral(
     of f per node.  With normalized=True, returns the mean of f against
     the measure k w rho drho dtheta (per column), with the normalizer
     computed on the identical nodes so that constants are reproduced to
-    machine precision.
+    machine precision.  A center that is not finite raises
+    DomainViolation before any sampling: every node would be excised as
+    non-finite, and the integral would read 0.
 
     pullback=z integrates f o phi_z instead, phi_z the disk automorphism
     swapping 0 and z: f is called on phi_z of the nodes.  It needs
@@ -355,6 +357,7 @@ def polar_integral(
     reused as they are.
     """
     breaks = tuple(breaks)
+    _check_finite(center, "center")
     points = None if pullback is None else _pullback_points(pullback, center, rho_hi)
     if points is None:
         loops = [_PointLoop(0, False, rule)]

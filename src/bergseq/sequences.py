@@ -18,9 +18,10 @@ import numpy as np
 from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _cylindrical, _hyperbolic, _mobius, lift_value
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
-from .quadrature import _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight, _log_kernel
+from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight
+from .quadrature import _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
-from .weights import _annulus_sum, _covered_integrand, _disk_dists, _translate_dists
+from .weights import _annulus_sum, _covered_integrand, _translate_dists
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -137,15 +138,34 @@ def decompose(seq: SequenceSet, a: float):
     )
 
 
+def _block_rows(width):
+    """Rows of `width` entries that fit in one block of _BLOCK_NODES, at least one.
+
+    The pairwise kernels below hold one such block of distances at a
+    time: its complex temporaries then stay at 64 KiB, below glibc's
+    default mmap threshold (128 KiB).
+    """
+    return max(1, _BLOCK_NODES // max(width, 1))
+
+
 def _min_pairwise(points, dist):
-    """Least dist over the pairs of checked points; dist takes a point and an array."""
-    n = len(points)
-    if n < 2:
-        return math.inf
+    """Least dist over the pairs of checked points.
+
+    dist(z, w) broadcasts: it is called on row blocks of the upper
+    triangle, z a column of points and w the row of every later point,
+    and pair (i, j), i < j, is always dist(points[i], points[j]).
+    """
     arr = np.asarray(points, dtype=complex)
+    n = arr.size
     best = math.inf
-    for i in range(n - 1):
-        best = min(best, float(np.min(dist(arr[i], arr[i + 1:]))))
+    i = 0
+    while i < n - 1:
+        width = n - 1 - i
+        rows = min(_block_rows(width), width)
+        # row k pairs point i + k with points i + 1 + c; the pair is new when c >= k
+        upper = np.arange(width) >= np.arange(rows)[:, None]
+        best = min(best, float(np.min(dist(arr[i:i + rows, None], arr[i + 1:]), where=upper, initial=math.inf)))
+        i += rows
     return best
 
 
@@ -178,18 +198,46 @@ def _nested_kernel(radii):
     return lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
 
 
-def _border_quotients(dists, weight: WeightModel, centers, radii, rule):
+def _border_numerators(points, centers, radii):
+    """The border numerators per (center, radius), and each point's distance to its nearest center.
+
+    Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
+    over the points whose pseudohyperbolic distance rho = |phi_z(gamma)|
+    from z = centers[k] lies in the open annulus (1/2, r).  The distances
+    are taken a block of centers at a time (see _block_rows).  Each
+    distance and each term is the same as one center at a time would
+    give; a sum can differ from the sum over that center's annulus alone
+    in its last bits, by summation order only.
+    """
+    pts = np.asarray(points, dtype=complex)
+    ctrs = np.asarray(centers, dtype=complex)
+    numers = np.empty((ctrs.size, len(radii)))
+    nearest = np.full(pts.size, math.inf)
+    rows = _block_rows(pts.size)
+    for i in range(0, ctrs.size, rows):
+        d = np.abs(_mobius(ctrs[i:i + rows, None], pts))
+        np.minimum(nearest, d.min(axis=0, initial=math.inf), out=nearest)
+        d2 = d * d
+        for j, r in enumerate(radii):
+            inside = (d > 0.5) & (d < r)
+            terms = np.zeros_like(d)
+            np.divide(r * r, d2, out=terms, where=inside)
+            np.log(terms, out=terms, where=inside)
+            numers[i:i + rows, j] = TWO_PI * terms.sum(axis=1)
+    return numers, nearest
+
+
+def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
     """The border quotients at each center: one list of DensityReports per center, radii in order.
 
-    dists[k] are the pseudohyperbolic distances |phi_z(gamma)| of the
-    points from z = centers[k].  A weight without constant curvature gets
+    numers[k] are the numerators at z = centers[k] (see
+    _border_numerators).  A weight without constant curvature gets
     every denominator of a center from one polar_integral over
     D_max(radii)(0), with a break at each radius and one kernel column
     log(max(r^2/rho^2, 1)) per radius, so the pulled-back curvature
     density is sampled once for all of them; and the centers share their
     level loops, _CENTER_CHUNK at a time.
     """
-    numers = [[float(TWO_PI * _annulus_sum(d, 0.5, r, _log_kernel(r))) for r in radii] for d in dists]
     if weight.constant_poincare_ratio is not None:
         denoms = [[(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]] * len(centers)
     else:
@@ -208,7 +256,7 @@ def _border_quotients(dists, weight: WeightModel, centers, radii, rule):
         else:
             chunks = range(0, len(centers), _CENTER_CHUNK)
             denoms = [den for i in chunks for den in pass_of(centers[i:i + _CENTER_CHUNK])]
-    return [[_report(z, r, n, float(d), "border") for r, n, d in zip(radii, ns, ds)]
+    return [[_report(z, r, float(n), float(d), "border") for r, n, d in zip(radii, ns, ds)]
             for z, ns, ds in zip(centers, numers, denoms)]
 
 
@@ -222,7 +270,8 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
     pts = seq.array() if isinstance(seq, SequenceSet) else _check_domain(seq, name="points")
-    return _border_quotients([_disk_dists(pts, z)], weight, [z], (r,), rule)[0][0]
+    numers, _ = _border_numerators(pts, [z], (r,))
+    return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
 
 
 def _puncture_quotients(points, weight: WeightModel, q, radii, eps, rule):
@@ -264,16 +313,51 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
 def _greedy_separated(cands, sep, limit):
     """The candidates, in order, each kept if it lies at pseudohyperbolic
     distance >= sep from every one kept before it; at most `limit` kept.
-    Raises DomainViolation unless every candidate lies in the disk."""
-    _check_domain(cands, name="candidates")
-    kept = np.empty(min(len(cands), limit), dtype=complex)
+    Raises DomainViolation unless every candidate lies in the disk.
+    """
+    cands = _check_domain(cands, name="candidates")
+    return _greedy_chunks((cands,), cands.size, sep, limit)
+
+
+def _greedy_chunks(chunks, size, sep, limit):
+    """_greedy_separated of checked candidates that come in chunks, `size` in all.
+
+    The next chunk is taken only while fewer than `limit` are kept.  A
+    block of candidates is screened against every kept point at once, and
+    the block shrinks as points are kept, so that it holds at most
+    _BLOCK_NODES distances (and at most sqrt(_BLOCK_NODES) candidates).
+    The conflicts among the block's survivors are then settled in
+    candidate order: each survivor's row of "closer than sep to another
+    survivor" is packed into a Python int and tested against the bits of
+    the survivors kept so far.  Every distance is |phi_c(w)| of a
+    candidate c and an earlier point w, compared by `>= sep`, as one
+    candidate at a time would; so the result is the same bit for bit.
+    """
+    kept = np.empty(min(size, limit), dtype=complex)
+    widest = math.isqrt(_BLOCK_NODES)
     k = 0
-    for c in cands:
-        if k >= limit:
+    for cands in chunks:
+        i = 0
+        while i < cands.size and k < limit:
+            block = cands[i:i + min(widest, _block_rows(k))]
+            i += block.size
+            if k:
+                block = block[(np.abs(_mobius(block[:, None], kept[:k])) >= sep).all(axis=1)]
+            if block.size > 1:
+                close = np.packbits(~(np.abs(_mobius(block[:, None], block)) >= sep), axis=1, bitorder="little")
+                width, close = close.shape[1], close.tobytes()
+                taken, chosen = 0, []
+                for j in range(block.size):
+                    if not int.from_bytes(close[j * width:(j + 1) * width], "little") & taken:
+                        taken |= 1 << j
+                        chosen.append(j)
+                        if k + len(chosen) == limit:
+                            break
+                block = block[chosen]
+            kept[k:k + block.size] = block
+            k += block.size
+        if k == limit:
             break
-        if k == 0 or np.all(np.abs(_mobius(c, kept[:k])) >= sep):
-            kept[k] = c
-            k += 1
     return kept[:k]
 
 
@@ -291,8 +375,13 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     if pts.size == 0:
         return np.asarray([0.0], dtype=complex)
     ring = mesh * np.exp(1j * math.pi / 4.0 * np.arange(8))
-    cands = [pts] + [_mobius(p, ring) for p in pts]
-    return _greedy_separated(np.concatenate(cands), 0.5 * mesh, max_centers)
+    cands = np.empty(pts.size * (1 + ring.size), dtype=complex)
+    cands[:pts.size] = pts
+    rings = cands[pts.size:].reshape(pts.size, ring.size)
+    rows = _block_rows(ring.size)
+    for i in range(0, pts.size, rows):
+        rings[i:i + rows] = _mobius(pts[i:i + rows, None], ring)
+    return _greedy_separated(cands, 0.5 * mesh, max_centers)
 
 
 def _aggregate(per_r):
@@ -363,9 +452,8 @@ def density_sweep(
         nonlocal n_centers, coverage_radius
         grid = _side_grid(border_grid, _BORDER_RADII, "border")
         ctrs = centers if centers is not None else center_net(part_points, mesh)
-        dists = [_disk_dists(part_points, c) for c in ctrs]
-        per_center = _border_quotients(dists, weight, ctrs, grid, rule)
-        nearest = np.min(dists, axis=0)
+        numers, nearest = _border_numerators(part_points, ctrs, grid)
+        per_center = _border_quotients(numers, weight, ctrs, grid, rule)
         n_centers = len(ctrs)
         coverage_radius = float(nearest.max()) if nearest.size else None
         if centers is None and n_centers == CENTER_CAP:
@@ -510,6 +598,33 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
 # ---------------------------------------------------------------------------
 # Test-sequence factory.
 
+def _disk_candidates(seed, rmax):
+    """The candidates of a hyperbolic-disk lattice, in chunks of at most
+    _BLOCK_NODES + 1: the origin, then _CANDIDATES points uniform in
+    hyperbolic area up to pseudohyperbolic radius rmax,
+    rho = sqrt(u s / (1 + u s)) and theta = 2 pi v.
+
+    u is the first _CANDIDATES draws of default_rng(seed) and v the next
+    _CANDIDATES: v comes from a second generator advanced that far, so a
+    chunk is drawn only when the greedy reaches it (a 300-point lattice
+    takes about 1 100 candidates), and every array stays below glibc's
+    default mmap threshold (128 KiB).  The points are the same bit for
+    bit as from one draw of all 2 _CANDIDATES numbers.
+    """
+    u_gen = np.random.Generator(np.random.PCG64(seed))
+    v_gen = np.random.Generator(np.random.PCG64(seed).advance(_CANDIDATES))
+    s_max = rmax * rmax / (1.0 - rmax * rmax)
+    for i in range(0, _CANDIDATES, _BLOCK_NODES):
+        m = min(_BLOCK_NODES, _CANDIDATES - i)
+        chunk = np.zeros(m + (i == 0), dtype=complex)
+        ring = chunk[chunk.size - m:]
+        np.multiply(v_gen.random(m), 1j * TWO_PI, out=ring)
+        np.exp(ring, out=ring)
+        u = u_gen.random(m) * s_max
+        ring *= np.sqrt(u / (1.0 + u))
+        yield _check_domain(chunk, name="candidates")
+
+
 def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     """Deterministic test sequences.
 
@@ -521,27 +636,12 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     if kind == "hyperbolic-disk":
         d = kw["d"]
         margin = kw.get("margin", 0.05)
-        if d <= 0:
-            raise ValueError("mesh must be positive")
-        rng = np.random.default_rng(seed)
+        if not 0.0 < d < 1.0:
+            raise ValueError(f"the mesh d must lie in (0, 1), got {d}")
         rmax = 1.0 - margin
-        # uniform in hyperbolic area up to pseudohyperbolic radius rmax:
-        # rho = sqrt(u s / (1 + u s)), theta = 2 pi v.  Built in place: each
-        # array here passes glibc's default mmap threshold (128 KiB), so every
-        # temporary would be mapped afresh and faulted in page by page (a
-        # 24- and a 100-point lattice took 716 minor faults that way, 314
-        # in place).  The values are the same bit for bit.
-        u, v = np.split(rng.random(2 * _CANDIDATES), 2)
-        cands = np.empty(_CANDIDATES + 1, dtype=complex)
-        cands[0] = 0.0
-        ring = cands[1:]
-        np.multiply(v, 1j * TWO_PI, out=ring)
-        np.exp(ring, out=ring)
-        u *= rmax * rmax / (1.0 - rmax * rmax)
-        np.add(u, 1.0, out=v)
-        np.divide(u, v, out=u)
-        ring *= np.sqrt(u, out=u)
-        chosen = _greedy_separated(cands, d, count)
+        if not 0.0 < margin < 1.0 or rmax == 1.0:
+            raise ValueError(f"the margin must lie in (0, 1), with 1 - margin < 1, got {margin}")
+        chosen = _greedy_chunks(_disk_candidates(seed, rmax), _CANDIDATES + 1, d, count)
         if len(chosen) < count:
             raise BergseqError(
                 f"hyperbolic-disk lattice: asked for {count} points, placed {len(chosen)}"

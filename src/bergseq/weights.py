@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation, WindowViolation
-from .geometry import Domain, TWO_PI, _check_domain, _log_L, _mobius, lift_value
+from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _log_L, _mobius, lift_value
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -440,7 +440,9 @@ def lifted_translates(points, q, radius):
     """All preimages of the points under the cover within `radius` of q.
 
     Ordered point by point, and for each point by increasing translate.
+    Raises DomainViolation unless q is finite.
     """
+    _check_finite(q, "the lift q")
     w = np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
     span = int(radius / TWO_PI) + 2
     k = np.rint((q.real - w.real) / TWO_PI)[:, None] + np.arange(-span, span + 1)

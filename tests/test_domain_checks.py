@@ -3,7 +3,8 @@
 Points off the domain (|z| = 1, |z| = 1.5, NaN, inf, and z = 0 on the
 punctured disk) raise the DomainViolation of the one domain check before
 a weight or kernel callable is called; empty point arrays give empty
-results.
+results.  A lift or an integration center that is not finite raises
+DomainViolation too, where it would otherwise read as 0.
 """
 
 import json
@@ -51,7 +52,7 @@ from bergseq import (
 )
 from bergseq.cli import parse_sequence_file
 from bergseq.errors import DomainViolation
-from bergseq.quadrature import _hyper_weight
+from bergseq.quadrature import _euclid_weight, _hyper_weight, annulus_log_integral_euclid
 
 OFF_DISK = [1.0 + 0j, 1.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)]
 OFF_PUNCTURED = OFF_DISK + [0j]
@@ -178,3 +179,25 @@ def test_punctured_entry_point_rejects_a_point_off_the_punctured_disk(name, z, t
         "pdisk_radial_dist", "cyl_dist", "kernel_diag_check", "lifted_translates", "log_mean_disk"])
 def test_empty_points_give_an_empty_result(call):
     assert np.shape(call([])) == (0,)
+
+
+NON_FINITE = [complex(0.3, math.inf), complex(math.nan, 9.0), complex(math.inf, 9.0)]
+
+NON_FINITE_CALLS = {
+    "puncture_density_ratio": lambda q, s: puncture_density_ratio([1e-3, 2e-3], s.punct, q, 4.0),
+    "lifted_translates": lambda q, s: lifted_translates([1e-3, 2e-3], q, 4.0),
+    "puncture_density_form": lambda q, s: puncture_density_form([1e-3, 2e-3], 4.0, q=q),
+    "polar_integral": lambda q, s: polar_integral(s.punct.phi, q, 1.0, 4.0, _euclid_weight, None),
+    "annulus_log_integral_euclid": lambda q, s: annulus_log_integral_euclid(q, 4.0, s.punct.phi),
+}
+
+
+@pytest.mark.parametrize("q", NON_FINITE, ids=["0.3+inf*j", "nan+9j", "inf+9j"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_lift_or_center_fails_before_any_sampling(name, q, tmp_path):
+    # each of these once excised every sample as non-finite and returned 0,
+    # or a degenerate report with numerator and denominator 0
+    spy = Spy(tmp_path)
+    with pytest.raises(DomainViolation, match="is not finite"):
+        NON_FINITE_CALLS[name](q, spy)
+    assert spy.calls == []

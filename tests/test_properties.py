@@ -10,9 +10,11 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bergseq import (
+    BORDER_R_GRID,
     DEFAULT_RULE,
     FAST_RULE,
     Domain,
@@ -21,7 +23,9 @@ from bergseq import (
     border_density_ratio,
     border_potential,
     custom_weight,
+    cyl_dist,
     density_sweep,
+    hyp_dist,
     lift_value,
     lifted_translates,
     mobius_involution,
@@ -33,8 +37,8 @@ from bergseq import (
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
-from bergseq.sequences import _greedy_separated
-from bergseq.weights import _border_radial_means, _puncture_radial_means
+from bergseq.sequences import _greedy_separated, _min_pairwise
+from bergseq.weights import _annulus_sum, _border_radial_means, _disk_dists, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -312,3 +316,68 @@ def test_lifted_translates_match_loop(case):
     got = lifted_translates(points, q, radius)
     want = _translates_by_loop(points, q, radius)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The blocked pairwise kernels of the sequence layer against one point at a
+# time, on inputs large enough to span many blocks of _BLOCK_NODES entries.
+
+def _disk_cloud(seed, n, rmax=0.99):
+    """n points with pseudohyperbolic radius uniform in [0, rmax)."""
+    gen = np.random.default_rng(seed)
+    return rmax * gen.random(n) * np.exp(2j * math.pi * gen.random(n))
+
+
+@st.composite
+def greedy_case(draw):
+    """(cands, sep, limit): up to 600 candidates, the origin first, and the
+    eight images of one point w under the exact symmetries z -> -z, conj z,
+    i z at random places.  sep = |w|, so each image lies at distance
+    exactly sep from the origin, which is always kept."""
+    n = draw(st.integers(1, 590))
+    cands = list(_disk_cloud(draw(st.integers(0, 2 ** 32 - 1)), n))
+    w = draw(disk_point)
+    a, b = w.real, w.imag
+    for img in (complex(a, b), complex(-a, -b), complex(a, -b), complex(-a, b),
+                complex(b, a), complex(-b, -a), complex(b, -a), complex(-b, a)):
+        cands.insert(draw(st.integers(0, len(cands))), img)
+    sep = float(pseudo_dist(w, 0.0))
+    assume(0.05 < sep)
+    limit = draw(st.integers(1, len(cands) + 1))
+    return np.asarray([0.0] + cands, dtype=complex), sep, limit
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(greedy_case())
+def test_blocked_greedy_matches_pairwise_loop_across_blocks(case):
+    cands, sep, limit = case
+    got = _greedy_separated(cands, sep, limit)
+    assert got.tobytes() == _greedy_oracle(cands, sep, limit).tobytes()
+
+
+def _min_by_rows(points, dist):
+    """The least pairwise distance, one point against every later one at a time."""
+    return min(float(np.min(dist(points[i], points[i + 1:]))) for i in range(points.size - 1))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 400), st.integers(0, 2 ** 32 - 1))
+def test_blocked_min_pairwise_matches_row_loop(n, seed):
+    disk = _disk_cloud(seed, n)
+    punctured = np.exp(-5.0 * np.random.default_rng(seed + 1).random(n)) * disk / np.abs(disk)
+    for points, dist in ((disk, pseudo_dist), (disk, hyp_dist), (punctured, cyl_dist)):
+        assert _min_pairwise(points, dist) == _min_by_rows(points, dist)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 400), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+def test_blocked_sweep_numerators_match_per_center_sums(n, n_centers, seed):
+    points = _disk_cloud(seed, n, 0.95)
+    centers = _disk_cloud(seed + 1, n_centers, 0.9)
+    reports = density_sweep(SequenceSet(tuple(points), Domain.DISK), standard_disk(2.0), centers=centers).reports
+    assert len(reports) == len(BORDER_R_GRID) * n_centers
+    for i, rep in enumerate(reports):
+        r, c = BORDER_R_GRID[i // n_centers], centers[i % n_centers]
+        want = TWO_PI * _annulus_sum(_disk_dists(points, c), 0.5, r, _log_kernel(r))
+        # a block sums a center's terms in another order, which moves only the last bits
+        assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)

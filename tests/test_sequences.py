@@ -180,6 +180,23 @@ def test_generate_lattice_examples():
         generate_lattice("hyperbolic-disk", 30, seed=3, d=0.5, margin=0.3)
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"margin": 0.0}, "margin"),
+    ({"margin": -0.1}, "margin"),
+    ({"margin": math.nan}, "margin"),
+    ({"margin": 1.0}, "margin"),
+    ({"margin": 1e-17}, "margin"),
+    ({"d": math.nan}, "mesh d"),
+    ({"d": 1.5}, "mesh d"),
+], ids=["margin=0", "margin=-0.1", "margin=nan", "margin=1", "margin=1e-17", "d=nan", "d=1.5"])
+def test_hyperbolic_lattice_parameters_must_lie_in_the_unit_interval(kw, name):
+    # these once raised a bare ZeroDivisionError (margin 0, and 1e-17, for
+    # which 1 - margin rounds to 1), a candidate off the disk
+    # that did not name the margin, or "asked for 10 points, placed 1"
+    with pytest.raises(ValueError, match=f"the {name} must lie in \\(0, 1\\)"):
+        generate_lattice("hyperbolic-disk", 10, seed=0, **{"d": 0.35, **kw})
+
+
 @pytest.mark.parametrize("seed", [0, 7, 11])
 def test_hyperbolic_lattice_matches_the_plain_formula(seed):
     # the in-place candidate build must draw the same points, bit for bit
@@ -423,6 +440,28 @@ def test_curved_sweep_node_budget(monkeypatch):
     sweep = density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
     assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1556740
     assert sweep.n_centers == 64 and calls == [16] * 4
+
+
+def test_sequence_layer_mobius_call_budget(monkeypatch):
+    # the blocked pairwise kernels make 93, 20 and 983 _mobius calls here,
+    # where one call per point or per center made 1 072, 662 and 2 999: a
+    # per-point loop that comes back fails without any timing
+    calls = []
+    mobius = sequences._mobius
+
+    def counted(*args):
+        calls.append(1)
+        return mobius(*args)
+
+    monkeypatch.setattr(sequences, "_mobius", counted)
+    lat = generate_lattice("hyperbolic-disk", 300, seed=11, d=0.35, margin=0.02)
+    assert len(calls) <= 1.25 * 93
+    calls.clear()
+    classify(lat, standard_disk(2.0))
+    assert len(calls) <= 1.25 * 20
+    calls.clear()
+    net = center_net(lat.array(), 0.35, max_centers=10 ** 6)
+    assert len(net) == 1453 and len(calls) <= 1.25 * 983
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):
