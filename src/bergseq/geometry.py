@@ -17,7 +17,6 @@ points.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
@@ -49,17 +48,24 @@ def _check_domain(z, domain=Domain.DISK, name="z"):
     inside = r < 1.0
     if domain is Domain.PUNCTURED_DISK:
         inside &= r > 0.0
-    if not inside.all():
-        k = int(np.argmin(inside.ravel()))
-        where = f"{name}[{k}]" if z.ndim else name
-        raise DomainViolation(f"{where} = {z.ravel()[k]} lies outside the {domain.value}")
-    return z
+    return _require(z, inside, name, domain)
 
 
 def _check_finite(x, name):
-    """Raises DomainViolation, naming the number x, unless it is finite."""
-    if not cmath.isfinite(x):
-        raise DomainViolation(f"{name} = {x} is not finite")
+    """x as a complex array; raises DomainViolation, naming its first entry that is not finite."""
+    x = np.asarray(x, dtype=complex)
+    return _require(x, np.isfinite(x), name, None)
+
+
+def _require(z, ok, name, domain):
+    """z, unless an entry is not ok: DomainViolation names the first, off the domain (not finite if None)."""
+    # a scalar's flag is tested by bool(): .all() costs about 2 us a call
+    if ok if ok.ndim == 0 else ok.all():
+        return z
+    k = int(np.argmin(ok.ravel()))
+    where = f"{name}[{k}]" if z.ndim else name
+    failure = "is not finite" if domain is None else f"lies outside the {domain.value}"
+    raise DomainViolation(f"{where} = {z.ravel()[k]} {failure}")
 
 
 def _mobius(z, zeta):

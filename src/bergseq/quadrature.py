@@ -44,12 +44,12 @@ constant 1, with the profile in the kernel columns.
 
 A level on the previous level's angles samples only the radii that level
 did not: a radial doubling leaves most panels whole, with bit-identical
-nodes, and their row sums carry over.  A pull-back may be a 1-D array of
-points (the centers of a density sweep): one level loop then serves all
-of them, each point keeping its own levels and verdicts, and each level
-samples the rings of all points on one grid together, so the per-level
-and per-block cost is shared.  Each point's result is bit-identical to
-its own call.
+nodes, and their row sums carry over.  The center, or the pull-back
+point, may be a 1-D array of points with radial breaks of their own
+(the border centers or the puncture lifts of a density sweep): one level
+loop then serves all of them, each point keeping its own levels and
+verdicts, and each level samples the rings of all points on one grid
+together.  Each point's result is bit-identical to its own call.
 """
 
 from __future__ import annotations
@@ -186,22 +186,27 @@ def _settled(est, ref, rule, abs_mean):
     return bool(np.all(ok | (diff <= rule.rel_tol * abs_mean)))
 
 
-def _pullback_points(pullback, center, rho_hi):
-    """The pull-back points as a (3, n) complex array of columns (z, |z|, z/|z|).
+def _loop_points(center, pullback, rho_hi):
+    """(points, label, columns, involution) of a polar_integral call.
 
-    Raises DomainViolation unless every |z| < 1, center is 0 and rho_hi
-    <= 1.  |z| and z/|z| are Python's complex abs and division, one point
-    at a time (numpy's differ in the last bit), so that a point's nodes
-    do not depend on the points sampled with it.
+    The points are the pull-back points if given, else the centers, and
+    label names them in messages.  columns holds (p, |p|, p/|p|) per
+    point, by Python's complex abs and division (numpy's differ in the
+    last bit), so that a point's nodes do not depend on the points
+    sampled with it.  involution(p, zeta) swaps 0 and p: p - zeta, or
+    phi_p for a pull-back.  Raises DomainViolation unless every center is
+    finite, or, with a pull-back, every |z| < 1, center is 0 and rho_hi <= 1.
     """
-    zs = _check_domain(pullback, name="pullback")
-    if zs.ndim > 1:
-        raise DomainViolation(f"pull-back points must be one point or a 1-D array, got shape {zs.shape}")
-    zs = [complex(z) for z in zs.ravel()]
-    if center != 0 or rho_hi > 1.0:
-        raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
-    columns = [(z, abs(z), z / abs(z) if z else 0.0) for z in zs]
-    return np.array(columns, dtype=complex).reshape(-1, 3).T
+    if pullback is None:
+        points, label, involution = _check_finite(center, "center"), "center", np.subtract
+    else:
+        points, label, involution = _check_domain(pullback, name="pullback"), "pullback", _mobius
+        if np.any(np.asarray(center) != 0) or rho_hi > 1.0:
+            raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
+    if points.ndim > 1:
+        raise DomainViolation(f"{label} points must be one point or a 1-D array, got shape {points.shape}")
+    columns = [(p, abs(p), p / abs(p) if p else 0.0) for p in map(complex, points.ravel())]
+    return points, label, np.array(columns, dtype=complex).reshape(-1, 3).T, involution
 
 
 def _balanced_rings(m, turn, rho, ring):
@@ -222,20 +227,21 @@ def _balanced_rings(m, turn, rho, ring):
     return nodes, jac, a[:, 0]
 
 
-def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
+def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     """Sums of f over the ring of n_theta angles at each radius rho.
 
     Returns an array of shape (3, len(rho)): the sums over all angles,
     over the even-indexed angles, and of |f| over all angles.  f is
     sampled a block of whole rows at a time and each block is reduced at
-    once, so no len(rho) x n_theta array is held.  pullback, when given,
-    is a (3, len(rho)) array of _pullback_points columns, one per ring,
-    and f is sampled at phi_z of that ring's nodes.  balanced takes the
-    angles of _balanced_rings, weights each sample by its Jacobian, and
-    scales each ring's sums by (1 - a^N)/(1 + a^N), N the angles summed,
-    the inverse of the N-angle trapezoid sum of the Jacobian: constants
-    stay exact.  Each ring's sums depend on its own radius and point
-    only, not on the rings sampled with it.
+    once, so no len(rho) x n_theta array is held.  Ring k has radius
+    rho[k] and point p, the _loop_points column owners[k] of columns, and
+    f is sampled at involution(p, zeta) of its nodes zeta.  balanced
+    (pull-backs only) takes the angles of _balanced_rings, weights each
+    sample by its Jacobian, and scales each ring's sums by
+    (1 - a^N)/(1 + a^N), N the angles summed, the inverse of the N-angle
+    trapezoid sum of the Jacobian: constants stay exact.  Each ring's
+    sums depend on its own radius and point only, not on the rings
+    sampled with it.
     """
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     ring = np.exp(1j * theta)
@@ -243,13 +249,11 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
     rows = max(1, _BLOCK_NODES // n_theta)
     a = np.empty(rho.size) if balanced else None
     for i in range(0, rho.size, rows):
+        p, m, turn = columns[:, owners[i:i + rows], None]
         if balanced:
-            _, m, turn = pullback[:, i:i + rows, None]
             nodes, jac, a[i:i + rows] = _balanced_rings(m.real, turn, rho[i:i + rows, None], ring)
         else:
-            nodes = center + rho[i:i + rows, None] * ring[None, :]
-            if pullback is not None:
-                nodes = _mobius(pullback[0, i:i + rows, None], nodes)
+            nodes = involution(p, rho[i:i + rows, None] * ring)
         vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         # non-finite samples (integrable log poles hit head-on) are
         # excised, which changes the integral by a set of measure zero
@@ -271,13 +275,13 @@ def _row_sums(f, center, rho, n_theta, pullback=None, balanced=False):
 class _PointLoop:
     """One point's state in the level loop of polar_integral."""
 
-    __slots__ = ("k", "peaked", "n_pan", "n_th", "balanced", "prev", "prev_th", "radial_ok", "refined_rho",
-                 "last", "grid", "rho", "sums", "angles")
+    __slots__ = ("k", "peaked", "breaks", "n_pan", "n_th", "balanced", "prev", "prev_th", "radial_ok",
+                 "refined_rho", "last", "grid", "rho", "sums", "angles")
 
-    def __init__(self, k, peaked, rule):
-        self.k = k  # column of the point in the _pullback_points array
-        # pullback 0 (phi_0(zeta) = -zeta) has no peak to balance
-        self.peaked = peaked
+    def __init__(self, k, peaked, breaks, rule):
+        self.k = k  # column of the point in the _loop_points array
+        # only a pull-back point other than 0 has a peak to balance
+        self.peaked, self.breaks = peaked, breaks
         self.n_pan, self.n_th, self.balanced = rule.n_panels, rule.n_theta, False
         self.prev = self.prev_th = None
         self.radial_ok = self.refined_rho = False
@@ -303,29 +307,32 @@ class _PointLoop:
 
 def polar_integral(
     f: Callable,
-    center: complex,
+    center: complex | Sequence[complex],
     rho_lo: float,
     rho_hi: float,
     radial_weight: Callable,
     kernel: Callable | None,
     rule: QuadratureRule = DEFAULT_RULE,
-    breaks: Sequence[float] = (),
+    breaks: Sequence[float] | Sequence[Sequence[float]] = (),
     normalized: bool = False,
     pullback: complex | Sequence[complex] | None = None,
 ):
     """Integrate f(zeta) k(rho) w(rho) over the annulus rho_lo < |zeta - center| < rho_hi.
 
-    f is called on 2-D complex arrays of nodes only, and its values must
-    broadcast to their shape; custom_weight wraps a scalar-only callable.
-    kernel(rho) returns shape (n_rho,), or (n_rho, k) for k kernels at
-    once, one column each; the result is then a length-k vector, each
-    component accepted on its own (see _settled), from one evaluation
-    of f per node.  With normalized=True, returns the mean of f against
-    the measure k w rho drho dtheta (per column), with the normalizer
-    computed on the identical nodes so that constants are reproduced to
-    machine precision.  A center that is not finite raises
-    DomainViolation before any sampling: every node would be excised as
-    non-finite, and the integral would read 0.
+    f is called on 2-D complex arrays of nodes only, which it may
+    overwrite, and its values must broadcast to their shape;
+    custom_weight wraps a scalar-only callable.  kernel(rho) returns
+    shape (n_rho,), or (n_rho, k) for k kernels at once, one column
+    each; the result is then a length-k vector, each component accepted
+    on its own (see _settled), from one evaluation of f per node.  With
+    normalized=True, returns the mean of f against the measure
+    k w rho drho dtheta (per column), with the normalizer computed on the
+    identical nodes so that constants are reproduced to machine
+    precision.  The disk about a center q is sampled at q - zeta, the
+    Euclidean involution swapping 0 and q; a uniform ring is symmetric
+    under zeta -> -zeta, so the integral is that of f about q.  A center
+    that is not finite raises DomainViolation before any sampling: every
+    node would be excised as non-finite, and the integral would read 0.
 
     pullback=z integrates f o phi_z instead, phi_z the disk automorphism
     swapping 0 and z: f is called on phi_z of the nodes.  It needs
@@ -339,12 +346,15 @@ def polar_integral(
     settles its angles keeps uniform angles throughout, which are
     cheaper to generate.
 
-    pullback may also be a 1-D array of n points; the result then has
-    a leading axis of length n, and each row equals the scalar call at
-    that point bit for bit.  Each point keeps its own levels, angles and
-    verdicts, and raises QuadratureNotConverged with its own estimates
-    and grid; every point is checked before any sampling.  A level
-    samples the rings of all points on the same grid together, in the
+    center, or pullback when given, may also be a 1-D array of n points,
+    and breaks n tuples, one per point; the result then has a leading
+    axis of length n, and each row equals the scalar call at that point,
+    with that point's breaks, bit for bit.  Each point keeps
+    its own levels, angles and verdicts; one that does not converge
+    raises QuadratureNotConverged with its own estimates and grid, and a
+    message that names its index and value.  Every point is checked
+    before any sampling.  A level samples the rings of all points on the
+    same grid (panels, breaks, angles and angle mode) together, in the
     same blocks of whole rows, so the per-level cost is shared.
 
     The angular indicator of a level compares its estimate with the one
@@ -356,23 +366,25 @@ def polar_integral(
     radial doubling leaves whole keep their nodes, and their row sums are
     reused as they are.
     """
+    points, label, columns, involution = _loop_points(center, pullback, rho_hi)
     breaks = tuple(breaks)
-    _check_finite(center, "center")
-    points = None if pullback is None else _pullback_points(pullback, center, rho_hi)
-    if points is None:
-        loops = [_PointLoop(0, False, rule)]
-    else:
-        loops = [_PointLoop(k, bool(z), rule) for k, z in enumerate(points[0])]
+    if not (breaks and np.ndim(breaks[0])):
+        breaks = (breaks,) * columns.shape[1]
+    elif len(breaks) != columns.shape[1]:
+        raise ValueError(f"need one tuple of breaks per point: got {len(breaks)} for {columns.shape[1]} points")
+    loops = [_PointLoop(k, involution is _mobius and bool(p), tuple(b), rule)
+             for k, (p, b) in enumerate(zip(columns[0], breaks))]
     results = [None] * len(loops)
     while loops:
         groups = {}
         for p in loops:
-            rho, _ = _radial_nodes(rho_lo, rho_hi, p.n_pan, breaks)
+            rho, _ = _radial_nodes(rho_lo, rho_hi, p.n_pan, p.breaks)
             if p.prev is not None and rho.size * p.n_th > rule.max_nodes:
-                raise QuadratureNotConverged("polar integral", p.last, *p.grid)
+                where = f" at {label}[{p.k}] = {points[p.k]}" if points.ndim else ""
+                raise QuadratureNotConverged("polar integral" + where, p.last, *p.grid)
             p.grid = (rho.size // _GL_ORDER, p.n_th, rho.size * p.n_th)
-            groups.setdefault((p.n_pan, p.n_th, p.balanced), []).append(p)
-        for (n_pan, n_th, balanced), members in groups.items():
+            groups.setdefault((p.n_pan, p.breaks, p.n_th, p.balanced), []).append(p)
+        for (n_pan, breaks, n_th, balanced), members in groups.items():
             rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
             radial = w_rho * rho * radial_weight(rho)
             if kernel is not None:
@@ -383,8 +395,8 @@ def polar_integral(
             fresh = [p.fresh(rho) for p in members]
             counts = [np.count_nonzero(m) for m in fresh]
             owners = np.repeat([p.k for p in members], counts)
-            sampled = _row_sums(f, center, np.concatenate([rho[m] for m in fresh]), n_th,
-                                None if points is None else points[:, owners], balanced)
+            sampled = _row_sums(f, np.concatenate([rho[m] for m in fresh]), owners, n_th, columns, involution,
+                                balanced)
             bounds = np.cumsum([0] + counts)
             for p, m, lo, hi in zip(members, fresh, bounds, bounds[1:]):
                 sums = p.merge(rho, m, sampled[:, lo:hi])
@@ -410,11 +422,11 @@ def polar_integral(
                 if not angular_ok:
                     p.n_th *= 2
         loops = [p for p in loops if results[p.k] is None]
-    if points is None or np.ndim(pullback) == 0:
+    if points.ndim == 0:
         return results[0]
     if not results:
         # no point: only the kernel's columns give the shape of a result
-        rho, _ = _radial_nodes(rho_lo, rho_hi, rule.n_panels, breaks)
+        rho, _ = _radial_nodes(rho_lo, rho_hi, rule.n_panels, ())
         return np.empty((0,) + (np.shape(kernel(rho))[1:] if kernel is not None else ()))
     return np.array(results)
 

@@ -10,7 +10,7 @@ estimate clearly below 1, necessity-side failure needs it clearly above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,9 +32,9 @@ DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 # Random candidates generate_lattice("hyperbolic-disk", ...) draws.
 _CANDIDATES = 20000
-# Border sweep centers that share one polar_integral level loop.  Each
-# point's loop keeps its previous level's row sums, so a chunk's live
-# state stays near 0.2 MB.
+# Sweep centers (border centers or puncture lifts) that share one
+# polar_integral level loop.  Each point's loop keeps its previous level's
+# row sums, so a chunk's live state stays well below 1 MB.
 _CENTER_CHUNK = 16
 
 
@@ -185,12 +185,6 @@ def separation_puncture(seq: SequenceSet):
 # ---------------------------------------------------------------------------
 # Density quotients.
 
-def _report(center, r, numer, denom, kind) -> DensityReport:
-    degenerate = not denom > 0.0
-    ratio = numer / denom if not degenerate else math.inf
-    return DensityReport(complex(center), float(r), numer, denom, ratio, kind, degenerate)
-
-
 def _nested_kernel(radii):
     """One kernel column log(max(r^2/rho^2, 1)) per radius, so that one
     polar_integral over the largest disk gives each disk's kernel mass."""
@@ -227,6 +221,18 @@ def _border_numerators(points, centers, radii):
     return numers, nearest
 
 
+def _chunked(integral, n):
+    """integral(s) on the slices s of _CENTER_CHUNK of the n points: the rows of all the calls, in order."""
+    return [row for i in range(0, n, _CENTER_CHUNK) for row in integral(slice(i, i + _CENTER_CHUNK))]
+
+
+def _reports(centers, radii, numers, denoms, kind):
+    """One list of DensityReports per center, radii in order; a denominator not > 0 is degenerate."""
+    return [[DensityReport(complex(c), r, n, d, n / d if d > 0.0 else math.inf, kind, not d > 0.0)
+             for r, n, d in zip(map(float, radii), map(float, ns), map(float, ds))]
+            for c, ns, ds in zip(centers, numers, denoms)]
+
+
 def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
     """The border quotients at each center: one list of DensityReports per center, radii in order.
 
@@ -243,21 +249,13 @@ def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
     else:
         g = lambda w: weight.lap_poincare_ratio(w) - 2.0
         kernel = _nested_kernel(radii)
-
-        def pass_of(zs, breaks=()):
-            return polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
-                                  breaks=tuple(radii) + breaks, pullback=zs)
-
-        if weight.domain is Domain.PUNCTURED_DISK:
-            # a punctured-disk weight is singular at the puncture, which phi_z
-            # pulls back to modulus |z|; a break there keeps the kink off a
-            # panel, and gives each center a grid of its own
-            denoms = [pass_of(z, (abs(z),)) for z in centers]
-        else:
-            chunks = range(0, len(centers), _CENTER_CHUNK)
-            denoms = [den for i in chunks for den in pass_of(centers[i:i + _CENTER_CHUNK])]
-    return [[_report(z, r, float(n), float(d), "border") for r, n, d in zip(radii, ns, ds)]
-            for z, ns, ds in zip(centers, numers, denoms)]
+        # a punctured-disk weight is singular at the puncture, which phi_z
+        # pulls back to modulus |z|: a break there keeps the kink off a panel
+        puncture = weight.domain is Domain.PUNCTURED_DISK
+        breaks = [radii + ((abs(z),) if puncture else ()) for z in centers]
+        denoms = _chunked(lambda s: polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
+                                                   breaks=breaks[s], pullback=centers[s]), len(centers))
+    return _reports(centers, radii, numers, denoms, "border")
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
@@ -274,20 +272,21 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
 
 
-def _puncture_quotients(points, weight: WeightModel, q, radii, eps, rule):
-    """The puncture quotients at the lift q, one DensityReport per radius in order.
+def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
+    """The puncture quotients at each lift q: one list of DensityReports per lift, radii in order.
 
-    Every denominator comes from one polar_integral over D_max(radii)(q),
-    with a break at each radius and one kernel column log(max(r^2/rho^2, 1))
-    per radius, so the lifted curvature density is sampled once for all of
-    them; every numerator from one set of translate distances.
+    As for the border: the denominators of a lift come from one pass over
+    D_max(radii)(q), and the lifts share their level loops, _CENTER_CHUNK
+    at a time; the numerators of a lift from one set of translate distances.
     """
     _, psi_ratio = shifted_cyl_weight(weight)
-    density = _covered_integrand(psi_ratio, q, eps)
-    d = _translate_dists(points, q, max(radii))
-    numers = [float(TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r))) for r in radii]
-    denoms = polar_integral(density, 0.0, 0.0, max(radii), _euclid_weight, _nested_kernel(radii), rule, breaks=radii)
-    return [_report(q, r, n, float(den), "puncture") for r, n, den in zip(radii, numers, denoms)]
+    density = _covered_integrand(psi_ratio, eps)
+    kernel = _nested_kernel(radii)
+    dists = [_translate_dists(points, complex(q), max(radii)) for q in lifts]
+    numers = [[TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r)) for r in radii] for d in dists]
+    denoms = _chunked(lambda s: polar_integral(density, lifts[s], 0.0, max(radii), _euclid_weight, kernel, rule,
+                                               breaks=radii), len(lifts))
+    return _reports(lifts, radii, numers, denoms, "puncture")
 
 
 def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT_RULE) -> DensityReport:
@@ -304,7 +303,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     if not q.imag > 0:
         raise WindowViolation("center lift must lie in the upper half plane")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    return _puncture_quotients(pts, weight, q, (r,), eps, rule)[0]
+    return _puncture_quotients(pts, weight, [q], (r,), eps, rule)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +365,13 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
 
     Candidates are the points themselves and a ring of eight neighbors at
     pseudohyperbolic distance mesh around each; greedy acceptance at
-    separation mesh/2 keeps the net small and deterministic.  Raises
-    DomainViolation unless 0 < mesh < 1.
+    separation mesh/2 keeps the net small and deterministic.  A single
+    point may be passed as a scalar.  Raises DomainViolation unless
+    0 < mesh < 1.
     """
     if not 0.0 < mesh < 1.0:
         raise DomainViolation(f"the mesh must lie in (0, 1), got {mesh}")
-    pts = _check_domain(points, name="points")
+    pts = _check_domain(points, name="points").ravel()
     if pts.size == 0:
         return np.asarray([0.0], dtype=complex)
     ring = mesh * np.exp(1j * math.pi / 4.0 * np.arange(8))
@@ -382,27 +382,6 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     for i in range(0, pts.size, rows):
         rings[i:i + rows] = _mobius(pts[i:i + rows, None], ring)
     return _greedy_separated(cands, 0.5 * mesh, max_centers)
-
-
-def _aggregate(per_r):
-    """Sup over centers per radius; estimate at the largest radius."""
-    radii = sorted(per_r)
-    sups = [per_r[r] for r in radii]
-    estimate = sups[-1]
-    decreasing = all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
-    return estimate, decreasing
-
-
-def _radius_sups(groups, reports):
-    """Per-radius sup of the nondegenerate quotients over (r, reports) groups.
-
-    Every report is appended to `reports` in group order.
-    """
-    per_r = {}
-    for r, reps in groups:
-        reports.extend(reps)
-        per_r[r] = max((rep.ratio for rep in reps if not rep.degenerate), default=0.0)
-    return per_r
 
 
 def _side_grid(grid, radii, kind):
@@ -448,6 +427,25 @@ def density_sweep(
         border_grid = tuple(r for r in r_grid if disk or r < 1.0)
         puncture_grid = tuple(r for r in r_grid if not r < 1.0)
 
+    def side_estimate(grid, by_radius):
+        """(estimate, decreasing) of one side from its reports per radius of grid, each in center order.
+
+        The reports go out (r, center)-major; the estimate is the sup of the
+        nondegenerate quotients at the largest radius with reports (only a
+        puncture radius can have none).
+        """
+        sups = []
+        for r, reps in zip(grid, by_radius):
+            if not reps:
+                notes.append(f"no admissible center lifts at r = {r}")
+                continue
+            reports.extend(reps)
+            sups.append((r, max((rep.ratio for rep in reps if not rep.degenerate), default=0.0)))
+        if not sups:
+            return None, True
+        sups = [sup for _, sup in sorted(sups)]
+        return sups[-1], all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
+
     def run_border(part_points):
         nonlocal n_centers, coverage_radius
         grid = _side_grid(border_grid, _BORDER_RADII, "border")
@@ -459,46 +457,28 @@ def density_sweep(
         if centers is None and n_centers == CENTER_CAP:
             notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
                          f" coverage radius {coverage_radius:.3f}")
-        # per_center is center-major; the reports go out (r, center)-major
-        return _aggregate(_radius_sups(zip(grid, zip(*per_center)), reports))
+        return side_estimate(grid, zip(*per_center))
 
     def run_puncture(part_points):
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(part_points))
-        # one pass per lift serves its admissible radii; the reports go
-        # out (r, lift)-major
-        by_radius = [[] for _ in grid]
-        for q in lifts:
-            admissible = [i for i, r in enumerate(grid) if q.imag > r + 1.0]
-            if admissible:
-                radii = tuple(grid[i] for i in admissible)
-                reps = _puncture_quotients(part_points, weight, complex(q), radii, eps, rule)
-                for i, rep in zip(admissible, reps):
-                    by_radius[i].append(rep)
-        groups = []
-        for r, reps in zip(grid, by_radius):
-            if reps:
-                groups.append((r, reps))
-            else:
-                notes.append(f"no admissible center lifts at r = {r}")
-        per_r = _radius_sups(groups, reports)
-        if not per_r:
-            return None, True
-        return _aggregate(per_r)
+        # a lift is taken at the radii r with Im q > r + 1; the lifts with
+        # the same such radii share their calls
+        admissible = [tuple(r for r in grid if q.imag > r + 1.0) for q in lifts]
+        per_lift = [{} for _ in lifts]
+        for radii in dict.fromkeys(a for a in admissible if a):
+            ks = [k for k, a in enumerate(admissible) if a == radii]
+            for k, reps in zip(ks, _puncture_quotients(part_points, weight, lifts[ks], radii, eps, rule)):
+                per_lift[k] = dict(zip(radii, reps))
+        return side_estimate(grid, [[reps[r] for reps in per_lift if r in reps] for r in grid])
 
     if seq.domain is Domain.DISK:
         border_est, decreasing = run_border(seq.array())
         punct_est = None
     else:
         star, border = decompose(seq, split_a)
-        if len(border):
-            border_est, dec_b = run_border(border.array())
-        else:
-            border_est, dec_b = 0.0, True
-        if len(star):
-            punct_est, dec_p = run_puncture(star.array())
-        else:
-            punct_est, dec_p = 0.0, True
+        border_est, dec_b = run_border(border.array()) if len(border) else (0.0, True)
+        punct_est, dec_p = run_puncture(star.array()) if len(star) else (0.0, True)
         decreasing = dec_b and dec_p
 
     cands = [e for e in (border_est, punct_est) if e is not None]
@@ -638,10 +618,11 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
         margin = kw.get("margin", 0.05)
         if not 0.0 < d < 1.0:
             raise ValueError(f"the mesh d must lie in (0, 1), got {d}")
-        rmax = 1.0 - margin
-        if not 0.0 < margin < 1.0 or rmax == 1.0:
-            raise ValueError(f"the margin must lie in (0, 1), with 1 - margin < 1, got {margin}")
-        chosen = _greedy_chunks(_disk_candidates(seed, rmax), _CANDIDATES + 1, d, count)
+        # below 2**-50 (8.9e-16) the largest candidate radius 1 - margin is
+        # within a few ulps of 1, and rounding can put a candidate on the circle
+        if not 2.0 ** -50 < margin < 1.0:
+            raise ValueError(f"the margin must lie in (0, 1), and exceed 2**-50, got {margin}")
+        chosen = _greedy_chunks(_disk_candidates(seed, 1.0 - margin), _CANDIDATES + 1, d, count)
         if len(chosen) < count:
             raise BergseqError(
                 f"hyperbolic-disk lattice: asked for {count} points, placed {len(chosen)}"

@@ -232,9 +232,10 @@ def truncated_log_mean(phi, r, c, z, rule: QuadratureRule = _TRUNC_RULE):
     return log_mean_disk(lambda w: cutoff(np.abs(w), c) * f(w), r, z, rule)
 
 
-def _covered_integrand(f, q, eps):
-    """zeta -> f(e^{i w}) with w = q - zeta lifted into Im w > eps.
+def _covered_integrand(f, eps):
+    """w -> f(e^{i w}), with w lifted into Im w > eps.
 
+    The quadrature about a lift q hands it the nodes w = q - zeta.
     Points with Im w <= eps are reflected across the line Im w = eps,
     which is the eps-shift-and-reflect extension across the real axis.
     Raises DomainViolation unless eps > 0.
@@ -242,9 +243,8 @@ def _covered_integrand(f, q, eps):
     if not eps > 0:
         raise DomainViolation(f"eps must be positive, got {eps}")
 
-    def integrand(zeta):
-        # in place: the quadrature calls this on its largest node arrays
-        w = q - zeta
+    def integrand(w):
+        # in place: the nodes are a fresh block the quadrature does not read again
         low = ~(w.imag > eps)
         w[low] = np.conjugate(w[low]) + 2j * eps
         w *= 1j
@@ -266,11 +266,10 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
     """
     if not r > 0:
         raise DomainViolation(f"r must be positive, got {r}")
-    q = complex(lift_value(z))
-    if not np.isfinite(q):
-        raise DomainViolation(f"z = {z} has no finite lift")
-    integrand = _covered_integrand(_phi_fn(psi), q, eps)
-    return float(polar_integral(integrand, 0.0, 0.0, r, _euclid_weight, _log_kernel(r), rule, normalized=True))
+    # polar_integral checks that the lift, its center, is finite
+    integrand = _covered_integrand(_phi_fn(psi), eps)
+    return float(polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), rule,
+                                normalized=True))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,7 @@ NON_FINITE_CALLS = {
     "lifted_translates": lambda q, s: lifted_translates([1e-3, 2e-3], q, 4.0),
     "puncture_density_form": lambda q, s: puncture_density_form([1e-3, 2e-3], 4.0, q=q),
     "polar_integral": lambda q, s: polar_integral(s.punct.phi, q, 1.0, 4.0, _euclid_weight, None),
+    "polar_integral_centers": lambda q, s: polar_integral(s.punct.phi, [5j, q], 1.0, 4.0, _euclid_weight, None),
     "annulus_log_integral_euclid": lambda q, s: annulus_log_integral_euclid(q, 4.0, s.punct.phi),
 }
 

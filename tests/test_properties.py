@@ -33,12 +33,14 @@ from bergseq import (
     pseudo_dist,
     puncture_density_form,
     puncture_potential,
+    shifted_cyl_weight,
     standard_disk,
+    standard_puncture,
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
 from bergseq.sequences import _greedy_separated, _min_pairwise
-from bergseq.weights import _annulus_sum, _border_radial_means, _disk_dists, _puncture_radial_means
+from bergseq.weights import _annulus_sum, _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -182,6 +184,52 @@ def test_vector_pullback_equals_the_scalar_calls_bit_for_bit(zs, r, frac):
     got = integral(zs)
     assert got.shape == (len(zs), 2)
     want = np.array([integral(z) for z in zs]).reshape(-1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+punctured_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.05, 0.9), angle)
+
+
+@PROPS
+@given(st.lists(punctured_point, max_size=5), st.floats(0.55, 0.99))
+# the break at the pulled-back puncture |z| gives each point its own grid,
+# and a repeated point shares its grid with its twin
+@example([0.3, 0.61 * cmath.exp(2.0j), 0.3], 0.99)
+def test_per_point_breaks_equal_the_scalar_calls_bit_for_bit(zs, r):
+    # the punctured-disk border quotients: a break at each radius and at |z|
+    weight = standard_puncture(2.0, 3.0)
+    radii = (0.5, r)
+    kernel = lambda rho: np.log(np.maximum(np.square(radii) / (rho * rho)[:, None], 1.0))
+    pulled = lambda w: weight.lap_poincare_ratio(w) - 2.0
+    integral = lambda z, breaks: polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, kernel, breaks=breaks,
+                                                pullback=z)
+    breaks = [radii + (abs(z),) for z in zs]
+    got = integral(zs, breaks)
+    assert got.shape == (len(zs), 2)
+    want = np.array([integral(z, b) for z, b in zip(zs, breaks)]).reshape(-1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+lift_offset = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 12.0))
+
+
+@PROPS
+@given(st.lists(lift_offset, max_size=5), st.floats(1.5, 8.0), st.floats(0.2, 0.9))
+# a lift whose disk just clears the reflection line, one far above it,
+# and a repeat
+@example([(0.0, 0.0), (3.0, 9.0), (0.0, 0.0)], 4.0, 0.5)
+def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
+    # the puncture quotients: the lifted density about each lift q with
+    # Im q > r + 1, which the integrand overwrites in place, with two
+    # nested kernel columns
+    qs = [complex(x, r + 1.0 + h) for x, h in offsets]
+    radii = (frac * r, r)
+    kernel = lambda rho: np.log(np.maximum(np.square(radii) / (rho * rho)[:, None], 1.0))
+    density = _covered_integrand(shifted_cyl_weight(standard_puncture(2.0, 3.0))[1], 0.1)
+    integral = lambda q: polar_integral(density, q, 0.0, r, _euclid_weight, kernel, breaks=radii)
+    got = integral(qs)
+    assert got.shape == (len(qs), 2)
+    want = np.array([integral(q) for q in qs]).reshape(-1, 2)
     assert got.tobytes() == want.tobytes()
 
 

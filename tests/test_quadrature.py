@@ -24,14 +24,14 @@ from bergseq import (
     radial_log_mean,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
-from bergseq.geometry import mobius_involution
+from bergseq.geometry import _mobius, mobius_involution
 from bergseq.quadrature import (
     _GL_W,
     _GL_X,
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
-    _pullback_points,
+    _loop_points,
     _radial_nodes,
     _row_sums,
     _settled,
@@ -178,8 +178,8 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
     # each ring's factor (1 - a^N)/(1 + a^N) undoes the N-angle trapezoid
     # sum of the Jacobian, for the full and for the even-angle sums
     rho = np.array([0.05, 0.5, 0.9, 0.99])
-    z = np.repeat(_pullback_points(z, 0.0, 1.0), rho.size, axis=1)
-    sums = _row_sums(lambda w: np.full(w.shape, -2.5), 0.0, rho, n_theta, z, balanced=True)
+    z = np.repeat(_loop_points(0.0, z, 1.0)[2], rho.size, axis=1)
+    sums = _row_sums(lambda w: np.full(w.shape, -2.5), rho, np.arange(rho.size), n_theta, z, _mobius, balanced=True)
     np.testing.assert_allclose(sums, np.outer([-2.5 * n_theta, -1.25 * n_theta, 2.5 * n_theta], np.ones(4)),
                                rtol=1e-14)
 
@@ -191,7 +191,7 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
                                    rtol=1e-12)
         return np.ones(w.shape)
 
-    _row_sums(on_rings, 0.0, rho, n_theta, z, balanced=True)
+    _row_sums(on_rings, rho, np.arange(rho.size), n_theta, z, _mobius, balanced=True)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)])
@@ -354,6 +354,16 @@ def test_empty_pullback_vector_returns_an_empty_result():
         polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, pullback=np.zeros((2, 2)))
 
 
+def test_per_point_breaks_must_match_the_points():
+    def f(w):
+        raise AssertionError("no node is sampled")
+
+    with pytest.raises(ValueError, match="one tuple of breaks per point: got 1 for 2 points"):
+        polar_integral(f, [0.1, 0.2j], 0.0, 0.9, _euclid_weight, None, breaks=[(0.5,)])
+    with pytest.raises(ValueError, match="got 2 for 1 points"):
+        polar_integral(f, 0.0, 0.0, 0.9, _hyper_weight, None, breaks=[(0.5,), (0.6,)], pullback=0.3)
+
+
 def test_a_point_that_does_not_converge_raises_with_its_own_level():
     # the pulled-back step jumps across Re w = 0.5, which the disk of
     # pseudohyperbolic radius 0.3 about 0.5 crosses and the ones about
@@ -369,6 +379,12 @@ def test_a_point_that_does_not_converge_raises_with_its_own_level():
     assert (b.n_panels, b.n_theta, b.n_nodes) == (a.n_panels, a.n_theta, a.n_nodes)
     assert b.last_estimates == a.last_estimates
     assert list(integral([-0.5, 0.1j])) == [integral(-0.5), integral(0.1j)]
+    # the message names the point among the others, by index and value
+    assert str(b).startswith("polar integral at pullback[2] = (0.5+0j): ")
+    # and so for centers: the step crosses the disk about 0.5 off its center
+    step = lambda w: (w.real > 0.6).astype(float)
+    with pytest.raises(QuadratureNotConverged, match=r"^polar integral at center\[1\] = \(0\.5\+0j\): "):
+        polar_integral(step, [0.0, 0.5, 0.1j], 0.0, 0.3, _euclid_weight, None, rule)
 
 
 @pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.9, 0.99])

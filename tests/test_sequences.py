@@ -145,6 +145,12 @@ def test_puncture_density_ratio_center_lift_invariance():
     assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
 
 
+def test_center_net_takes_a_scalar_as_one_point():
+    # a scalar once raised a bare IndexError
+    net = center_net(0.3, 0.3)
+    assert net.tolist() == center_net([0.3], 0.3).tolist() and net[0] == 0.3
+
+
 def test_center_net_is_separated_and_covers():
     pts = 0.8 * np.sqrt(rng.random(30)) * np.exp(2j * np.pi * rng.random(30))
     net = center_net(pts, 0.3)
@@ -186,13 +192,15 @@ def test_generate_lattice_examples():
     ({"margin": math.nan}, "margin"),
     ({"margin": 1.0}, "margin"),
     ({"margin": 1e-17}, "margin"),
+    ({"margin": 1e-16}, "margin"),
     ({"d": math.nan}, "mesh d"),
     ({"d": 1.5}, "mesh d"),
-], ids=["margin=0", "margin=-0.1", "margin=nan", "margin=1", "margin=1e-17", "d=nan", "d=1.5"])
+], ids=["margin=0", "margin=-0.1", "margin=nan", "margin=1", "margin=1e-17", "margin=1e-16", "d=nan", "d=1.5"])
 def test_hyperbolic_lattice_parameters_must_lie_in_the_unit_interval(kw, name):
     # these once raised a bare ZeroDivisionError (margin 0, and 1e-17, for
-    # which 1 - margin rounds to 1), a candidate off the disk
-    # that did not name the margin, or "asked for 10 points, placed 1"
+    # which 1 - margin rounds to 1), a candidate off the disk that did not
+    # name the margin (1e-16, whose candidates round onto the unit circle),
+    # or "asked for 10 points, placed 1"
     with pytest.raises(ValueError, match=f"the {name} must lie in \\(0, 1\\)"):
         generate_lattice("hyperbolic-disk", 10, seed=0, **{"d": 0.35, **kw})
 
@@ -462,6 +470,26 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
     calls.clear()
     net = center_net(lat.array(), 0.35, max_centers=10 ** 6)
     assert len(net) == 1453 and len(calls) <= 1.25 * 983
+
+
+def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
+    # the 25 admissible lifts of the first lattice fall in three sets of
+    # radii, and take one call each; F1's 18 border centers and 20 lifts
+    # take two each.  One call per lift and per punctured-disk center made
+    # 25 and 38.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return polar_integral(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "polar_integral", counted)
+    weight = standard_puncture(2.0, 3.0)
+    classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), weight)
+    assert len(calls) == 3
+    calls.clear()
+    v = classify(generate_lattice("puncture-exponential", 40, s=0.5, n=2), weight)
+    assert v.sweep.n_centers == 18 and len(calls) == 4
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):

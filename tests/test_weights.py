@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from bergseq import (
     truncated_log_mean,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged, WindowViolation
-from bergseq.weights import _covered_integrand, _li2_complement
+from bergseq.weights import _li2_complement
 
 rng = np.random.default_rng(7)
 
@@ -160,17 +161,24 @@ def test_extended_covered_mean_lift_invariance():
 def test_extended_covered_mean_matches_nested_quad(r):
     # the lift of z = 0.3 + 5j has Im q = -1.61, so for r < 1.71 every node
     # is reflected and the integrand is smooth: the only hard spot is the
-    # kernel's rho log(1/rho) at the center
-    weight, z = standard_puncture(2.0, 3.0), 0.3 + 5j
-    f = _covered_integrand(weight.phi, complex(lift_value(z)), 0.1)
+    # kernel's rho log(1/rho) at the center.  The eps-reflected lift of
+    # phi = 2 log 1/(1-|z|^2) - 3 log log(1/|z|^2) is written out here
+    z, eps = 0.3 + 5j, 0.1
+    q = complex(cmath.phase(z) % (2.0 * math.pi), -math.log(abs(z)))
+
+    def f(w):
+        if w.imag <= eps:
+            w = w.conjugate() + 2j * eps
+        u = abs(cmath.exp(1j * w)) ** 2
+        return -2.0 * math.log1p(-u) - 3.0 * math.log(math.log(1.0 / u))
+
     ring = lambda rho: integrate.quad(
-        lambda t: float(f(np.full((1, 1), rho * np.exp(1j * t)))[0, 0]),
-        0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200,
+        lambda t: f(q + cmath.rect(rho, t)), 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200,
     )[0]
     num, _ = integrate.quad(lambda rho: rho * math.log(r * r / (rho * rho)) * ring(rho), 0.0, r,
                             epsabs=0.0, epsrel=1e-13, limit=200)
     oracle = num / (math.pi * r * r)
-    assert extended_covered_mean(weight, 0.1, r, z) == pytest.approx(oracle, abs=1e-13)
+    assert extended_covered_mean(standard_puncture(2.0, 3.0), eps, r, z) == pytest.approx(oracle, abs=1e-13)
 
 
 # The reflected lift of standard_puncture(2, 3) about z = 0.3 + 5j, with
