@@ -50,6 +50,14 @@ point, may be a 1-D array of points with radial breaks of their own
 loop then serves all of them, each point keeping its own levels and
 verdicts, and each level samples the rings of all points on one grid
 together.  Each point's result is bit-identical to its own call.
+
+About centers, f receives the nodes w = q - zeta of a block as
+_LiftNodes, an ndarray that also offers exp_i(): e^{iw} as e^{iq} times
+a table of e^{-i zeta}, one per block of radii, which every center
+sampled on those rings shares.  An integrand on the exponential cover
+(the puncture quotients, weights._covered_integrand) then pays one
+complex multiply per node for its exponential, not one complex exp.
+The table is made only when an integrand asks for it.
 """
 
 from __future__ import annotations
@@ -227,6 +235,123 @@ def _balanced_rings(m, turn, rho, ring):
     return nodes, jac, a[:, 0]
 
 
+class _LiftNodes(np.ndarray):
+    """The nodes w = q - zeta of rings about one center q, as polar_integral hands them to f.
+
+    Besides the nodes, a block carries what e^{iw} needs: `lift`, its
+    center q, `rho`, the radius of each row (shape (rows, 1), increasing
+    down the rows), and exp_i(), which puts e^{iw} in their place from
+    the table of e^{-i zeta} that every center sampled on the same rings
+    shares (see _Rings).  An integrand on the exponential cover
+    (weights._covered_integrand) then spends one complex multiply per
+    node where a complex exp costs some fifteen.  Any other integrand
+    sees an ndarray of nodes.
+    """
+
+    def exp_i(self):
+        """e^{iw} at the nodes, written over them: e^{iq + s} times the table entry e^{-i zeta - s}.
+
+        Returns the block as an ndarray; the nodes are gone, and the table
+        is not touched.  s = rho on the first half ring (theta < pi,
+        sin theta >= 0) and 0 on the second, so that |e^{-i zeta - s}|
+        lies in [e^{-rho}, 1] (up to the rounding of sin pi); the two
+        factors e^{iq + s} of a row are one exp each, per ring and not per
+        node.  Where Im w >= 0 the product is e^{iw} to a few ulps on every
+        ring with rho <= _EXP_RHO_MAX, and on every ring at any radius when
+        Im q >= rho: a product that underflows is then one whose exact
+        value does too.  Any other ring raises DomainViolation.  Each
+        entry depends on its own q, rho and theta only, not on the rings
+        sampled with it.
+        """
+        outer = self.rho[-1, 0]
+        if outer > _EXP_RHO_MAX and self.lift.imag < outer:
+            raise DomainViolation(f"e^(iw) about {self.lift} needs radius <= {_EXP_RHO_MAX:g} on a ring"
+                                  f" that reaches Im w < 0, got {outer}")
+        rows, n = self.shape
+        iq = 1j * self.lift
+        factors = np.empty((rows, 2, 1), dtype=complex)
+        factors[:, 0] = np.exp(iq + self.rho)
+        factors[:, 1] = np.exp(iq)
+        z = self.view(np.ndarray)  # fresh and C-contiguous, so its reshape is a view
+        np.multiply(self.rings.table(self.radii).reshape(rows, 2, n // 2), factors, out=z.reshape(rows, 2, n // 2))
+        return z
+
+
+# The largest ring radius rho at which e^{-rho} is still a normal double
+# (e^{-708.4} is the least), so that no entry of a _Rings table loses
+# digits to gradual underflow.
+_EXP_RHO_MAX = 708.0
+
+
+class _Rings:
+    """zeta, the rings rho e^{i theta} of a block of radii, and their table of e^{-i zeta - s}.
+
+    The table (see _LiftNodes.exp_i) is made on first use, and every
+    center sampled on these rings shares it; a block holds at most
+    _BLOCK_NODES entries of each.
+    """
+
+    __slots__ = ("radii", "zeta", "_table")
+
+    def __init__(self, radii, ring):
+        self.radii, self.zeta, self._table = radii, radii[:, None] * ring, None
+
+    def table(self, k):
+        """The table rows k, or all of them if k is None."""
+        if self._table is None:
+            t = -1j * self.zeta
+            t[:, :t.shape[1] // 2] -= self.radii[:, None]
+            self._table = np.exp(t, out=t)
+        return self._table if k is None else self._table[k]
+
+
+def _pullback_blocks(rho, owners, ring, columns, a):
+    """(rings, nodes, Jacobians) of phi_p pulled-back rings, a block of whole rows at a time.
+
+    With a, an array of one entry per ring, the rings take the angles of
+    _balanced_rings, whose midpoints go to a; else uniform angles and no
+    Jacobians.
+    """
+    rows = max(1, _BLOCK_NODES // ring.size)
+    for i in range(0, rho.size, rows):
+        at = slice(i, i + rows)
+        p, m, turn = columns[:, owners[at], None]
+        if a is None:
+            yield at, _mobius(p, rho[at, None] * ring), None
+        else:
+            nodes, jac, a[at] = _balanced_rings(m.real, turn, rho[at, None], ring)
+            yield at, nodes, jac
+
+
+def _center_blocks(rho, owners, ring, centers):
+    """(rings, nodes, None) of the rings p - zeta about the centers, as _LiftNodes.
+
+    The rings go by blocks of radii, each of at most _BLOCK_NODES nodes
+    (see _Rings), and within a block center by center: every center
+    sampled on a block's radii shares its rings and its table.
+    """
+    if not rho.size:
+        return
+    rows = max(1, _BLOCK_NODES // ring.size)
+    radii = _sorted_unique(rho)
+    which = np.searchsorted(radii, rho)
+    block = which // rows
+    # stable: a center's rings keep their order, which is by radius
+    order = np.lexsort((owners, block))
+    cut = np.flatnonzero(np.diff(block[order]) | np.diff(owners[order])) + 1
+    current = None
+    for ks in np.split(order, cut):
+        b = block[ks[0]]
+        if b != current:
+            rings, current = _Rings(radii[b * rows:(b + 1) * rows], ring), b
+        # the block's rows that the center samples: all of them, or these
+        k = None if ks.size == rings.radii.size else which[ks] - b * rows
+        q = centers[owners[ks[0]]]
+        nodes = np.subtract(q, rings.zeta if k is None else rings.zeta[k]).view(_LiftNodes)
+        nodes.lift, nodes.rho, nodes.rings, nodes.radii = q, rho[ks, None], rings, k
+        yield ks, nodes, None
+
+
 def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     """Sums of f over the ring of n_theta angles at each radius rho.
 
@@ -235,7 +360,8 @@ def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     sampled a block of whole rows at a time and each block is reduced at
     once, so no len(rho) x n_theta array is held.  Ring k has radius
     rho[k] and point p, the _loop_points column owners[k] of columns, and
-    f is sampled at involution(p, zeta) of its nodes zeta.  balanced
+    f is sampled at involution(p, zeta) of its nodes zeta: as _LiftNodes
+    for the centers of np.subtract (see _center_blocks).  balanced
     (pull-backs only) takes the angles of _balanced_rings, weights each
     sample by its Jacobian, and scales each ring's sums by
     (1 - a^N)/(1 + a^N), N the angles summed, the inverse of the N-angle
@@ -246,25 +372,25 @@ def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     ring = np.exp(1j * theta)
     sums = np.empty((3, rho.size))
-    rows = max(1, _BLOCK_NODES // n_theta)
     a = np.empty(rho.size) if balanced else None
-    for i in range(0, rho.size, rows):
-        p, m, turn = columns[:, owners[i:i + rows], None]
-        if balanced:
-            nodes, jac, a[i:i + rows] = _balanced_rings(m.real, turn, rho[i:i + rows, None], ring)
-        else:
-            nodes = involution(p, rho[i:i + rows, None] * ring)
-        vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+    if involution is np.subtract:
+        blocks = _center_blocks(rho, owners, ring, columns[0])
+    else:
+        blocks = _pullback_blocks(rho, owners, ring, columns, a)
+    for at, nodes, jac in blocks:
+        vals = np.asarray(f(nodes), dtype=float)
+        if vals.shape != nodes.shape:
+            vals = np.broadcast_to(vals, nodes.shape)
         # non-finite samples (integrable log poles hit head-on) are
         # excised, which changes the integral by a set of measure zero
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             vals = np.where(np.isfinite(vals), vals, 0.0)
-        if balanced:
+        if jac is not None:
             vals = vals * jac
         even = vals[:, ::2].sum(axis=1)
-        sums[0, i:i + rows] = even + vals[:, 1::2].sum(axis=1)
-        sums[1, i:i + rows] = even
-        sums[2, i:i + rows] = np.abs(vals).sum(axis=1)
+        sums[0, at] = even + vals[:, 1::2].sum(axis=1)
+        sums[1, at] = even
+        sums[2, at] = np.abs(vals).sum(axis=1)
     if balanced:
         a_n, a_half = a ** n_theta, a ** (n_theta // 2)
         scale = (1.0 - a_n) / (1.0 + a_n)
@@ -330,7 +456,10 @@ def polar_integral(
     identical nodes so that constants are reproduced to machine
     precision.  The disk about a center q is sampled at q - zeta, the
     Euclidean involution swapping 0 and q; a uniform ring is symmetric
-    under zeta -> -zeta, so the integral is that of f about q.  A center
+    under zeta -> -zeta, so the integral is that of f about q.  f gets
+    those nodes as _LiftNodes, one center and a block of whole rings at a
+    time, whose exp_i() takes e^{iw} from a table shared by the centers on
+    the same rings (see _LiftNodes).  A center
     that is not finite raises DomainViolation before any sampling: every
     node would be excised as non-finite, and the integral would read 0.
 

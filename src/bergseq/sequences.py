@@ -16,12 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
-from .geometry import Domain, TWO_PI, _check_domain, _cylindrical, _hyperbolic, _mobius, lift_value
+from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight
 from .quadrature import _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
-from .weights import _annulus_sum, _covered_integrand, _translate_dists
+from .weights import _annulus_sum, _covered_integrand, _lifted_points, _translates
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -272,18 +272,33 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
 
 
+def _admissible(q, r):
+    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + 1.
+
+    D_r(q) then stays a unit above the real axis, and for eps < 1 it
+    does not reach the line Im w = eps where the reflected extension of
+    _covered_integrand is kinked.
+    """
+    return q.imag > r + 1.0
+
+
 def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
     """The puncture quotients at each lift q: one list of DensityReports per lift, radii in order.
 
     As for the border: the denominators of a lift come from one pass over
     D_max(radii)(q), and the lifts share their level loops, _CENTER_CHUNK
-    at a time; the numerators of a lift from one set of translate distances.
+    at a time; the numerators of a lift from one set of translate
+    distances.  The points are checked and lifted once, for every lift;
+    the lifts must be finite.
     """
     _, psi_ratio = shifted_cyl_weight(weight)
     density = _covered_integrand(psi_ratio, eps)
     kernel = _nested_kernel(radii)
-    dists = [_translate_dists(points, complex(q), max(radii)) for q in lifts]
-    numers = [[TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r)) for r in radii] for d in dists]
+    w = _lifted_points(points)
+    numers = []
+    for q in map(complex, lifts):
+        d = np.abs(_translates(w, q, max(radii)) - q)
+        numers.append([TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r)) for r in radii])
     denoms = _chunked(lambda s: polar_integral(density, lifts[s], 0.0, max(radii), _euclid_weight, kernel, rule,
                                                breaks=radii), len(lifts))
     return _reports(lifts, radii, numers, denoms, "puncture")
@@ -297,11 +312,15 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover with the eps-shift-and-reflect extension across the real axis.
+    It takes the lifts a density sweep takes, Im q > r + 1 (see
+    _admissible), and raises WindowViolation for any other before any
+    sampling; DomainViolation if q is not finite.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
-    q = complex(q)
-    if not q.imag > 0:
-        raise WindowViolation("center lift must lie in the upper half plane")
+    q = complex(_check_finite(q, "the lift q"))
+    if not _admissible(q, r):
+        raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
+                              f" got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
     return _puncture_quotients(pts, weight, [q], (r,), eps, rule)[0][0]
 
@@ -462,9 +481,8 @@ def density_sweep(
     def run_puncture(part_points):
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(part_points))
-        # a lift is taken at the radii r with Im q > r + 1; the lifts with
-        # the same such radii share their calls
-        admissible = [tuple(r for r in grid if q.imag > r + 1.0) for q in lifts]
+        # the lifts with the same admissible radii share their calls
+        admissible = [tuple(r for r in grid if _admissible(q, r)) for q in lifts]
         per_lift = [{} for _ in lifts]
         for radii in dict.fromkeys(a for a in admissible if a):
             ks = [k for k, a in enumerate(admissible) if a == radii]

@@ -97,8 +97,10 @@ def standard_puncture(s: float, t: float) -> WeightModel:
         return 2.0 * t + 2.0 * s * r2 * _log_L(z) ** 2 / (1.0 - r2) ** 2
 
     def ratio_c(z):
+        # np.log(1.0 / r2) is _log_L(z), from the |z|^2 already at hand: the
+        # puncture quotients sample this once per node
         r2 = np.abs(z) ** 2
-        return 2.0 * s * r2 / (1.0 - r2) ** 2 + 2.0 * t / _log_L(z) ** 2
+        return 2.0 * s * r2 / (1.0 - r2) ** 2 + 2.0 * t / np.log(1.0 / r2) ** 2
 
     return WeightModel(
         phi=phi,
@@ -233,22 +235,38 @@ def truncated_log_mean(phi, r, c, z, rule: QuadratureRule = _TRUNC_RULE):
 
 
 def _covered_integrand(f, eps):
-    """w -> f(e^{i w}), with w lifted into Im w > eps.
+    """w -> f(e^{iw}), with w lifted into Im w > eps, for polar_integral about lifts.
 
-    The quadrature about a lift q hands it the nodes w = q - zeta.
-    Points with Im w <= eps are reflected across the line Im w = eps,
-    which is the eps-shift-and-reflect extension across the real axis.
-    Raises DomainViolation unless eps > 0.
+    The quadrature about lifts q hands it the nodes w = q - zeta as
+    _LiftNodes, and e^{iw} comes from their shared table (exp_i, written
+    over the nodes), one complex multiply per node.  Nodes with
+    Im w <= eps are reflected across the line Im w = eps, which is the
+    eps-shift-and-reflect extension across the real axis: they take
+    exp(i (conj(w) + 2i eps)) node by node, the same arithmetic as a
+    direct computation.  Only a ring that reaches the line
+    (Im q - rho <= eps) looks for such nodes; exp_i raises
+    DomainViolation for one wider than its range.  The sweep's lifts
+    (Im q > r + 1) reach the line for no eps < 1.  Raises
+    DomainViolation unless eps > 0.
     """
     if not eps > 0:
         raise DomainViolation(f"eps must be positive, got {eps}")
 
     def integrand(w):
-        # in place: the nodes are a fresh block the quadrature does not read again
-        low = ~(w.imag > eps)
-        w[low] = np.conjugate(w[low]) + 2j * eps
-        w *= 1j
-        return f(np.exp(w, out=w))
+        # the rows go by increasing radius about one lift: unless the last
+        # ring reaches the line Im w = eps, none does
+        if w.lift.imag - w.rho[-1, 0] > eps:
+            return f(w.exp_i())
+        reaches = ~(w.lift.imag - w.rho[:, 0] > eps)
+        near = np.asarray(w[reaches])
+        low = ~(near.imag > eps)
+        flipped = np.conjugate(near[low]) + 2j * eps
+        flipped *= 1j
+        z = w.exp_i()
+        near = z[reaches]
+        near[low] = np.exp(flipped)
+        z[reaches] = near
+        return f(z)
 
     return integrand
 
@@ -262,7 +280,10 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
     radius r about the lift of z.  2 pi periodicity of the lift makes the
     projected value well defined.  The extension is defined on the whole
     plane, so z may be any nonzero finite point: a lift below the real
-    axis averages the reflected values.
+    axis averages the reflected values.  The exponential comes from the
+    quadrature's shared table (see _covered_integrand); a disk whose
+    rings of radius above 708 reach below the real axis raises
+    DomainViolation (see _LiftNodes.exp_i).
     """
     if not r > 0:
         raise DomainViolation(f"r must be positive, got {r}")
@@ -442,7 +463,16 @@ def lifted_translates(points, q, radius):
     Raises DomainViolation unless q is finite.
     """
     _check_finite(q, "the lift q")
-    w = np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
+    return _translates(_lifted_points(points), q, radius)
+
+
+def _lifted_points(points):
+    """The principal lifts of punctured-disk points, as a 1-D array; raises DomainViolation off the domain."""
+    return np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
+
+
+def _translates(w, q, radius):
+    """lifted_translates of the lifted points w about a finite q."""
     span = int(radius / TWO_PI) + 2
     k = np.rint((q.real - w.real) / TWO_PI)[:, None] + np.arange(-span, span + 1)
     t = w[:, None] + TWO_PI * k

@@ -39,7 +39,7 @@ from bergseq import (
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
-from bergseq.sequences import _greedy_separated, _min_pairwise
+from bergseq.sequences import _greedy_separated, _min_pairwise, _puncture_quotients
 from bergseq.weights import _annulus_sum, _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -231,6 +231,21 @@ def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
     assert got.shape == (len(qs), 2)
     want = np.array([integral(q) for q in qs]).reshape(-1, 2)
     assert got.tobytes() == want.tobytes()
+
+
+@PROPS
+@given(st.lists(lift_offset, min_size=1, max_size=5), st.lists(st.floats(1.5, 6.0), min_size=1, max_size=3, unique=True))
+# a repeated lift, and lifts whose disks just clear Im w = r + 1
+@example([(0.0, 0.0), (1.0, 2.0), (0.0, 0.0)], [4.0, 2.0])
+def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offsets, radii):
+    # each lift samples e^{iw} as its own table entry times its own lift
+    # factors, whichever lifts share the table; admissible: Im q > max r + 1
+    radii = tuple(sorted(radii))
+    lifts = np.array([complex(x, radii[-1] + 1.0 + 1e-9 + h) for x, h in offsets])
+    points = np.exp(-np.arange(1.0, 12.0)) * np.exp(0.3j * np.arange(11))
+    weight = standard_puncture(2.0, 3.0)
+    got = _puncture_quotients(points, weight, lifts, radii, 0.1, DEFAULT_RULE)
+    assert got == [_puncture_quotients(points, weight, [q], radii, 0.1, DEFAULT_RULE)[0] for q in lifts]
 
 
 def _check_superset_sweep(points, extra, centers, weight):

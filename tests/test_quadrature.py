@@ -28,6 +28,7 @@ from bergseq.geometry import _mobius, mobius_involution
 from bergseq.quadrature import (
     _GL_W,
     _GL_X,
+    _center_blocks,
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
@@ -170,6 +171,28 @@ def test_border_integrand_near_the_rim_doubles_angles():
     f, seen = _angle_counts(lambda zeta: lap(mobius_involution(c, zeta)) - 2.0)
     polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r))
     assert max(seen) > DEFAULT_RULE.n_theta
+
+
+def test_centers_on_shared_rings_take_their_own_table_rows():
+    # three centers on one block of radii; the second samples every other
+    # ring of it, as a center that doubled its panels samples only its new
+    # radii.  Each gets its own nodes, and e^{iw} from the shared table as
+    # from a call of its own, bit for bit.
+    n_theta = 64
+    ring = np.exp(1j * (2.0 * math.pi / n_theta) * np.arange(n_theta))
+    centers = np.array([1.0 + 9.0j, 2.0 + 8.0j, 0.5 + 7.0j])
+    rho = np.array([1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 1.0, 2.0, 3.0, 4.0])
+    owners = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 2])
+    seen = np.zeros(rho.size, dtype=int)
+    for ks, nodes, _ in _center_blocks(rho, owners, ring, centers):
+        w = np.array(nodes)
+        assert w.tobytes() == (centers[owners[ks], None] - rho[ks, None] * ring).tobytes()
+        z = nodes.exp_i()
+        assert np.allclose(z, np.exp(1j * w), rtol=1e-14, atol=0.0)
+        (_, alone, _), = _center_blocks(rho[ks], np.zeros(ks.size, dtype=int), ring, centers[owners[ks[:1]]])
+        assert z.tobytes() == alone.exp_i().tobytes()
+        seen[ks] += 1
+    assert np.all(seen == 1)
 
 
 @pytest.mark.parametrize("n_theta", [16, 64, 1024])

@@ -27,12 +27,13 @@ from bergseq import (
     puncture_density_ratio,
     separation_border,
     separation_puncture,
+    shifted_cyl_weight,
     standard_disk,
     standard_puncture,
 )
-from bergseq import sequences
+from bergseq import sequences, weights
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
-from bergseq.quadrature import _hyper_weight, polar_integral
+from bergseq.quadrature import _euclid_weight, _hyper_weight, polar_integral
 from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated, _nested_kernel
 
 rng = np.random.default_rng(99)
@@ -143,6 +144,32 @@ def test_puncture_density_ratio_center_lift_invariance():
     a = puncture_density_ratio(pts, w, 8j, 4.0)
     b = puncture_density_ratio(pts, w, 2 * math.pi + 8j, 4.0)
     assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [2j, 5j, math.pi + 4.5j, 1.0 - 8j])
+def test_puncture_density_ratio_takes_only_the_lifts_a_sweep_takes(q, monkeypatch):
+    # D_4(2j) crosses the line Im w = eps where the reflected density is
+    # kinked: the quotient once sampled 786 432 nodes there and then raised
+    # QuadratureNotConverged.  A sweep takes a lift at r only if Im q > r + 1.
+    calls = []
+    monkeypatch.setattr(sequences, "polar_integral", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(WindowViolation, match="Im q > r \\+ 1 = 5"):
+        puncture_density_ratio(np.exp(-np.arange(1.0, 14.0)), standard_puncture(2.0, 3.0), q, 4.0)
+    assert calls == []
+
+
+def test_puncture_denominators_match_a_direct_exponential():
+    # the reference takes e^{iw} by one complex exp per node; no node about
+    # an admissible lift is reflected
+    w = standard_puncture(2.0, 3.0)
+    psi_ratio = shifted_cyl_weight(w)[1]
+    direct = lambda nodes: psi_ratio(np.exp(1j * np.asarray(nodes)))
+    reps = density_sweep(generate_lattice("puncture-exponential", 30, s=1.0, n=2), w).reports
+    for rep in reps[::5]:
+        want = polar_integral(direct, rep.center, 0.0, rep.radius, _euclid_weight, _nested_kernel((rep.radius,)),
+                              breaks=(rep.radius,))
+        assert puncture_density_ratio(np.zeros(0), w, rep.center, rep.radius).denominator == pytest.approx(
+            want[0], rel=1e-14, abs=0.0)
 
 
 def test_center_net_takes_a_scalar_as_one_point():
@@ -490,6 +517,41 @@ def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
     calls.clear()
     v = classify(generate_lattice("puncture-exponential", 40, s=0.5, n=2), weight)
     assert v.sweep.n_centers == 18 and len(calls) == 4
+
+
+def test_puncture_sweep_takes_the_cover_exponential_from_a_table(monkeypatch):
+    # the three calls of this classify sample 362 496 nodes (5 280 rings of
+    # 64 angles and 192 of 128).  Their lifts share one table of e^{-i zeta}
+    # per ring: with one complex exp per node the complex exp entries would
+    # outnumber the nodes.  Each call lifts the points once.
+    weight = standard_puncture(2.0, 3.0)
+    nodes, calls, entries, lifted = [], [], [], []
+    ratio, exp, lift = weight.lap_cyl_ratio, np.exp, sequences._lifted_points
+
+    def counted_ratio(z):
+        nodes.append(np.size(z))
+        return ratio(z)
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return polar_integral(*args, **kwargs)
+
+    def counted_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            entries.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    def no_translates(*args):
+        raise AssertionError("lifted_translates re-checks and re-lifts the points")
+
+    monkeypatch.setattr(sequences, "polar_integral", counted)
+    monkeypatch.setattr(sequences, "_lifted_points", lambda points: lifted.append(1) or lift(points))
+    monkeypatch.setattr(weights, "lifted_translates", no_translates)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), replace(weight, lap_cyl_ratio=counted_ratio))
+    assert calls == [4, 8, 13] and len(lifted) == 3
+    assert sum(nodes) == 5280 * 64 + 192 * 128
+    assert sum(entries) <= sum(nodes) / 4
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):

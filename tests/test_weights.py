@@ -26,7 +26,8 @@ from bergseq import (
     truncated_log_mean,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged, WindowViolation
-from bergseq.weights import _li2_complement
+from bergseq.quadrature import _center_blocks, _euclid_weight, _log_kernel, polar_integral
+from bergseq.weights import _covered_integrand, _li2_complement
 
 rng = np.random.default_rng(7)
 
@@ -179,6 +180,81 @@ def test_extended_covered_mean_matches_nested_quad(r):
                             epsabs=0.0, epsrel=1e-13, limit=200)
     oracle = num / (math.pi * r * r)
     assert extended_covered_mean(standard_puncture(2.0, 3.0), eps, r, z) == pytest.approx(oracle, abs=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
+def test_extended_covered_mean_reflects_every_node_as_the_direct_formula(r):
+    # every node about the lift of z = 0.3 + 5j lies below Im w = eps, and
+    # each takes exp(i (conj(w) + 2i eps)), here one complex exp per node
+    z, eps = 0.3 + 5j, 0.1
+    psi = standard_puncture(2.0, 3.0).phi
+
+    def reflected(w):
+        w = np.asarray(w)
+        assert not np.any(w.imag > eps)
+        return psi(np.exp(1j * (np.conjugate(w) + 2j * eps)))
+
+    want = polar_integral(reflected, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True)
+    assert extended_covered_mean(psi, eps, r, z) == float(want)
+
+
+def _lift_block(q, radii, n_theta=64):
+    """The nodes about q on the rings of these radii (at most 4096 / n_theta), as polar_integral hands them out."""
+    ring = np.exp(1j * (2.0 * math.pi / n_theta) * np.arange(n_theta))
+    rho = np.asarray(radii, dtype=float)
+    (_, nodes, _), = _center_blocks(rho, np.zeros(rho.size, dtype=int), ring, np.array([q]))
+    return nodes
+
+
+def _cover_samples(nodes, f, eps=0.1):
+    """(the nodes, the e^{iw} that the covered integrand hands f, its samples); it overwrites the nodes."""
+    w, seen = np.array(nodes), []
+    samples = _covered_integrand(lambda z: seen.append(z.copy()) or f(z), eps)(nodes)
+    return w, seen[0], samples
+
+
+def test_a_ring_across_the_reflection_line_reflects_node_by_node():
+    # about q = 0.5 + 2j the ring of radius 1.5 stays above Im w = eps, the
+    # others cross it: their reflected nodes take the direct formula bit for
+    # bit, the rest the shared table, to rounding
+    eps = 0.1
+    w, z, _ = _cover_samples(_lift_block(0.5 + 2.0j, [1.5, 2.05, 2.5, 3.5]), lambda z: np.zeros(z.shape), eps)
+    low = ~(w.imag > eps)
+    assert not low[0].any() and low[1:].any(axis=1).all() and not low.all()
+    assert z[low].tobytes() == np.exp(1j * (np.conjugate(w[low]) + 2j * eps)).tobytes()
+    assert np.allclose(z[~low], np.exp(1j * w[~low]), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("q, radii", [
+    (1.0 + 700.0j, [0.5, 2.0, 4.0]),           # |e^{iw}| ~ e^-700: |z|^2 underflows
+    (1.0 + 700.0j, [50.0, 300.0, 650.0]),      # normal, subnormal and zero values
+    (0.5 + 300.0j, [100.0, 400.0, 700.0]),     # rings across the reflection line
+    (1.0 + 5000.0j, [10.0, 2000.0, 4900.0]),   # far past e^-rho's normal range, above the line
+])
+def test_cover_samples_are_finite_where_the_direct_formula_is(q, radii):
+    eps = 0.1
+    psi = shifted_cyl_weight(standard_puncture(2.0, 3.0))[1]
+    with np.errstate(divide="ignore", over="ignore"):
+        w, z, samples = _cover_samples(_lift_block(q, radii), psi, eps)
+        direct = np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps))
+        want = psi(direct)
+    assert np.array_equal(np.isfinite(z), np.isfinite(direct))
+    assert np.array_equal(z == 0.0, direct == 0.0)
+    assert np.array_equal(np.isfinite(samples), np.isfinite(want))
+    # the phase of a node rounds like rho ulp(1), in both formulas alike
+    normal = np.abs(direct) > 1e-300
+    assert np.allclose(z[normal], direct[normal], rtol=1e-15 * max(radii) + 1e-14, atol=0.0)
+
+
+def test_a_ring_across_the_reflection_line_needs_a_normal_table():
+    # past rho = 708, e^-rho is subnormal: the table could not hold the
+    # unreflected nodes of such a ring to full precision
+    psi = shifted_cyl_weight(standard_puncture(2.0, 3.0))[1]
+    with pytest.raises(DomainViolation, match="needs radius <= 708"):
+        _covered_integrand(psi, 0.1)(_lift_block(0.5 + 300.0j, [100.0, 710.0]))
+    # above the line, every radius is in range
+    with np.errstate(divide="ignore"):
+        _covered_integrand(psi, 0.1)(_lift_block(0.5 + 800.0j, [100.0, 710.0]))
 
 
 # The reflected lift of standard_puncture(2, 3) about z = 0.3 + 5j, with
