@@ -30,14 +30,11 @@ from .quadrature import (
     QuadratureRule,
     a_r_euclidean,
     a_r_hyperbolic,
-    annulus_log_integral_disk,
-    annulus_log_integral_euclid,
     c_r_cyl,
     c_r_disk,
     circle_mean,
     disk_log_integral,
     polar_integral,
-    radial_log_mean,
 )
 from .weights import (
     WeightModel,

@@ -39,8 +39,9 @@ give one column per radius, so that one pass over the largest disk
 serves several nested ones (the border quotients of one center, the
 puncture quotients of one lift); each component of such a vector
 estimate must then settle against its own magnitude.  polar_integral is
-the only level loop: a radial mean is one of its integrals of the
-constant 1, with the profile in the kernel columns.
+the only level loop: a radial mean, such as the monomial norms of
+kernels._monomial_norms, is one of its integrals of the constant 1,
+with the profile in the kernel columns.
 
 A level on the previous level's angles samples only the radii that level
 did not: a radial doubling leaves most panels whole, with bit-identical
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,7 +104,8 @@ class QuadratureRule:
     n_panels and n_theta are the first level's radial panel parameter and
     angular node count; each later level doubles the axes that have not
     settled to rel_tol.  max_nodes bounds the node count of one level: a
-    level that would pass it raises QuadratureNotConverged instead.
+    level that would pass it raises QuadratureNotConverged instead.  All
+    three are integers, and max_nodes >= 1 (else ValueError).
     """
 
     n_panels: int = 8
@@ -111,6 +114,9 @@ class QuadratureRule:
     max_nodes: int = 2 ** 20
 
     def __post_init__(self):
+        counts = (self.n_panels, self.n_theta, self.max_nodes)
+        if not all(isinstance(c, numbers.Integral) for c in counts) or self.max_nodes < 1:
+            raise ValueError(f"n_panels, n_theta and max_nodes must be integers, and max_nodes >= 1, got {counts}")
         if self.n_theta < 16 or self.n_theta & (self.n_theta - 1):
             raise ValueError("angular node count must be a power of 2, >= 16")
         if self.n_panels < 2:
@@ -616,30 +622,14 @@ def _log_kernel(r):
     return lambda rho: np.log(r * r / (rho * rho))
 
 
-_WEIGHTS = {"hyperbolic": _hyper_weight, "euclidean": _euclid_weight}
+def disk_log_integral(r, f, rule=DEFAULT_RULE, pullback=None):
+    """int_{D_r(0)} f(zeta) log(r^2/|zeta|^2) dmu(zeta), mu the hyperbolic (curvature -4) area form.
 
-
-def disk_log_integral(r, f, measure="hyperbolic", rule=DEFAULT_RULE, pullback=None):
-    """int_{D_r(0)} f(zeta) log(r^2/|zeta|^2) dmu(zeta).
-
-    measure is "hyperbolic" (the curvature -4 area form) or "euclidean".
     pullback=z integrates f o phi_z, as in polar_integral.
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
-    return polar_integral(f, 0.0, 0.0, r, _WEIGHTS[measure], _log_kernel(r), rule, pullback=pullback)
-
-
-def annulus_log_integral_disk(r, f, rule=DEFAULT_RULE):
-    """Kernel integral over the annulus 1/2 < |zeta| < r, hyperbolic area."""
-    _check_radius(r, _BORDER_RADII)
-    return polar_integral(f, 0.0, 0.5, r, _hyper_weight, _log_kernel(r), rule)
-
-
-def annulus_log_integral_euclid(q, r, f, rule=DEFAULT_RULE):
-    """int_{1 < |zeta - q| < r} f(zeta) log(r^2/|zeta - q|^2) dA(zeta)."""
-    _check_radius(r, _PUNCTURE_RADII)
-    return polar_integral(f, q, 1.0, r, _euclid_weight, _log_kernel(r), rule)
+    return polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, pullback=pullback)
 
 
 def circle_mean(z, r, h, n=256):
@@ -657,23 +647,3 @@ def circle_mean(z, r, h, n=256):
         k = int(np.argmax(bad))
         raise DomainViolation(f"non-finite boundary sample at theta = {theta[k]:.6f}")
     return float(vals.mean())
-
-
-def radial_log_mean(g, rho_lo, rho_hi, radial_weight, r_kernel, rule=DEFAULT_RULE, breaks=()):
-    """Kernel-weighted radial mean of a (possibly vector-valued) profile.
-
-    g(rho) may return shape (len(rho), m); the mean is taken per column
-    with the normalizer on the same nodes.  Used for integrands whose
-    angular means are known in closed form.  It is one polar_integral of
-    1 against the kernel columns (k, k g_1, ..., k g_m), whose angles are
-    exact and settle at the first level, so it shares max_nodes and
-    QuadratureNotConverged with the 2-D integrals.
-    """
-
-    def columns(rho):
-        k = r_kernel(rho)
-        vals = np.atleast_2d(np.asarray(g(rho), dtype=float).T).T
-        return np.column_stack((k, k[:, None] * vals))
-
-    est = polar_integral(_one, 0.0, rho_lo, rho_hi, radial_weight, columns, rule, breaks)
-    return est[1:] / est[0]

@@ -10,6 +10,7 @@ estimate clearly below 1, necessity-side failure needs it clearly above.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,9 +20,8 @@ from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight
-from .quadrature import _log_kernel
 from .weights import WeightModel, shifted_cyl_weight
-from .weights import _annulus_sum, _covered_integrand, _lifted_points, _translates
+from .weights import _annulus_sums, _covered_integrand, _lift_dists, _lifted_points, _span
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -197,11 +197,10 @@ def _border_numerators(points, centers, radii):
 
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
     over the points whose pseudohyperbolic distance rho = |phi_z(gamma)|
-    from z = centers[k] lies in the open annulus (1/2, r).  The distances
-    are taken a block of centers at a time (see _block_rows).  Each
-    distance and each term is the same as one center at a time would
-    give; a sum can differ from the sum over that center's annulus alone
-    in its last bits, by summation order only.
+    from z = centers[k] lies in the open annulus (1/2, r), summed by
+    weights._annulus_sums.  The distances are taken a block of centers at
+    a time (see _block_rows); each distance and each sum is the same as
+    one center at a time would give.
     """
     pts = np.asarray(points, dtype=complex)
     ctrs = np.asarray(centers, dtype=complex)
@@ -211,14 +210,26 @@ def _border_numerators(points, centers, radii):
     for i in range(0, ctrs.size, rows):
         d = np.abs(_mobius(ctrs[i:i + rows, None], pts))
         np.minimum(nearest, d.min(axis=0, initial=math.inf), out=nearest)
-        d2 = d * d
         for j, r in enumerate(radii):
-            inside = (d > 0.5) & (d < r)
-            terms = np.zeros_like(d)
-            np.divide(r * r, d2, out=terms, where=inside)
-            np.log(terms, out=terms, where=inside)
-            numers[i:i + rows, j] = TWO_PI * terms.sum(axis=1)
+            numers[i:i + rows, j] = _annulus_sums(d, 0.5, r)
     return numers, nearest
+
+
+def _puncture_numerators(w, lifts, radii):
+    """The puncture numerators per (lift, radius) of the lifted points w.
+
+    Numerator (k, j) is 2 pi times the sum of log(r^2/d^2), r = radii[j],
+    over the translates at distance d from q = lifts[k] in the open
+    annulus (1, r).  Each radius takes its own translate window (see
+    weights._window), and each sum is the same as one lift and one radius
+    at a time would give, a block of lifts at a time (see _block_rows).
+    """
+    numers = np.empty((len(lifts), len(radii)))
+    for j, r in enumerate(radii):
+        rows = _block_rows(w.size * (2 * _span(r) + 1))
+        for i in range(0, len(lifts), rows):
+            numers[i:i + rows, j] = _annulus_sums(_lift_dists(w, lifts[i:i + rows], r), 1.0, r)
+    return numers
 
 
 def _chunked(integral, n):
@@ -272,14 +283,14 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
 
 
-def _admissible(q, r):
-    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + 1.
+def _admissible(q, r, eps):
+    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + max(1, eps).
 
-    D_r(q) then stays a unit above the real axis, and for eps < 1 it
-    does not reach the line Im w = eps where the reflected extension of
-    _covered_integrand is kinked.
+    D_r(q) then stays a unit above the real axis, and above the line
+    Im w = eps where the reflected extension of _covered_integrand is
+    kinked.
     """
-    return q.imag > r + 1.0
+    return q.imag > r + max(1.0, eps)
 
 
 def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
@@ -287,18 +298,13 @@ def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
 
     As for the border: the denominators of a lift come from one pass over
     D_max(radii)(q), and the lifts share their level loops, _CENTER_CHUNK
-    at a time; the numerators of a lift from one set of translate
-    distances.  The points are checked and lifted once, for every lift;
-    the lifts must be finite.
+    at a time; the numerators from _puncture_numerators.  The points are
+    checked and lifted once, for every lift; the lifts must be finite.
     """
     _, psi_ratio = shifted_cyl_weight(weight)
     density = _covered_integrand(psi_ratio, eps)
     kernel = _nested_kernel(radii)
-    w = _lifted_points(points)
-    numers = []
-    for q in map(complex, lifts):
-        d = np.abs(_translates(w, q, max(radii)) - q)
-        numers.append([TWO_PI * _annulus_sum(d, 1.0, r, _log_kernel(r)) for r in radii])
+    numers = _puncture_numerators(_lifted_points(points), lifts, radii)
     denoms = _chunked(lambda s: polar_integral(density, lifts[s], 0.0, max(radii), _euclid_weight, kernel, rule,
                                                breaks=radii), len(lifts))
     return _reports(lifts, radii, numers, denoms, "puncture")
@@ -312,15 +318,15 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover with the eps-shift-and-reflect extension across the real axis.
-    It takes the lifts a density sweep takes, Im q > r + 1 (see
+    It takes the lifts a density sweep takes, Im q > r + max(1, eps) (see
     _admissible), and raises WindowViolation for any other before any
     sampling; DomainViolation if q is not finite.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(_check_finite(q, "the lift q"))
-    if not _admissible(q, r):
-        raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
-                              f" got Im q = {q.imag:g}")
+    if not _admissible(q, r, eps):
+        raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + max(1, eps)"
+                              f" = {r + max(1.0, eps):g}, got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
     return _puncture_quotients(pts, weight, [q], (r,), eps, rule)[0][0]
 
@@ -482,7 +488,7 @@ def density_sweep(
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(part_points))
         # the lifts with the same admissible radii share their calls
-        admissible = [tuple(r for r in grid if _admissible(q, r)) for q in lifts]
+        admissible = [tuple(r for r in grid if _admissible(q, r, eps)) for q in lifts]
         per_lift = [{} for _ in lifts]
         for radii in dict.fromkeys(a for a in admissible if a):
             ks = [k for k, a in enumerate(admissible) if a == radii]
@@ -630,7 +636,10 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     in the pseudohyperbolic metric inside |z| <= 1 - margin; raises
     BergseqError when the candidates run out before `count` points fit.
     kind "puncture-exponential": {e^{-k s} e^{2 pi i j / n}} ordered by k.
+    count must be an integer >= 0; anything else raises ValueError.
     """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"the point count must be an integer >= 0, got {count!r}")
     if kind == "hyperbolic-disk":
         d = kw["d"]
         margin = kw.get("margin", 0.05)
@@ -650,8 +659,8 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     if kind == "puncture-exponential":
         s = kw["s"]
         n = kw.get("n", 1)
-        if s <= 0 or n < 1:
-            raise ValueError("need s > 0 and n >= 1")
+        if not s > 0 or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"need s > 0 and an integer n >= 1, got s = {s!r}, n = {n!r}")
         pts = []
         k = 1
         while len(pts) < count:

@@ -110,7 +110,7 @@ def poisson_jensen_residual(
     center = float(u(np.asarray([z]))[0])
     zero_term = sum(math.log(r * r / (rho * rho)) for rho in rhos if rho < r)
 
-    curv = float(disk_log_integral(r, ratio_fn, "hyperbolic", rule, pullback=z)) / (2.0 * math.pi)
+    curv = float(disk_log_integral(r, ratio_fn, rule, pullback=z)) / (2.0 * math.pi)
 
     rhs = center + zero_term - curv
     return abs(lhs - rhs)

@@ -246,7 +246,7 @@ def _covered_integrand(f, eps):
     direct computation.  Only a ring that reaches the line
     (Im q - rho <= eps) looks for such nodes; exp_i raises
     DomainViolation for one wider than its range.  The sweep's lifts
-    (Im q > r + 1) reach the line for no eps < 1.  Raises
+    (Im q > r + max(1, eps)) never reach the line.  Raises
     DomainViolation unless eps > 0.
     """
     if not eps > 0:
@@ -324,20 +324,25 @@ def _jensen_potential(d, radial_means, harm):
     return float(math.exp(log_t2 - lam)), lam
 
 
-def _annulus_sum(d, inner, r, kernel):
-    """Sum of kernel(rho) over the distances rho in the open annulus (inner, r)."""
-    sel = d[(d > inner) & (d < r)]
-    return np.sum(kernel(sel))
+def _annulus_sums(d, inner, r, kernel_r=None):
+    """2 pi sum of log(k^2/rho^2), k = kernel_r (default r), over the rho of each row of d in (inner, r).
+
+    d holds one row of distances per center or lift.  Each row is summed
+    whole, zeros outside the annulus included, so a row's sum does not
+    depend on the other rows; it can differ from the sum over the annulus
+    alone in its last bits, by summation order only.
+    """
+    k = r if kernel_r is None else kernel_r
+    # every entry takes its log, which costs less than a masked ufunc; at
+    # d = 0 it is inf, and outside the annulus it is dropped
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.log(k * k / (d * d))
+    return TWO_PI * np.where((d > inner) & (d < r), terms, 0.0).sum(axis=1)
 
 
 def _disk_dists(points, z):
     """Pseudohyperbolic distances |phi_z(gamma)| of checked points to a checked z."""
     return np.abs(_mobius(z, np.asarray(points, dtype=complex)))
-
-
-def _translate_dists(points, q, radius):
-    """Distances to q of the lifted translates within `radius` of q."""
-    return np.abs(lifted_translates(points, q, radius) - q)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +454,8 @@ def border_density_form(points, r, z):
     log(1/rho^2) over the points whose phi_z image lands in the annulus
     1/2 < rho < r.
     """
-    total = _annulus_sum(_disk_dists(_check_domain(points, name="points"), _check_domain(z)), 0.5, r, _log_kernel(1.0))
-    return float((TWO_PI / c_r_disk(r)) * total)
+    d = _disk_dists(_check_domain(points, name="points"), _check_domain(z))
+    return float(_annulus_sums(np.reshape(d, (1, -1)), 0.5, r, 1.0)[0] / c_r_disk(r))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +468,11 @@ def lifted_translates(points, q, radius):
     Raises DomainViolation unless q is finite.
     """
     _check_finite(q, "the lift q")
-    return _translates(_lifted_points(points), q, radius)
+    t = _window(_lifted_points(points), q, radius)
+    off = t - q
+    # hypot, which abs() of a single complex number uses: numpy's array abs
+    # can differ from it in the last bit and move a translate across the cutoff
+    return t[np.hypot(off.real, off.imag) <= radius]
 
 
 def _lifted_points(points):
@@ -471,15 +480,26 @@ def _lifted_points(points):
     return np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
 
 
-def _translates(w, q, radius):
-    """lifted_translates of the lifted points w about a finite q."""
-    span = int(radius / TWO_PI) + 2
-    k = np.rint((q.real - w.real) / TWO_PI)[:, None] + np.arange(-span, span + 1)
-    t = w[:, None] + TWO_PI * k
-    off = t - q
-    # hypot, which abs() of a single complex number uses: numpy's array abs
-    # can differ from it in the last bit and move a translate across the cutoff
-    return t[np.hypot(off.real, off.imag) <= radius]
+def _span(radius):
+    """The translate window for `radius` (see _window) runs over |k| <= _span(radius)."""
+    return int(radius / TWO_PI) + 2
+
+
+def _window(w, q, radius):
+    """The translates w + 2 pi (rint((Re q - Re w)/2 pi) + k), |k| <= _span(radius), of the lifted points w.
+
+    They hold every translate within `radius` of q, and some beyond.  q
+    may be an array of lifts; the result has shape q.shape + (w.size, 2 _span(radius) + 1).
+    """
+    span = _span(radius)
+    k = np.rint((np.asarray(q).real[..., None] - w.real) / TWO_PI)[..., None] + np.arange(-span, span + 1)
+    return w[:, None] + TWO_PI * k
+
+
+def _lift_dists(w, lifts, r):
+    """One row per lift q: the distances to q of the translates of the lifted points w in q's window for r."""
+    lifts = np.asarray(lifts, dtype=complex)
+    return np.abs(_window(w, lifts, r) - lifts[:, None, None]).reshape(lifts.size, -1)
 
 
 # The moments int_0^b u^j (b - u) e^{2u} du, j = 0, 1, as power series,
@@ -535,21 +555,23 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     q = complex(lift_value(_check_domain(z, Domain.PUNCTURED_DISK)))
     if q.imag <= r:
         raise WindowViolation(f"lift of z has Im = {q.imag:.3g} <= r = {r}")
-    d = _translate_dists(points, q, r + TWO_PI)  # lifted_translates checks the points
+    d = np.abs(lifted_translates(points, q, r + TWO_PI) - q)  # lifted_translates checks the points
     if np.size(points) and np.max(np.abs(points)) >= math.exp(-r):
         raise WindowViolation(f"sequence must satisfy |gamma| < e^-r = {math.exp(-r):.3g}")
     return _jensen_potential(d, lambda dist: _puncture_radial_means(dist, r), _harmonic_term(harmonic, q))
 
 
 def puncture_density_form(points, r, z=None, q=None):
-    """Curvature density of the puncture potential at a lift q.
+    """Curvature density of the puncture potential at z, or at a lift q of it.
 
     (1/c_r) sum of log(r^2/|gamma - q|^2) over lifted sequence points in
     the open annulus 1 < |gamma - q| < r; 2 pi periodicity of the
     translate set makes the value independent of the choice of lift.
+    Takes exactly one of z and q; raises DomainViolation otherwise.
     """
+    if (z is None) == (q is None):
+        raise DomainViolation("need exactly one of z and a lift q")
     if q is None:
-        if z is None:
-            raise DomainViolation("need either z or a lift q")
-        q = complex(lift_value(_check_domain(z, Domain.PUNCTURED_DISK)))
-    return float(_annulus_sum(_translate_dists(points, q, r), 1.0, r, _log_kernel(r)) / c_r_cyl(r))
+        q = lift_value(_check_domain(z, Domain.PUNCTURED_DISK))
+    q = _check_finite(q, "the lift q")
+    return float(_annulus_sums(_lift_dists(_lifted_points(points), [q], r), 1.0, r)[0] / (TWO_PI * c_r_cyl(r)))

@@ -52,7 +52,7 @@ from bergseq import (
 )
 from bergseq.cli import parse_sequence_file
 from bergseq.errors import DomainViolation
-from bergseq.quadrature import _euclid_weight, _hyper_weight, annulus_log_integral_euclid
+from bergseq.quadrature import _euclid_weight, _hyper_weight
 
 OFF_DISK = [1.0 + 0j, 1.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)]
 OFF_PUNCTURED = OFF_DISK + [0j]
@@ -189,7 +189,6 @@ NON_FINITE_CALLS = {
     "puncture_density_form": lambda q, s: puncture_density_form([1e-3, 2e-3], 4.0, q=q),
     "polar_integral": lambda q, s: polar_integral(s.punct.phi, q, 1.0, 4.0, _euclid_weight, None),
     "polar_integral_centers": lambda q, s: polar_integral(s.punct.phi, [5j, q], 1.0, 4.0, _euclid_weight, None),
-    "annulus_log_integral_euclid": lambda q, s: annulus_log_integral_euclid(q, 4.0, s.punct.phi),
 }
 
 

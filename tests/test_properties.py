@@ -38,9 +38,9 @@ from bergseq import (
     standard_puncture,
 )
 from bergseq.geometry import TWO_PI
-from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel, radial_log_mean
+from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
 from bergseq.sequences import _greedy_separated, _min_pairwise, _puncture_quotients
-from bergseq.weights import _annulus_sum, _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
+from bergseq.weights import _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -305,6 +305,19 @@ def radial_case(draw):
     return np.asarray([0.0, 1.0, r] + below + inside + beyond), r
 
 
+def _radial_log_mean(g, rho_lo, r, radial_weight, breaks):
+    """The means of the profile columns g(rho) against log(r^2/rho^2) radial_weight(rho) rho drho on
+    (rho_lo, r): one polar_integral of 1 against the kernel columns (k, k g_1, ..., k g_m)."""
+    kernel = _log_kernel(r)
+
+    def columns(rho):
+        k = kernel(rho)
+        return np.column_stack((k, k[:, None] * g(rho)))
+
+    est = polar_integral(lambda z: 1.0, 0.0, rho_lo, r, radial_weight, columns, DEFAULT_RULE, breaks)
+    return est[1:] / est[0]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(radial_case())
 def test_puncture_radial_means_match_quadrature(case):
@@ -313,7 +326,7 @@ def test_puncture_radial_means_match_quadrature(case):
     # node doubling never splits the lower half of (1, r); without extra
     # breaks there the oracle is off by 6e-10 relative at r = 19.9
     breaks = np.concatenate((d, np.linspace(1.0, r, 17)))
-    want = radial_log_mean(g, 1.0, r, _euclid_weight, _log_kernel(r), DEFAULT_RULE, breaks=breaks)
+    want = _radial_log_mean(g, 1.0, r, _euclid_weight, breaks)
     got = _puncture_radial_means(d, r)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     beyond = d >= r
@@ -337,7 +350,7 @@ def test_border_radial_means_match_quadrature(case):
     g = lambda rho: 2.0 * np.log(np.maximum(rho[:, None], d[None, :]))
     # extra breaks, because node doubling never splits the middle panels
     breaks = np.concatenate((d, np.linspace(0.5, r, 17)))
-    want = radial_log_mean(g, 0.5, r, _hyper_weight, _log_kernel(r), DEFAULT_RULE, breaks=breaks)
+    want = _radial_log_mean(g, 0.5, r, _hyper_weight, breaks)
     got = _border_radial_means(d, r)
     assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-13))
     beyond = d >= r
@@ -432,6 +445,12 @@ def test_blocked_min_pairwise_matches_row_loop(n, seed):
         assert _min_pairwise(points, dist) == _min_by_rows(points, dist)
 
 
+def _fsum_numerator(d, inner, r):
+    """2 pi times the correctly rounded sum of log(r^2/d^2) over the distances d in (inner, r)."""
+    d = d[(d > inner) & (d < r)]
+    return TWO_PI * math.fsum(np.log(r * r / (d * d)))
+
+
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 400), st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
 def test_blocked_sweep_numerators_match_per_center_sums(n, n_centers, seed):
@@ -441,6 +460,19 @@ def test_blocked_sweep_numerators_match_per_center_sums(n, n_centers, seed):
     assert len(reports) == len(BORDER_R_GRID) * n_centers
     for i, rep in enumerate(reports):
         r, c = BORDER_R_GRID[i // n_centers], centers[i % n_centers]
-        want = TWO_PI * _annulus_sum(_disk_dists(points, c), 0.5, r, _log_kernel(r))
+        want = _fsum_numerator(_disk_dists(points, c), 0.5, r)
         # a block sums a center's terms in another order, which moves only the last bits
+        assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+def test_blocked_puncture_numerators_match_per_lift_sums(n, seed):
+    gen = np.random.default_rng(seed)
+    points = np.exp(-gen.uniform(1.0, 12.0, n)) * np.exp(2j * math.pi * gen.random(n))
+    seq = SequenceSet(tuple(points), Domain.PUNCTURED_DISK)
+    reports = density_sweep(seq, standard_puncture(2.0, 3.0), r_grid=(2.0, 5.0)).reports
+    for rep in reports:
+        q, r = rep.center, rep.radius
+        want = _fsum_numerator(np.abs(lifted_translates(points, q, r) - q), 1.0, r)
         assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -14,14 +14,11 @@ from bergseq import (
     QuadratureRule,
     a_r_euclidean,
     a_r_hyperbolic,
-    annulus_log_integral_disk,
-    annulus_log_integral_euclid,
     c_r_cyl,
     c_r_disk,
     circle_mean,
     disk_log_integral,
     polar_integral,
-    radial_log_mean,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import _mobius, mobius_involution
@@ -52,6 +49,10 @@ def test_rule_validation():
         QuadratureRule(n_panels=1)
     with pytest.raises(ValueError):
         QuadratureRule(rel_tol=0.0)
+    # each of these was once accepted; with max_nodes = nan the node cap never trips
+    for kw in ({"max_nodes": math.nan}, {"max_nodes": 0}, {"max_nodes": -5}, {"max_nodes": 2.5}, {"n_panels": 3.5}):
+        with pytest.raises(ValueError, match="must be integers"):
+            QuadratureRule(**kw)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.9, 0.99])
@@ -62,7 +63,7 @@ def test_a_r_hyperbolic_against_scipy(r):
     )
     assert err < 1e-6 * oracle
     assert a_r_hyperbolic(r) == pytest.approx(oracle, rel=1e-8)
-    assert disk_log_integral(r, ones, "hyperbolic") == pytest.approx(oracle, rel=1e-8)
+    assert disk_log_integral(r, ones) == pytest.approx(oracle, rel=1e-8)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7])
@@ -70,7 +71,7 @@ def test_a_r_euclidean_against_scipy(r):
     oracle, err = integrate.quad(lambda rho: 2 * math.pi * rho * math.log(r**2 / rho**2), 0, r)
     assert err < 1e-10
     assert a_r_euclidean(r) == pytest.approx(oracle, rel=1e-11)
-    assert disk_log_integral(r, ones, "euclidean") == pytest.approx(oracle, rel=1e-10)
+    assert polar_integral(ones, 0.0, 0.0, r, _euclid_weight, _log_kernel(r)) == pytest.approx(oracle, rel=1e-10)
 
 
 @pytest.mark.parametrize("r", [0.6, 0.9, 0.975])
@@ -80,7 +81,7 @@ def test_c_r_disk_against_scipy(r):
     )
     assert err < 1e-6 * oracle
     assert c_r_disk(r) == pytest.approx(oracle, rel=1e-8)
-    assert annulus_log_integral_disk(r, ones) == pytest.approx(oracle, rel=1e-8)
+    assert polar_integral(ones, 0.0, 0.5, r, _hyper_weight, _log_kernel(r)) == pytest.approx(oracle, rel=1e-8)
 
 
 @pytest.mark.parametrize("r", [2.0, 8.0, 16.0])
@@ -88,7 +89,7 @@ def test_c_r_cyl_against_scipy(r):
     oracle, err = integrate.quad(lambda rho: 2 * math.pi * rho * math.log(r**2 / rho**2), 1.0, r)
     assert err < 1e-8 * oracle
     assert c_r_cyl(r) == pytest.approx(oracle, rel=1e-10)
-    assert annulus_log_integral_euclid(5j * r, r, ones) == pytest.approx(oracle, rel=1e-9)
+    assert polar_integral(ones, 5j * r, 1.0, r, _euclid_weight, _log_kernel(r)) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_polar_integral_nonradial_against_scipy():
@@ -412,8 +413,9 @@ def test_a_point_that_does_not_converge_raises_with_its_own_level():
 
 @pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.8, 0.9, 0.99])
 def test_disk_log_integral_of_one_matches_the_closed_forms(r):
-    assert disk_log_integral(r, ones, "hyperbolic") == pytest.approx(a_r_hyperbolic(r), rel=1e-13)
-    assert disk_log_integral(r, ones, "euclidean") == pytest.approx(a_r_euclidean(r), rel=1e-13)
+    assert disk_log_integral(r, ones) == pytest.approx(a_r_hyperbolic(r), rel=1e-13)
+    assert polar_integral(ones, 0.0, 0.0, r, _euclid_weight, _log_kernel(r)) == pytest.approx(a_r_euclidean(r),
+                                                                                            rel=1e-13)
 
 
 def _sawtooth(z):
@@ -451,6 +453,21 @@ def test_not_converged_reports_the_last_level():
     assert "16 panels x 256 angles, 49152 nodes" in str(exc)
 
 
+def _one(z):
+    return 1.0
+
+
+def _radial_columns(g):
+    """The kernel columns (1, g) of a radial mean of the profile g, for a polar_integral of 1."""
+    return lambda rho: np.column_stack((np.ones_like(rho), g(rho)))
+
+
+def _radial_mean(g, rho_lo, rho_hi, radial_weight, rule, breaks=()):
+    """The mean of the profile g(rho) against radial_weight(rho) rho drho: one polar_integral of 1."""
+    est = polar_integral(_one, 0.0, rho_lo, rho_hi, radial_weight, _radial_columns(g), rule, breaks)
+    return est[1:] / est[0]
+
+
 def test_radial_mean_not_converged_reports_the_last_level():
     # a profile of fresh noise at every level never settles; the levels
     # have 8 and 16 panels of 12 Gauss nodes on 64 angles, and the next
@@ -458,7 +475,7 @@ def test_radial_mean_not_converged_reports_the_last_level():
     noise = lambda rho: np.random.default_rng(5).standard_normal(rho.size)
     rule = QuadratureRule(max_nodes=2**14)
     with pytest.raises(QuadratureNotConverged) as err:
-        radial_log_mean(noise, 0.0, 0.9, _euclid_weight, ones, rule)
+        polar_integral(_one, 0.0, 0.0, 0.9, _euclid_weight, _radial_columns(noise), rule)
     exc = err.value
     assert (exc.n_panels, exc.n_theta, exc.n_nodes) == (16, 64, 16 * 12 * 64)
     assert len(exc.last_estimates) == 2
@@ -470,7 +487,7 @@ def test_radial_mean_that_cancels_to_zero_settles():
     # magnitude of its own, so it settles only against the mean of |.|,
     # at the second level; max_nodes allows no third
     rule = QuadratureRule(max_nodes=2**14)
-    got = radial_log_mean(lambda rho: 2.0 / 3.0 - rho, 0.0, 1.0, _euclid_weight, ones, rule)
+    got = _radial_mean(lambda rho: 2.0 / 3.0 - rho, 0.0, 1.0, _euclid_weight, rule)
     assert abs(float(got[0])) < 1e-15
 
 
@@ -489,7 +506,7 @@ def test_breakpoint_kink_integrated_sharply():
     )
     norm, _ = integrate.quad(lambda rho: rho / (1 - rho**2) ** 2, 0, r)
     hyper = lambda rho: 1.0 / (1.0 - rho * rho) ** 2
-    got = radial_log_mean(g, 0.0, r, hyper, lambda rho: np.ones_like(rho), breaks=(b,))
+    got = _radial_mean(g, 0.0, r, hyper, DEFAULT_RULE, breaks=(b,))
     assert float(got[0]) == pytest.approx(oracle / norm, rel=1e-11)
 
 
@@ -552,5 +569,3 @@ def test_domain_guards():
         c_r_cyl(1.0)
     with pytest.raises(DomainViolation):
         c_r_cyl(math.nan)
-    with pytest.raises(DomainViolation):
-        annulus_log_integral_disk(0.45, ones)

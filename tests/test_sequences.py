@@ -150,12 +150,24 @@ def test_puncture_density_ratio_center_lift_invariance():
 def test_puncture_density_ratio_takes_only_the_lifts_a_sweep_takes(q, monkeypatch):
     # D_4(2j) crosses the line Im w = eps where the reflected density is
     # kinked: the quotient once sampled 786 432 nodes there and then raised
-    # QuadratureNotConverged.  A sweep takes a lift at r only if Im q > r + 1.
+    # QuadratureNotConverged.  A sweep takes a lift at r only if
+    # Im q > r + max(1, eps).
     calls = []
     monkeypatch.setattr(sequences, "polar_integral", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(WindowViolation, match="Im q > r \\+ 1 = 5"):
+    with pytest.raises(WindowViolation, match="Im q > r \\+ max\\(1, eps\\) = 5"):
         puncture_density_ratio(np.exp(-np.arange(1.0, 14.0)), standard_puncture(2.0, 3.0), q, 4.0)
     assert calls == []
+
+
+def test_sweep_lifts_clear_the_reflection_line_for_a_large_eps():
+    # with eps = 1.5 a sweep once took the lift 9.1j at r = 8, whose disk
+    # reaches the line Im w = eps where the reflected density is kinked,
+    # and raised QuadratureNotConverged
+    seq = generate_lattice("puncture-exponential", 40, s=0.7, n=2)
+    v = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(eps=1.5))
+    assert v.verdict == "Indeterminate"
+    punct = [rep for rep in v.sweep.reports if rep.kind == "puncture"]
+    assert punct and all(rep.center.imag > rep.radius + 1.5 for rep in punct)
 
 
 def test_puncture_denominators_match_a_direct_exponential():
@@ -207,6 +219,9 @@ def test_generate_lattice_examples():
         generate_lattice("hyperbolic-disk", 5, d=-1.0)
     with pytest.raises(ValueError):
         generate_lattice("puncture-exponential", 5, s=1.0, n=0)
+    # s = nan once passed its check and failed later, as points off the domain
+    with pytest.raises(ValueError, match="need s > 0"):
+        generate_lattice("puncture-exponential", 5, s=math.nan)
     with pytest.raises(ValueError):
         generate_lattice("moebius-strip", 5)
     with pytest.raises(BergseqError, match="asked for 30 points, placed 12"):
@@ -230,6 +245,16 @@ def test_hyperbolic_lattice_parameters_must_lie_in_the_unit_interval(kw, name):
     # or "asked for 10 points, placed 1"
     with pytest.raises(ValueError, match=f"the {name} must lie in \\(0, 1\\)"):
         generate_lattice("hyperbolic-disk", 10, seed=0, **{"d": 0.35, **kw})
+
+
+@pytest.mark.parametrize("count", [-2, -1, 2.5], ids=["-2", "-1", "2.5"])
+@pytest.mark.parametrize("kind, kw", [("hyperbolic-disk", {"d": 0.35}), ("puncture-exponential", {"s": 1.0})],
+                         ids=["hyperbolic-disk", "puncture-exponential"])
+def test_generate_lattice_rejects_a_bad_count(kind, kw, count):
+    # a negative count once gave an empty puncture set, or numpy's
+    # "negative dimensions" on the disk; 2.5 gave three puncture points
+    with pytest.raises(ValueError, match="the point count must be an integer >= 0"):
+        generate_lattice(kind, count, **kw)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])

@@ -318,6 +318,17 @@ def test_density_forms_check_the_radius_of_no_points():
         puncture_density_form([], 0.5, z=0.01j)
 
 
+def test_puncture_density_form_takes_exactly_one_of_z_and_q():
+    # z was once ignored when q was given too
+    pts = np.exp(-np.arange(1.0, 13.0))
+    q = complex(lift_value(np.array([math.exp(-8.0)]))[0])
+    with pytest.raises(DomainViolation, match="exactly one of z and a lift q"):
+        puncture_density_form(pts, 4.0, z=math.exp(-8.0), q=q)
+    with pytest.raises(DomainViolation, match="exactly one of z and a lift q"):
+        puncture_density_form(pts, 4.0)
+    assert puncture_density_form(pts, 4.0, z=math.exp(-8.0)) == puncture_density_form(pts, 4.0, q=q)
+
+
 def test_lifted_translates_window():
     pts = np.array([math.exp(-5.0)])
     q = 0.0 + 5.0j
