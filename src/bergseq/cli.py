@@ -116,16 +116,11 @@ def _parse_grid(text):
     return tuple(float(v) for v in text.split(",")) if text else None
 
 
-def _params_from_args(args):
-    return ClassifyParams(
-        r_grid=_parse_grid(args.r_grid), delta=args.delta, eps=args.epsilon, split_a=args.split_a
-    )
-
-
 def cmd_analyze(args):
     seq = parse_sequence_file(args.sequence)
     weight = parse_weight(args.weight)
-    verdict = classify(seq, weight, _params_from_args(args))
+    verdict = classify(seq, weight, ClassifyParams(r_grid=_parse_grid(args.r_grid), delta=args.delta,
+                                                   split_a=args.split_a))
     lines = [
         f"verdict: {verdict.verdict}",
         f"separation_border: {_fmt(verdict.separation_border)}",
@@ -144,9 +139,7 @@ def cmd_analyze(args):
 def cmd_sweep(args):
     seq = parse_sequence_file(args.sequence)
     weight = parse_weight(args.weight)
-    result = density_sweep(
-        seq, weight, r_grid=_parse_grid(args.r_grid), split_a=args.split_a, eps=args.epsilon
-    )
+    result = density_sweep(seq, weight, r_grid=_parse_grid(args.r_grid), split_a=args.split_a)
     rows = [SWEEP_HEADER]
     for rep in result.reports:
         rows.append(
@@ -252,7 +245,6 @@ _FLAGS = {
     "weight": {"default": "standard-disk:s=2"},
     "r_grid": {"default": ""},
     "delta": {"type": float, "default": 0.05},
-    "epsilon": {"type": float, "default": 0.1},
     "split_a": {"type": float, "default": 0.5},
     "seed": {"type": int, "default": 0},
     "out": {"default": ""},
@@ -285,9 +277,9 @@ def build_parser():
         return p
 
     add("analyze", cmd_analyze, "classify a sequence",
-        ("weight", "r_grid", "delta", "epsilon", "split_a"))
+        ("weight", "r_grid", "delta", "split_a"))
     add("sweep", cmd_sweep, "per-(center, r) density table",
-        ("weight", "r_grid", "epsilon", "split_a"))
+        ("weight", "r_grid", "split_a"))
     add("gram", cmd_gram, "Gram spectrum and interpolation constant", ("weight",))
     add("pj-verify", cmd_pj_verify, "run the identity suite", (), needs_sequence=False)
     add("kernel-check", cmd_kernel_check, "kernel diagonal checks", ("seed",), needs_sequence=False)

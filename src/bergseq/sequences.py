@@ -21,7 +21,7 @@ from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight
 from .weights import WeightModel, shifted_cyl_weight
-from .weights import _annulus_sums, _covered_integrand, _lift_dists, _lifted_points, _span
+from .weights import _annulus_sums, _lift_dists, _lifted_points, _span
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -97,13 +97,14 @@ class ClassifyParams:
     r_grid: Optional[Sequence[float]] = None  # None: each side's built-in grid
     split_a: float = DEFAULT_SPLIT
     delta: float = 0.05
-    eps: float = 0.1
     mesh: float = 0.3
     rule: QuadratureRule = DEFAULT_RULE
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
+        _check_unit_interval(self.split_a, "split modulus")
+        _check_unit_interval(self.mesh, "mesh")
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,12 @@ class ClassificationVerdict:
 # ---------------------------------------------------------------------------
 # Separation and decomposition.
 
+def _check_unit_interval(x, name):
+    """Raise DomainViolation unless 0 < x < 1 (NaN fails): the rule for a split modulus and a mesh."""
+    if not 0.0 < x < 1.0:
+        raise DomainViolation(f"the {name} must lie in (0, 1), got {x}")
+
+
 def decompose(seq: SequenceSet, a: float):
     """Split a punctured-disk sequence at modulus a (|gamma| = a goes inward).
 
@@ -128,8 +135,7 @@ def decompose(seq: SequenceSet, a: float):
     """
     if seq.domain is not Domain.PUNCTURED_DISK:
         raise DomainViolation("decompose applies to punctured-disk sequences")
-    if not 0.0 < a < 1.0:
-        raise DomainViolation(f"the split modulus must lie in (0, 1), got {a}")
+    _check_unit_interval(a, "split modulus")
     star = tuple(p for p in seq.points if abs(p) <= a)
     border = tuple(p for p in seq.points if abs(p) > a)
     return (
@@ -283,26 +289,27 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
 
 
-def _admissible(q, r, eps):
-    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + max(1, eps).
+def _admissible(q, r):
+    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + 1.
 
-    D_r(q) then stays a unit above the real axis, and above the line
-    Im w = eps where the reflected extension of _covered_integrand is
-    kinked.
+    D_r(q) then stays a unit above the real axis, in the part of the cover
+    where the limsup at the puncture is taken.
     """
-    return q.imag > r + max(1.0, eps)
+    return q.imag > r + 1.0
 
 
-def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
-    """The puncture quotients at each lift q: one list of DensityReports per lift, radii in order.
+def _puncture_quotients(points, weight: WeightModel, lifts, radii, rule):
+    """The puncture quotients at each lift q, admissible at every radius: one list of DensityReports per lift.
 
     As for the border: the denominators of a lift come from one pass over
     D_max(radii)(q), and the lifts share their level loops, _CENTER_CHUNK
     at a time; the numerators from _puncture_numerators.  The points are
     checked and lifted once, for every lift; the lifts must be finite.
+    The density at a node w is psi's at e^{iw}, from the quadrature's
+    shared table (_LiftNodes.exp_i); no admissible disk reaches Im w <= 1.
     """
     _, psi_ratio = shifted_cyl_weight(weight)
-    density = _covered_integrand(psi_ratio, eps)
+    density = lambda w: psi_ratio(w.exp_i())
     kernel = _nested_kernel(radii)
     numers = _puncture_numerators(_lifted_points(points), lifts, radii)
     denoms = _chunked(lambda s: polar_integral(density, lifts[s], 0.0, max(radii), _euclid_weight, kernel, rule,
@@ -310,25 +317,24 @@ def _puncture_quotients(points, weight: WeightModel, lifts, radii, eps, rule):
     return _reports(lifts, radii, numers, denoms, "puncture")
 
 
-def puncture_density_ratio(seq, weight: WeightModel, q, r, eps=0.1, rule=DEFAULT_RULE) -> DensityReport:
+def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) -> DensityReport:
     """Cylindrical density quotient at a lift q of the center.
 
     Numerator: 2 pi sum of log(r^2/d^2) over lifted sequence points in
     the open annulus 1 < d < r about q.  Denominator: the Euclidean
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
-    cover with the eps-shift-and-reflect extension across the real axis.
-    It takes the lifts a density sweep takes, Im q > r + max(1, eps) (see
+    cover.  It takes the lifts a density sweep takes, Im q > r + 1 (see
     _admissible), and raises WindowViolation for any other before any
     sampling; DomainViolation if q is not finite.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(_check_finite(q, "the lift q"))
-    if not _admissible(q, r, eps):
-        raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + max(1, eps)"
-                              f" = {r + max(1.0, eps):g}, got Im q = {q.imag:g}")
+    if not _admissible(q, r):
+        raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
+                              f" got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    return _puncture_quotients(pts, weight, [q], (r,), eps, rule)[0][0]
+    return _puncture_quotients(pts, weight, [q], (r,), rule)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +400,7 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     point may be passed as a scalar.  Raises DomainViolation unless
     0 < mesh < 1.
     """
-    if not 0.0 < mesh < 1.0:
-        raise DomainViolation(f"the mesh must lie in (0, 1), got {mesh}")
+    _check_unit_interval(mesh, "mesh")
     pts = _check_domain(points, name="points").ravel()
     if pts.size == 0:
         return np.asarray([0.0], dtype=complex)
@@ -425,7 +430,6 @@ def density_sweep(
     centers=None,
     mesh=0.3,
     split_a=DEFAULT_SPLIT,
-    eps=0.1,
     rule=DEFAULT_RULE,
 ) -> SweepResult:
     """Grid approximation of the upper density with per-(center, r) reports.
@@ -436,8 +440,11 @@ def density_sweep(
     r_grid None sweeps each side's built-in grid; an explicit grid goes to
     the border part whole on the disk, split at r = 1 on the punctured
     disk, and must leave each swept part at least one radius.  An explicit
-    list of centers must not be empty.
+    list of centers must not be empty.  split_a and mesh must lie in
+    (0, 1) whatever the domain.
     """
+    _check_unit_interval(split_a, "split modulus")
+    _check_unit_interval(mesh, "mesh")
     if centers is not None:
         if not len(centers):
             raise DomainViolation("the center list is empty")
@@ -488,11 +495,11 @@ def density_sweep(
         grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
         lifts = np.atleast_1d(lift_value(part_points))
         # the lifts with the same admissible radii share their calls
-        admissible = [tuple(r for r in grid if _admissible(q, r, eps)) for q in lifts]
+        admissible = [tuple(r for r in grid if _admissible(q, r)) for q in lifts]
         per_lift = [{} for _ in lifts]
         for radii in dict.fromkeys(a for a in admissible if a):
             ks = [k for k, a in enumerate(admissible) if a == radii]
-            for k, reps in zip(ks, _puncture_quotients(part_points, weight, lifts[ks], radii, eps, rule)):
+            for k, reps in zip(ks, _puncture_quotients(part_points, weight, lifts[ks], radii, rule)):
                 per_lift[k] = dict(zip(radii, reps))
         return side_estimate(grid, [[reps[r] for reps in per_lift if r in reps] for r in grid])
 
@@ -559,7 +566,6 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
         r_grid=params.r_grid,
         mesh=params.mesh,
         split_a=params.split_a,
-        eps=params.eps,
         rule=params.rule,
     )
     d_b, d_p = sweep.border_estimate, sweep.puncture_estimate
@@ -635,7 +641,9 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     kind "hyperbolic-disk": greedy maximal d-separated set (mesh d = kw["d"])
     in the pseudohyperbolic metric inside |z| <= 1 - margin; raises
     BergseqError when the candidates run out before `count` points fit.
-    kind "puncture-exponential": {e^{-k s} e^{2 pi i j / n}} ordered by k.
+    kind "puncture-exponential": {e^{-k s} e^{2 pi i j / n}} ordered by k;
+    raises ValueError unless every ring e^{-k s}, k = 1 .. ceil(count / n),
+    lies strictly between 0 and 1 in floating point.
     count must be an integer >= 0; anything else raises ValueError.
     """
     if not isinstance(count, numbers.Integral) or count < 0:
@@ -659,15 +667,13 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     if kind == "puncture-exponential":
         s = kw["s"]
         n = kw.get("n", 1)
-        if not s > 0 or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"need s > 0 and an integer n >= 1, got s = {s!r}, n = {n!r}")
-        pts = []
-        k = 1
-        while len(pts) < count:
-            for j in range(n):
-                if len(pts) >= count:
-                    break
-                pts.append(math.exp(-k * s) * complex(math.cos(TWO_PI * j / n), math.sin(TWO_PI * j / n)))
-            k += 1
+        # neither the first ring nor the deepest, k = ceil(count / n), may round to 1 or 0
+        if not (s > 0 and isinstance(n, numbers.Integral) and n >= 1
+                and math.exp(-s) < 1.0 and math.exp(-max(1, -(-count // n)) * s) > 0.0):
+            raise ValueError(f"need s > 0 and an integer n >= 1, with every ring e^(-k s), k <= ceil(count / n),"
+                             f" strictly between 0 and 1, got s = {s!r}, n = {n!r}")
+        # point i lies on ring k = i // n + 1 and ray j = i % n
+        pts = [math.exp(-(i // n + 1) * s) * complex(math.cos(TWO_PI * (i % n) / n), math.sin(TWO_PI * (i % n) / n))
+               for i in range(count)]
         return SequenceSet(tuple(pts), Domain.PUNCTURED_DISK, f"puncture-exponential s={s} n={n}")
     raise ValueError(f"unknown lattice kind {kind!r}")

@@ -245,9 +245,10 @@ def _covered_integrand(f, eps):
     exp(i (conj(w) + 2i eps)) node by node, the same arithmetic as a
     direct computation.  Only a ring that reaches the line
     (Im q - rho <= eps) looks for such nodes; exp_i raises
-    DomainViolation for one wider than its range.  The sweep's lifts
-    (Im q > r + max(1, eps)) never reach the line.  Raises
-    DomainViolation unless eps > 0.
+    DomainViolation for one wider than its range.  Only
+    extended_covered_mean needs the extension: a density sweep takes its
+    lifts with Im q > r + 1 and samples psi's density at e^{iw} directly.
+    Raises DomainViolation unless eps > 0.
     """
     if not eps > 0:
         raise DomainViolation(f"eps must be positive, got {eps}")

@@ -1,11 +1,16 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bergseq.cli import (
     SWEEP_HEADER,
+    _FLAGS,
+    build_parser,
     main,
     parse_sequence_file,
     parse_weight,
@@ -234,3 +239,57 @@ def test_sweep_notes_reach_the_user(tmp_path, capsys):
     assert err.splitlines() == [note]
     rows = out.splitlines()
     assert rows[0] == SWEEP_HEADER and all(row.split(",")[2] == "4.0" for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_epsilon_is_neither_a_flag_nor_a_config_key(tmp_path, capsys, command):
+    # the density path takes no eps: a sweep's lifts clear the real axis by 1
+    seq = tmp_path / "p.json"
+    main(["gen", "--kind", "puncture-exponential", "--count", "12", "--step", "1", "--out", str(seq)])
+    capsys.readouterr()
+    assert main([command, str(seq), "--epsilon", "0.1"]) == 1
+    assert "unrecognized arguments: --epsilon 0.1" in capsys.readouterr().err
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("epsilon=0.1\n")
+    assert main([command, str(seq), "--config", str(cfg)]) == 1
+    assert "bad line 1: epsilon=0.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_split_modulus_is_checked_on_a_disk_file(tmp_path, capsys, command):
+    # a disk sequence has no split, and a NaN split once passed unread
+    lat = tmp_path / "lat.json"
+    main(["gen", "--kind", "hyperbolic-disk", "--count", "6", "--mesh", "0.7", "--out", str(lat)])
+    capsys.readouterr()
+    assert main([command, str(lat), "--split-a", "nan"]) == 1
+    assert "split modulus" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _parser_flags():
+    """{subcommand: {long flag: its action}} of build_parser(), apart from --config, --out and --help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: action for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt not in ("--config", "--out", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_cli_section_matches_the_parser():
+    cli = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    flags = _parser_flags()
+    table = {name: set(re.findall(r"`(--[a-z-]+)`", cell))
+             for name, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", cli, re.M)}
+    assert table == {name: set(opts) for name, opts in flags.items()}
+    # every flag the defaults line names exists, with the parser's default
+    defaults = re.search(r"Defaults: (.*?)\.\n", cli, re.S).group(1)
+    named = re.findall(r"`(--[a-z-]+)(?: ([^`]+))?`", defaults)
+    assert named
+    actions = {opt: action for opts in flags.values() for opt, action in opts.items()}
+    for flag, value in named:
+        assert flag in actions
+        assert not value or str(actions[flag].default) == value
+    # the config keys are the shared flags
+    keys = re.search(r"must be one of (.*?) that the subcommand takes", cli, re.S).group(1)
+    assert set(re.findall(r"`([a-z-]+)`", keys)) == {key.replace("_", "-") for key in _FLAGS}

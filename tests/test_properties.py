@@ -24,7 +24,9 @@ from bergseq import (
     border_potential,
     custom_weight,
     cyl_dist,
+    decompose,
     density_sweep,
+    generate_lattice,
     hyp_dist,
     lift_value,
     lifted_translates,
@@ -39,7 +41,7 @@ from bergseq import (
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
-from bergseq.sequences import _greedy_separated, _min_pairwise, _puncture_quotients
+from bergseq.sequences import DEFAULT_SPLIT, PUNCTURE_R_GRID, _greedy_separated, _min_pairwise, _puncture_quotients
 from bergseq.weights import _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -244,8 +246,26 @@ def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offs
     lifts = np.array([complex(x, radii[-1] + 1.0 + 1e-9 + h) for x, h in offsets])
     points = np.exp(-np.arange(1.0, 12.0)) * np.exp(0.3j * np.arange(11))
     weight = standard_puncture(2.0, 3.0)
-    got = _puncture_quotients(points, weight, lifts, radii, 0.1, DEFAULT_RULE)
-    assert got == [_puncture_quotients(points, weight, [q], radii, 0.1, DEFAULT_RULE)[0] for q in lifts]
+    got = _puncture_quotients(points, weight, lifts, radii, DEFAULT_RULE)
+    assert got == [_puncture_quotients(points, weight, [q], radii, DEFAULT_RULE)[0] for q in lifts]
+
+
+@PROPS
+@given(st.floats(0.2, 2.5), st.integers(1, 3), st.integers(1, 30))
+# the 40-point lattice on which a sweep under the old eps = 1.5 took the lift
+# 9.1j at r = 8, whose disk reached that extension's kinked line Im w = 1.5
+@example(0.7, 2, 40)
+def test_sweep_takes_exactly_the_star_lifts_with_im_q_above_r_plus_1(s, n, count):
+    # both ways: every puncture report has Im q > r + 1, and every lift of
+    # the star part with Im q > r + 1 has a report at r
+    star, _ = decompose(generate_lattice("puncture-exponential", count, s=s, n=n), DEFAULT_SPLIT)
+    assume(len(star))
+    sweep = density_sweep(star, standard_puncture(2.0, 3.0))
+    got = {(rep.center, rep.radius) for rep in sweep.reports}
+    assert all(rep.kind == "puncture" and rep.center.imag > rep.radius + 1.0 for rep in sweep.reports)
+    lifts = np.atleast_1d(lift_value(star.array()))
+    assert got == {(complex(q), r) for q in lifts for r in PUNCTURE_R_GRID if q.imag > r + 1.0}
+    assert len(got) == len(sweep.reports)
 
 
 def _check_superset_sweep(points, extra, centers, weight):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,9 +134,6 @@ def test_puncture_density_ratio_guards():
         puncture_density_ratio(np.array([1e-4]), w, 8j, 0.5)
     with pytest.raises(WindowViolation):
         puncture_density_ratio(np.array([1e-4]), w, -8j, 4.0)
-    for eps in (math.nan, 0.0):  # NaN eps once gave the denominator 0.0
-        with pytest.raises(DomainViolation):
-            puncture_density_ratio(np.exp(-np.arange(1.0, 8.0)), w, 8j, 4.0, eps=eps)
 
 
 def test_puncture_density_ratio_center_lift_invariance():
@@ -148,26 +146,15 @@ def test_puncture_density_ratio_center_lift_invariance():
 
 @pytest.mark.parametrize("q", [2j, 5j, math.pi + 4.5j, 1.0 - 8j])
 def test_puncture_density_ratio_takes_only_the_lifts_a_sweep_takes(q, monkeypatch):
-    # D_4(2j) crosses the line Im w = eps where the reflected density is
-    # kinked: the quotient once sampled 786 432 nodes there and then raised
-    # QuadratureNotConverged.  A sweep takes a lift at r only if
-    # Im q > r + max(1, eps).
+    # D_4(2j) crosses the line Im w = 0.1 where the reflected density of
+    # the old eps extension was kinked: the quotient once sampled 786 432
+    # nodes there and then raised QuadratureNotConverged.  A sweep takes a
+    # lift at r only if Im q > r + 1.
     calls = []
     monkeypatch.setattr(sequences, "polar_integral", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(WindowViolation, match="Im q > r \\+ max\\(1, eps\\) = 5"):
+    with pytest.raises(WindowViolation, match="Im q > r \\+ 1 = 5,"):
         puncture_density_ratio(np.exp(-np.arange(1.0, 14.0)), standard_puncture(2.0, 3.0), q, 4.0)
     assert calls == []
-
-
-def test_sweep_lifts_clear_the_reflection_line_for_a_large_eps():
-    # with eps = 1.5 a sweep once took the lift 9.1j at r = 8, whose disk
-    # reaches the line Im w = eps where the reflected density is kinked,
-    # and raised QuadratureNotConverged
-    seq = generate_lattice("puncture-exponential", 40, s=0.7, n=2)
-    v = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(eps=1.5))
-    assert v.verdict == "Indeterminate"
-    punct = [rep for rep in v.sweep.reports if rep.kind == "puncture"]
-    assert punct and all(rep.center.imag > rep.radius + 1.5 for rep in punct)
 
 
 def test_puncture_denominators_match_a_direct_exponential():
@@ -219,9 +206,15 @@ def test_generate_lattice_examples():
         generate_lattice("hyperbolic-disk", 5, d=-1.0)
     with pytest.raises(ValueError):
         generate_lattice("puncture-exponential", 5, s=1.0, n=0)
-    # s = nan once passed its check and failed later, as points off the domain
+    # s = nan once passed its check and failed later, as points off the
+    # domain; inf and 1e308 put their points at 0, 1e-17 on the circle
+    for s in (math.nan, math.inf, 1e308, 1e-17):
+        with pytest.raises(ValueError, match=f"need s > 0 .* got s = {re.escape(repr(s))}, n = 1"):
+            generate_lattice("puncture-exponential", 5, s=s)
+    # the deepest ring of 5 points on 2 rays is k = 3: e^(-3 * 250) is 0
     with pytest.raises(ValueError, match="need s > 0"):
-        generate_lattice("puncture-exponential", 5, s=math.nan)
+        generate_lattice("puncture-exponential", 5, s=250.0, n=2)
+    assert len(generate_lattice("puncture-exponential", 4, s=250.0, n=2)) == 4
     with pytest.raises(ValueError):
         generate_lattice("moebius-strip", 5)
     with pytest.raises(BergseqError, match="asked for 30 points, placed 12"):
@@ -336,6 +329,22 @@ def test_classify_deterministic():
 def test_classify_params_validation():
     with pytest.raises(ValueError):
         ClassifyParams(delta=0.7)
+
+
+@pytest.mark.parametrize("value", [math.nan, 3.0, 1.0, 0.0, -0.5, math.inf],
+                         ids=["nan", "3", "1", "0", "-0.5", "inf"])
+@pytest.mark.parametrize("key, name", [("split_a", "split modulus"), ("mesh", "mesh")])
+def test_split_modulus_and_mesh_are_checked_on_every_domain(key, name, value):
+    # a bad split modulus once classified a disk lattice without complaint,
+    # and a bad mesh was checked only when a border part had points
+    with pytest.raises(DomainViolation, match=f"the {name} must lie in \\(0, 1\\)"):
+        ClassifyParams(**{key: value})
+    lat = generate_lattice("hyperbolic-disk", 10, seed=0, d=0.35)
+    with pytest.raises(DomainViolation, match=f"the {name} must lie in \\(0, 1\\)"):
+        density_sweep(lat, standard_disk(2.0), **{key: value})
+    star_only = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
+    with pytest.raises(DomainViolation, match=f"the {name} must lie in \\(0, 1\\)"):
+        density_sweep(star_only, standard_puncture(2.0, 3.0), **{key: value})
 
 
 def test_sweep_removal_stability_shrinks_with_r():
