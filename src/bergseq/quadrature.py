@@ -36,29 +36,37 @@ doubles only the axes whose indicator fails, and the integral is
 accepted when both pass.  The samples are reduced to per-radius row sums
 block by block, so no level holds its whole sample array.  A kernel may
 give one column per radius, so that one pass over the largest disk
-serves several nested ones (the border quotients of one center, the
-puncture quotients of one lift); each component of such a vector
-estimate must then settle against its own magnitude.  polar_integral is
-the only level loop: a radial mean, such as the monomial norms of
-kernels._monomial_norms, is one of its integrals of the constant 1,
-with the profile in the kernel columns.
+serves several nested ones (the border quotients of one center); each
+component of such a vector estimate must then settle against its own
+magnitude.  polar_integral is the only level loop over disks: a radial
+mean, such as the monomial norms of kernels._monomial_norms, is one of
+its integrals of the constant 1, with the profile in the kernel columns.
 
 A level on the previous level's angles samples only the radii that level
 did not: a radial doubling leaves most panels whole, with bit-identical
 nodes, and their row sums carry over.  The center, or the pull-back
 point, may be a 1-D array of points with radial breaks of their own
-(the border centers or the puncture lifts of a density sweep): one level
-loop then serves all of them, each point keeping its own levels and
-verdicts, and each level samples the rings of all points on one grid
-together.  Each point's result is bit-identical to its own call.
+(the border centers of a density sweep): one level loop then serves all
+of them, each point keeping its own levels and verdicts, and each level
+samples the rings of all points on one grid together.  Each point's result is bit-identical to its own call.
 
 About centers, f receives the nodes w = q - zeta of a block as
 _LiftNodes, an ndarray that also offers exp_i(): e^{iw} as e^{iq} times
 a table of e^{-i zeta}, one per block of radii, which every center
 sampled on those rings shares.  An integrand on the exponential cover
-(the puncture quotients, weights._covered_integrand) then pays one
-complex multiply per node for its exponential, not one complex exp.
+(weights._covered_integrand, behind extended_covered_mean) then pays
+one complex multiply per node for its exponential, not one complex exp.
 The table is made only when an integrand asks for it.
+
+A log-kernel mass of a curvature density needs no 2-D integral when its
+potential is known: by Green's formula
+int_{D_r(q)} log(r^2/|w - q|^2) (Delta U / 2) dA = 2 pi (M - U(q)), M the
+mean of U over the circle |w - q| = r.  _circle_means is that 1-D loop:
+uniform angles, doubled until the mean over all of them and over the
+even-indexed ones agree, about an array of centers at once.  The
+puncture denominators take it (weights._puncture_denominators), on
+circles where U is real-analytic, so the trapezoid rule converges
+geometrically.
 """
 
 from __future__ import annotations
@@ -186,8 +194,8 @@ def _radial_nodes(rho_lo, rho_hi, n_panels, breaks):
     return nodes, weights
 
 
-def _settled(est, ref, rule, abs_mean):
-    """Whether every component of est agrees with ref to rule.rel_tol.
+def _settled_each(est, ref, rule, abs_mean):
+    """Per component, whether est agrees with ref to rule.rel_tol.
 
     Component j settles when |est_j - ref_j| <= rel_tol max(|est_j|,
     |ref_j|, 1e-12), or when the difference is that small against
@@ -197,7 +205,12 @@ def _settled(est, ref, rule, abs_mean):
     """
     diff = np.abs(np.subtract(est, ref))
     ok = diff <= rule.rel_tol * np.maximum(np.maximum(np.abs(est), np.abs(ref)), 1e-12)
-    return bool(np.all(ok | (diff <= rule.rel_tol * abs_mean)))
+    return ok | (diff <= rule.rel_tol * abs_mean)
+
+
+def _settled(est, ref, rule, abs_mean):
+    """Whether every component of est agrees with ref to rule.rel_tol (see _settled_each)."""
+    return bool(np.all(_settled_each(est, ref, rule, abs_mean)))
 
 
 def _loop_points(center, pullback, rho_hi):
@@ -564,6 +577,74 @@ def polar_integral(
         rho, _ = _radial_nodes(rho_lo, rho_hi, rule.n_panels, ())
         return np.empty((0,) + (np.shape(kernel(rho))[1:] if kernel is not None else ()))
     return np.array(results)
+
+
+def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0):
+    """mean_theta [f(q + r e^{i theta}) - f(q)] about each center q of a 1-D array.
+
+    f is called on complex arrays of points, the centers (1-D) and blocks
+    of whole circles (2-D, at most _BLOCK_NODES nodes), and must act
+    elementwise.  Each center starts from rule.n_theta uniform angles and
+    doubles them until the mean over all angles and the mean over the
+    even-indexed ones settle (_settled_each), judged against the mean of
+    |f - f(q)|: the mean is often a small remainder of f, which cancels
+    against f(q).  Two estimates that differ by at most `floor` (one
+    value, or one per center) also settle: the caller's bound on the
+    rounding of f's samples, below which the mean is not known better
+    whatever the angles.  A doubling samples only the new, odd-indexed
+    angles.  Each center keeps its own angles and verdict, and its mean
+    is the same bit for bit as its own call gives.
+
+    Raises DomainViolation before any sampling unless every center is
+    finite, and at the first value of f that is not finite, naming the
+    center, r and the point: such a value is not excised.  A circle that
+    would need more than rule.max_nodes angles raises
+    QuadratureNotConverged naming its center, with 0 radial panels.
+    """
+    qs = _check_finite(centers, label)
+
+    def check(vals, ks, w):
+        """Raise at the first row of vals, of center ks[j] and points w[j], with a value that is not finite."""
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            j = np.argmax(bad.reshape(len(ks), -1).any(axis=1))
+            raise DomainViolation(f"{label}[{ks[j]}] = {qs[ks[j]]}: the integrand is not finite at"
+                                  f" w = {np.ravel(w[j])[np.argmax(np.ravel(bad[j]))]}, on the circle of radius {r}")
+
+    at_q = np.broadcast_to(np.asarray(f(qs), dtype=float), qs.shape)
+    check(at_q, np.arange(qs.size), qs)
+    # per center: the sums of f - f(q) and of |f - f(q)| over its angles so far,
+    # the sum over the even-indexed ones, and the last two levels' means
+    total, absolute, even = np.zeros(qs.size), np.zeros(qs.size), np.empty(qs.size)
+    prev, means = np.full(qs.size, math.nan), np.empty(qs.size)
+    live, n, floor = np.arange(qs.size), rule.n_theta, np.broadcast_to(floor, qs.shape)
+    while live.size:
+        first = n == rule.n_theta
+        if not first and n > rule.max_nodes:
+            k = live[0]
+            last = (means[k],) if n // 2 == rule.n_theta else (prev[k], means[k])
+            raise QuadratureNotConverged(f"circle mean of radius {r} about {label}[{k}] = {qs[k]}",
+                                         last, 0, n // 2, n // 2)
+        ring = r * np.exp(1j * (2.0 * math.pi / n) * np.arange(0 if first else 1, n, 1 if first else 2))
+        rows = max(1, _BLOCK_NODES // ring.size)
+        for i in range(0, live.size, rows):
+            ks = live[i:i + rows]
+            w = qs[ks, None] + ring
+            vals = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape) - at_q[ks, None]
+            check(vals, ks, w)
+            if first:
+                even[ks] = vals[:, ::2].sum(axis=1)
+                total[ks] = even[ks] + vals[:, 1::2].sum(axis=1)
+            else:
+                even[ks] = total[ks]
+                total[ks] += vals.sum(axis=1)
+            absolute[ks] += np.abs(vals).sum(axis=1)
+        prev[live] = means[live]
+        means[live] = est = total[live] / n
+        ref = 2.0 * even[live] / n
+        done = _settled_each(est, ref, rule, absolute[live] / n) | (np.abs(est - ref) <= floor[live])
+        live, n = live[~done], 2 * n
+    return means
 
 
 # ---------------------------------------------------------------------------

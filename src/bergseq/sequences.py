@@ -19,9 +19,9 @@ import numpy as np
 from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
 from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
-from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _euclid_weight, _hyper_weight
-from .weights import WeightModel, shifted_cyl_weight
-from .weights import _annulus_sums, _lift_dists, _lifted_points, _span
+from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _hyper_weight
+from .weights import WeightModel
+from .weights import _annulus_sums, _lift_dists, _lifted_points, _puncture_denominators, _span
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -32,9 +32,9 @@ DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 # Random candidates generate_lattice("hyperbolic-disk", ...) draws.
 _CANDIDATES = 20000
-# Sweep centers (border centers or puncture lifts) that share one
-# polar_integral level loop.  Each point's loop keeps its previous level's
-# row sums, so a chunk's live state stays well below 1 MB.
+# Border centers of a sweep that share one polar_integral level loop.
+# Each point's loop keeps its previous level's row sums, so a chunk's live
+# state stays well below 1 MB.
 _CENTER_CHUNK = 16
 
 
@@ -238,11 +238,6 @@ def _puncture_numerators(w, lifts, radii):
     return numers
 
 
-def _chunked(integral, n):
-    """integral(s) on the slices s of _CENTER_CHUNK of the n points: the rows of all the calls, in order."""
-    return [row for i in range(0, n, _CENTER_CHUNK) for row in integral(slice(i, i + _CENTER_CHUNK))]
-
-
 def _reports(centers, radii, numers, denoms, kind):
     """One list of DensityReports per center, radii in order; a denominator not > 0 is degenerate."""
     return [[DensityReport(complex(c), r, n, d, n / d if d > 0.0 else math.inf, kind, not d > 0.0)
@@ -270,8 +265,9 @@ def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
         # pulls back to modulus |z|: a break there keeps the kink off a panel
         puncture = weight.domain is Domain.PUNCTURED_DISK
         breaks = [radii + ((abs(z),) if puncture else ()) for z in centers]
-        denoms = _chunked(lambda s: polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
-                                                   breaks=breaks[s], pullback=centers[s]), len(centers))
+        chunks = (slice(i, i + _CENTER_CHUNK) for i in range(0, len(centers), _CENTER_CHUNK))
+        denoms = [row for s in chunks for row in polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
+                                                                breaks=breaks[s], pullback=centers[s])]
     return _reports(centers, radii, numers, denoms, "border")
 
 
@@ -301,19 +297,20 @@ def _admissible(q, r):
 def _puncture_quotients(points, weight: WeightModel, lifts, radii, rule):
     """The puncture quotients at each lift q, admissible at every radius: one list of DensityReports per lift.
 
-    As for the border: the denominators of a lift come from one pass over
-    D_max(radii)(q), and the lifts share their level loops, _CENTER_CHUNK
-    at a time; the numerators from _puncture_numerators.  The points are
-    checked and lifted once, for every lift; the lifts must be finite.
-    The density at a node w is psi's at e^{iw}, from the quadrature's
-    shared table (_LiftNodes.exp_i); no admissible disk reaches Im w <= 1.
+    The numerators come from _puncture_numerators; the points are checked
+    and lifted once, for every lift.  The denominators come from one
+    circle-mean loop per radius over all the lifts (see
+    weights._puncture_denominators): by Green's formula the kernel mass of
+    psi's cylindrical curvature over D_r(q) is 2 pi times the mean of
+    U - U(q) over the circle |w - q| = r, U = psi(e^{iw}).  Every
+    admissible circle lies in Im w > 1, where U is real-analytic, so the
+    trapezoid rule converges geometrically.  The lifts must be finite,
+    and a lift so deep that U is not finite on its circle (|e^{iw}|^2
+    underflows past Im w of about 354 for the standard weights) raises
+    DomainViolation naming it.
     """
-    _, psi_ratio = shifted_cyl_weight(weight)
-    density = lambda w: psi_ratio(w.exp_i())
-    kernel = _nested_kernel(radii)
     numers = _puncture_numerators(_lifted_points(points), lifts, radii)
-    denoms = _chunked(lambda s: polar_integral(density, lifts[s], 0.0, max(radii), _euclid_weight, kernel, rule,
-                                               breaks=radii), len(lifts))
+    denoms = np.transpose([_puncture_denominators(weight, lifts, r, rule) for r in radii])
     return _reports(lifts, radii, numers, denoms, "puncture")
 
 
@@ -324,9 +321,12 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
     the open annulus 1 < d < r about q.  Denominator: the Euclidean
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
-    cover.  It takes the lifts a density sweep takes, Im q > r + 1 (see
-    _admissible), and raises WindowViolation for any other before any
-    sampling; DomainViolation if q is not finite.
+    cover, computed as 2 pi times the mean of psi(e^{iw}) - psi(e^{iq})
+    over the circle |w - q| = r (see _puncture_quotients).  It takes the
+    lifts a density sweep takes, Im q > r + 1 (see _admissible), and
+    raises WindowViolation for any other before any sampling;
+    DomainViolation if q is not finite, or so deep that psi is not finite
+    on the circle.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(_check_finite(q, "the lift q"))

@@ -32,6 +32,7 @@ from .quadrature import (
     _BORDER_RADII,
     _PUNCTURE_RADII,
     _check_radius,
+    _circle_means,
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
@@ -66,7 +67,7 @@ def standard_disk(s: float) -> WeightModel:
         raise ValueError(f"standard disk weight needs s > 1, got {s}")
     return WeightModel(
         phi=lambda z: -s * np.log1p(-np.abs(z) ** 2),
-        lap_poincare_ratio=lambda z: np.full_like(np.abs(z), 2.0 * s, dtype=float),
+        lap_poincare_ratio=lambda z: np.full(np.shape(z), 2.0 * s),
         domain=Domain.DISK,
         family="standard-disk",
         params={"s": s},
@@ -120,6 +121,10 @@ def standard_puncture(s: float, t: float) -> WeightModel:
 # Points inside the disk and the punctured disk, in the 2-D shape the
 # quadrature hands an integrand.
 _PROBE = np.array([[0.3, 0.5j], [-0.4 + 0.2j, 0.1 - 0.6j]])
+# The lifts and radius at which custom_weight checks phi against its
+# cylindrical density; both disks stay in Im w > 1.
+_PROBE_LIFTS = np.array([0.7 + 6j, 2.1 + 11j])
+_PROBE_R = 4.0
 
 
 def _vectorized(f):
@@ -131,6 +136,11 @@ def _vectorized(f):
     return f
 
 
+def _rel_gap(got, want):
+    """The largest |got - want| / max(|want|, 1)."""
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
+
+
 def custom_weight(
     phi,
     lap_poincare_ratio,
@@ -139,7 +149,7 @@ def custom_weight(
     check_tol: float = 1e-8,
     hypothesis_flags: Optional[dict] = None,
 ) -> WeightModel:
-    """Wrap user callables; cross-checks the two Laplacian densities.
+    """Wrap user callables; cross-checks phi and its Laplacian densities.
 
     Each callable is called once on a small 2-D complex array inside the
     domain.  One that raises TypeError or ValueError there, as a function
@@ -148,21 +158,18 @@ def custom_weight(
     slower than a callable that takes arrays.  Everything downstream
     calls the weight on arrays only.
 
-    On the punctured disk the densities must satisfy
-    ratio_cyl = ratio_poincare / (log 1/|z|^2)^2 wherever both are
-    defined; checked on a radial sample grid at construction.
+    On the punctured disk with a lap_cyl_ratio, two checks run at
+    construction, each to check_tol relative to max(|value|, 1), and a
+    failure raises ValueError.  The densities must satisfy
+    ratio_cyl = ratio_poincare / (log 1/|z|^2)^2, on a radial sample
+    grid.  And phi must match them: the puncture denominators come from
+    phi alone (see _cover_psi), so at two probe lifts they must agree with
+    the 2-D log-kernel integral of the shifted cylindrical density.
     """
     phi, lap_poincare_ratio = _vectorized(phi), _vectorized(lap_poincare_ratio)
     if lap_cyl_ratio is not None:
         lap_cyl_ratio = _vectorized(lap_cyl_ratio)
-    if domain is Domain.PUNCTURED_DISK and lap_cyl_ratio is not None:
-        zs = np.exp(np.linspace(-8.0, -0.15, 40)) * np.exp(0.7j)
-        got = np.asarray(lap_cyl_ratio(zs), dtype=float)
-        want = np.asarray(lap_poincare_ratio(zs), dtype=float) / _log_L(zs) ** 2
-        scale = np.maximum(np.abs(want), 1.0)
-        if np.max(np.abs(got - want) / scale) > check_tol:
-            raise ValueError("inconsistent Laplacian densities between omega_P and omega_c")
-    return WeightModel(
+    weight = WeightModel(
         phi=phi,
         lap_poincare_ratio=lap_poincare_ratio,
         domain=domain,
@@ -170,18 +177,37 @@ def custom_weight(
         family="custom",
         hypothesis_flags=dict(hypothesis_flags or {}),
     )
+    if domain is Domain.PUNCTURED_DISK and lap_cyl_ratio is not None:
+        zs = np.exp(np.linspace(-8.0, -0.15, 40)) * np.exp(0.7j)
+        got = np.asarray(lap_cyl_ratio(zs), dtype=float)
+        want = np.asarray(lap_poincare_ratio(zs), dtype=float) / _log_L(zs) ** 2
+        if _rel_gap(got, want) > check_tol:
+            raise ValueError("inconsistent Laplacian densities between omega_P and omega_c")
+        _, ratio = shifted_cyl_weight(weight)
+        want = polar_integral(lambda w: ratio(w.exp_i()), _PROBE_LIFTS, 0.0, _PROBE_R, _euclid_weight,
+                              _log_kernel(_PROBE_R))
+        gap = _rel_gap(_puncture_denominators(weight, _PROBE_LIFTS, _PROBE_R), want)
+        if gap > check_tol:
+            raise ValueError(f"phi does not match its cylindrical Laplacian density: puncture denominators at"
+                             f" r = {_PROBE_R:g} about {_PROBE_LIFTS.tolist()} off by {gap:.3g} relative")
+    return weight
+
+
+def _check_cylindrical(weight: WeightModel):
+    """Raise DomainViolation unless the weight has a cylindrical side: the punctured disk and lap_cyl_ratio."""
+    if weight.domain is not Domain.PUNCTURED_DISK:
+        raise DomainViolation("cylindrical shift only applies on the punctured disk")
+    if weight.lap_cyl_ratio is None:
+        raise DomainViolation("weight lacks a cylindrical Laplacian density")
 
 
 def shifted_cyl_weight(weight: WeightModel):
     """psi = phi + 2 log log(1/|z|^2) with Delta psi = Delta phi - 4 omega_P.
 
-    Returns (psi, ratio_cyl_of_psi), the cylindrical-side pair used by
-    the puncture density.
+    Returns (psi, ratio_cyl_of_psi), the cylindrical-side pair of the
+    puncture density.
     """
-    if weight.domain is not Domain.PUNCTURED_DISK:
-        raise DomainViolation("cylindrical shift only applies on the punctured disk")
-    if weight.lap_cyl_ratio is None:
-        raise DomainViolation("weight lacks a cylindrical Laplacian density")
+    _check_cylindrical(weight)
 
     def psi(z):
         return weight.phi(z) + 2.0 * np.log(_log_L(z))
@@ -190,6 +216,43 @@ def shifted_cyl_weight(weight: WeightModel):
         return weight.lap_cyl_ratio(z) - 4.0 / _log_L(z) ** 2
 
     return psi, ratio
+
+
+def _cover_psi(weight: WeightModel):
+    """U(w) = psi(e^{iw}) = phi(e^{iw}) + 2 log(2 Im w): the shifted weight read on the exponential cover.
+
+    On the cover log(1/|z|^2) is 2 Im w exactly, so U takes no log of
+    |z|^2 beyond phi's own.  Delta_w U = 2 ratio(e^{iw}), ratio the
+    cylindrical density of shifted_cyl_weight, so by Green's formula the
+    log(r^2/rho^2)-kernel mass of that density over D_r(q) is 2 pi times
+    the mean of U - U(q) on the circle |w - q| = r.  Needs Im w > 0;
+    raises DomainViolation unless the weight has a cylindrical side.
+    """
+    _check_cylindrical(weight)
+    phi = weight.phi
+    return lambda w: phi(np.exp(1j * w)) + 2.0 * np.log(2.0 * w.imag)
+
+
+# Rounding of a sample of U that _puncture_denominators allows for, relative
+# to the size of U's terms: far above the noise of a mean of N samples,
+# about eps / sqrt(N), and far below rel_tol times the mean of |U - U(q)|
+# unless psi is harmonic on the circle to about that precision.
+_U_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _puncture_denominators(weight: WeightModel, lifts, r, rule: QuadratureRule = DEFAULT_RULE):
+    """The puncture denominators at radius r about each lift q of a 1-D array: 2 pi mean [U - U(q)] (see _cover_psi).
+
+    U = phi + 2 log(2 Im w) can cancel to far below its terms: under
+    standard_puncture(s, 2) only s e^{-2 Im w} is left deep in the cusp.
+    Its samples then carry rounding of about eps (|phi| + |2 log 2 Im w|),
+    and the circle means settle once they agree to _U_ROUNDING times that
+    size at the lift, rather than to rel_tol of a mean that is rounding.
+    """
+    U = _cover_psi(weight)
+    lifts = _check_finite(lifts, "lift")
+    floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * lifts))) + np.abs(2.0 * np.log(2.0 * lifts.imag)))
+    return TWO_PI * _circle_means(U, lifts, r, rule, "lift", floor)
 
 
 def _phi_fn(phi):

@@ -26,6 +26,7 @@ from bergseq.quadrature import (
     _GL_W,
     _GL_X,
     _center_blocks,
+    _circle_means,
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
@@ -544,6 +545,46 @@ def test_circle_mean_rejects_singular_samples():
 
     with pytest.raises(DomainViolation):
         circle_mean(0.0, 0.5, h)
+
+
+def test_circle_means_of_a_quadratic_are_exact_and_each_its_own_call():
+    # the mean of |q + r e^{it}|^2 - |q|^2 is r^2; the angles settle at once
+    sizes = []
+    f = lambda w: sizes.append(w.size) or np.abs(w) ** 2
+    centers = np.array([0.0, 1.0 + 2.0j, -3.0j, 40.0 + 7.0j])
+    got = _circle_means(f, centers, 2.5)
+    assert got == pytest.approx(np.full(4, 6.25), rel=1e-13)
+    assert sizes == [4, 4 * 64]  # the centers, then one level of 64 angles
+    assert got.tobytes() == np.concatenate([_circle_means(f, [q], 2.5) for q in centers]).tobytes()
+    assert _circle_means(f, np.zeros(0), 2.5).shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_circle_means_raise_at_a_non_finite_sample_naming_the_center():
+    # the circle of radius 4 about 3j reaches Im w < 0, where log is NaN:
+    # no sample is excised
+    f = lambda w: np.log(np.imag(w))
+    with pytest.raises(DomainViolation, match=r"center\[1\] = 3j: .* on the circle of radius 4\.0"):
+        _circle_means(f, [9j, 3j], 4.0)
+    calls = []
+    with pytest.raises(DomainViolation, match=r"center\[1\] = \(nan\+9j\) is not finite"):
+        _circle_means(lambda w: calls.append(1) or f(w), [5j, complex(math.nan, 9.0)], 4.0)
+    assert calls == []
+
+
+def test_circle_means_past_max_nodes_raise_naming_the_center():
+    # |Re w| is kinked on the circle about 0, so its trapezoid sums settle
+    # only like N^-2; about 5 the circle misses the kink and settles
+    rule = QuadratureRule(rel_tol=1e-12, max_nodes=256)
+    with pytest.raises(QuadratureNotConverged, match=r"radius 1\.0 about center\[1\] = 0j") as err:
+        _circle_means(lambda w: np.abs(w.real), [5.0, 0.0], 1.0, rule)
+    assert err.value.n_theta == 256 and len(err.value.last_estimates) == 2
+    # each doubling samples only its new, odd-indexed angles
+    sizes = []
+    with pytest.raises(QuadratureNotConverged):
+        _circle_means(lambda w: sizes.append(w.size) or np.abs(w.real), [0.0], 1.0, rule)
+    assert sizes == [1, 64, 64, 128]
+    assert _circle_means(lambda w: np.abs(w.real), [5.0], 1.0, rule) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_integrand_errors_propagate():

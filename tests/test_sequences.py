@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from bergseq import (
@@ -28,13 +29,12 @@ from bergseq import (
     puncture_density_ratio,
     separation_border,
     separation_puncture,
-    shifted_cyl_weight,
     standard_disk,
     standard_puncture,
 )
 from bergseq import sequences, weights
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
-from bergseq.quadrature import _euclid_weight, _hyper_weight, polar_integral
+from bergseq.quadrature import _hyper_weight, polar_integral
 from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated, _nested_kernel
 
 rng = np.random.default_rng(99)
@@ -157,18 +157,68 @@ def test_puncture_density_ratio_takes_only_the_lifts_a_sweep_takes(q, monkeypatc
     assert calls == []
 
 
-def test_puncture_denominators_match_a_direct_exponential():
-    # the reference takes e^{iw} by one complex exp per node; no node about
-    # an admissible lift is reflected
+def _cover_denominator_scipy(y, r, s=2.0, t=3.0):
+    """The puncture denominator of standard_puncture(s, t) about a lift at height y, by scipy quad.
+
+    On the cover U(w) = phi(e^{iw}) + 2 log(2 Im w) depends on Im w only,
+    U(y) = -s log1p(-e^{-2y}) + (2 - t) log(2y), and the denominator is
+    the integral over theta of U(y + r sin theta) - U(y), its differences
+    written without cancellation."""
+    def f(theta):
+        h = r * math.sin(theta)
+        return (-s * (math.log1p(-math.exp(-2.0 * (y + h))) - math.log1p(-math.exp(-2.0 * y)))
+                + (2.0 - t) * math.log1p(h / y))
+
+    return integrate.quad(f, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+def test_puncture_denominators_match_a_scipy_circle_mean():
     w = standard_puncture(2.0, 3.0)
-    psi_ratio = shifted_cyl_weight(w)[1]
-    direct = lambda nodes: psi_ratio(np.exp(1j * np.asarray(nodes)))
     reps = density_sweep(generate_lattice("puncture-exponential", 30, s=1.0, n=2), w).reports
     for rep in reps[::5]:
-        want = polar_integral(direct, rep.center, 0.0, rep.radius, _euclid_weight, _nested_kernel((rep.radius,)),
-                              breaks=(rep.radius,))
-        assert puncture_density_ratio(np.zeros(0), w, rep.center, rep.radius).denominator == pytest.approx(
-            want[0], rel=1e-14, abs=0.0)
+        want = _cover_denominator_scipy(rep.center.imag, rep.radius)
+        assert rep.denominator == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert puncture_density_ratio(np.zeros(0), w, rep.center, rep.radius).denominator == rep.denominator
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 20.0, exclude_min=True, exclude_max=True), st.floats(1e-6, 39.0), st.floats(0.0, 2.0 * math.pi),
+       st.floats(1.1, 4.0, exclude_min=True, exclude_max=True), st.floats(2.0, 5.0))
+# t = 2 at Im q = 18, where the mean of U - U(q) is rounding: without the
+# floor its circle ran to 2^20 angles and raised QuadratureNotConverged
+@example(4.0, 13.0, 0.0, 2.0, 2.0)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_puncture_denominators_match_scipy_and_the_next_lift(r, height, x, s, t):
+    # Im q in (r + 1, r + 40].  At t = 2 deep in the cusp U cancels to
+    # s e^{-2 Im w}, far below its terms, whose rounding then bounds the
+    # error: about 64 ulps of |phi| + |2 log 2 Im q| a sample (see
+    # weights._U_ROUNDING), and the mean settles there.
+    q = complex(x, r + 1.0 + height)
+    w = standard_puncture(s, t)
+    got = puncture_density_ratio([], w, q, r).denominator
+    rounding = 2.0 * math.pi * weights._U_ROUNDING * (abs(float(w.phi(np.exp(1j * q))))
+                                                     + abs(2.0 * math.log(2.0 * q.imag)))
+    assert got == pytest.approx(_cover_denominator_scipy(q.imag, r, s, t), rel=1e-10, abs=rounding)
+    shifted = puncture_density_ratio([], w, q + 2.0 * math.pi, r).denominator
+    assert shifted == pytest.approx(got, rel=1e-12, abs=rounding)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_deep_lift_denominator_matches_scipy():
+    # at Im q = 200 the denominator is about 1e-4 of U, which cancels
+    # against U(q)
+    got = puncture_density_ratio([], standard_puncture(2.0, 3.0), 0.3 + 200j, 4.0).denominator
+    assert got == pytest.approx(_cover_denominator_scipy(200.0, 4.0), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("q, r", [(0.3 + 360j, 4.0), (0.3 + 400j, 4.0), (0.3 + 700j, 16.0)])
+def test_a_lift_past_the_depth_limit_raises(q, r):
+    # |e^{iw}|^2 underflows past Im w of about 354, where the 2-D curvature
+    # integral read 1.09e-309, 0.0 and 0.0 here against 1.939e-4, 1.571e-4
+    # and 8.21e-4
+    with pytest.raises(DomainViolation, match=re.escape(f"lift[0] = {q}") + ".*radius " + re.escape(str(r))):
+        puncture_density_ratio([], standard_puncture(2.0, 3.0), q, r)
 
 
 def test_center_net_takes_a_scalar_as_one_point():
@@ -534,10 +584,9 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
 
 
 def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
-    # the 25 admissible lifts of the first lattice fall in three sets of
-    # radii, and take one call each; F1's 18 border centers and 20 lifts
-    # take two each.  One call per lift and per punctured-disk center made
-    # 25 and 38.
+    # the puncture denominators are circle means, with no polar_integral
+    # call: F1's 18 border centers keep their two calls, and the lifts of
+    # either lattice none.  The 2-D curvature integrals made 3 and 4.
     calls = []
 
     def counted(*args, **kwargs):
@@ -545,47 +594,40 @@ def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
         return polar_integral(*args, **kwargs)
 
     monkeypatch.setattr(sequences, "polar_integral", counted)
+    monkeypatch.setattr(weights, "polar_integral", counted)
     weight = standard_puncture(2.0, 3.0)
     classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), weight)
-    assert len(calls) == 3
-    calls.clear()
+    assert len(calls) == 0
     v = classify(generate_lattice("puncture-exponential", 40, s=0.5, n=2), weight)
-    assert v.sweep.n_centers == 18 and len(calls) == 4
+    assert v.sweep.n_centers == 18 and len(calls) == 2
 
 
-def test_puncture_sweep_takes_the_cover_exponential_from_a_table(monkeypatch):
-    # the three calls of this classify sample 362 496 nodes (5 280 rings of
-    # 64 angles and 192 of 128).  Their lifts share one table of e^{-i zeta}
-    # per ring: with one complex exp per node the complex exp entries would
-    # outnumber the nodes.  Each call lifts the points once.
+def test_puncture_sweeps_evaluate_psi_on_few_points(monkeypatch):
+    # the three 30-point classifies of the benchmark's punctured rounds
+    # evaluate phi at 7 258 points: their circles, their lifts, and each
+    # lift's rounding floor.  The 2-D curvature integrals sampled 846 336
+    # nodes.  The curvature density is never sampled, and each call lifts
+    # the points once.
     weight = standard_puncture(2.0, 3.0)
-    nodes, calls, entries, lifted = [], [], [], []
-    ratio, exp, lift = weight.lap_cyl_ratio, np.exp, sequences._lifted_points
+    nodes, ratios, lifted = [], [], []
+    phi, lift = weight.phi, sequences._lifted_points
 
-    def counted_ratio(z):
+    def counted_phi(z):
         nodes.append(np.size(z))
-        return ratio(z)
-
-    def counted(*args, **kwargs):
-        calls.append(np.size(args[1]))
-        return polar_integral(*args, **kwargs)
-
-    def counted_exp(x, *args, **kwargs):
-        if np.iscomplexobj(x):
-            entries.append(np.size(x))
-        return exp(x, *args, **kwargs)
+        return phi(z)
 
     def no_translates(*args):
         raise AssertionError("lifted_translates re-checks and re-lifts the points")
 
-    monkeypatch.setattr(sequences, "polar_integral", counted)
     monkeypatch.setattr(sequences, "_lifted_points", lambda points: lifted.append(1) or lift(points))
     monkeypatch.setattr(weights, "lifted_translates", no_translates)
-    monkeypatch.setattr(np, "exp", counted_exp)
-    classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), replace(weight, lap_cyl_ratio=counted_ratio))
-    assert calls == [4, 8, 13] and len(lifted) == 3
-    assert sum(nodes) == 5280 * 64 + 192 * 128
-    assert sum(entries) <= sum(nodes) / 4
+    counted = replace(weight, phi=counted_phi, lap_cyl_ratio=lambda z: ratios.append(1) or weight.lap_cyl_ratio(z))
+    for n, calls in ((1, 3), (2, 2), (3, 2)):
+        # one call per set of admissible radii
+        lifted.clear()
+        classify(generate_lattice("puncture-exponential", 30, s=1.0, n=n), counted)
+        assert len(lifted) == calls
+    assert sum(nodes) <= 1.25 * 7258 and ratios == []
 
 
 def _puncture_border_denominator_scipy(c, r, s=2.0, t=3.0):

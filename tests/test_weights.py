@@ -14,7 +14,9 @@ from bergseq import (
     c_r_disk,
     custom_weight,
     cutoff,
+    density_sweep,
     extended_covered_mean,
+    generate_lattice,
     lifted_translates,
     lift_value,
     log_mean_disk,
@@ -64,13 +66,34 @@ def test_standard_puncture_density_consistency():
 
 
 def test_custom_weight_consistency_check():
-    phi = lambda z: np.abs(z) ** 2
+    # phi = -1.5 log log(1/|z|^2) has Delta phi = 3 omega_P
+    phi = lambda z: -1.5 * np.log(np.log(1.0 / np.abs(z) ** 2))
     good_p = lambda z: np.full(np.shape(z), 3.0)
     good_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2) ** 2
     custom_weight(phi, good_p, Domain.PUNCTURED_DISK, good_c)
     bad_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2)
     with pytest.raises(ValueError):
         custom_weight(phi, good_p, Domain.PUNCTURED_DISK, bad_c)
+
+
+@pytest.mark.parametrize("phi", [
+    lambda z: np.abs(z) ** 2,                               # densities 3 and 3/L^2 do not belong to it
+    lambda z: -1.4 * np.log(np.log(1.0 / np.abs(z) ** 2)),  # nor to a curvature 2.8 omega_P
+], ids=["abs2", "t=1.4"])
+def test_custom_weight_rejects_a_phi_that_does_not_match_its_densities(phi):
+    # the puncture denominators come from phi alone, so phi is checked too
+    good_p = lambda z: np.full(np.shape(z), 3.0)
+    good_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2) ** 2
+    with pytest.raises(ValueError, match="phi does not match"):
+        custom_weight(phi, good_p, Domain.PUNCTURED_DISK, good_c)
+
+
+def test_a_wrapped_standard_puncture_weight_gives_its_denominators_bit_for_bit():
+    sp = standard_puncture(2.0, 3.0)
+    wrapped = custom_weight(sp.phi, sp.lap_poincare_ratio, Domain.PUNCTURED_DISK, sp.lap_cyl_ratio)
+    seq = generate_lattice("puncture-exponential", 30, s=1.0, n=2)
+    want = [rep.denominator for rep in density_sweep(seq, sp).reports]
+    assert [rep.denominator for rep in density_sweep(seq, wrapped).reports] == want
 
 
 def test_shifted_cyl_weight():
