@@ -80,7 +80,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainViolation, QuadratureNotConverged
-from .geometry import _check_domain, _check_finite, _mobius, mobius_involution
+from .geometry import _check_domain, _check_finite, _mobius
 
 # The 12-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre
 # .leggauss(12) gives it (a test pins the two equal); written out so that
@@ -713,15 +713,27 @@ def disk_log_integral(r, f, rule=DEFAULT_RULE, pullback=None):
     return polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, pullback=pullback)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n):
+    """(theta, e^{i theta}) on n uniform angles, read-only: every circle_mean on n angles shares them."""
+    theta = (2.0 * math.pi / n) * np.arange(n)
+    ring = np.exp(1j * theta)
+    theta.flags.writeable = ring.flags.writeable = False
+    return theta, ring
+
+
 def circle_mean(z, r, h, n=256):
     """Mean of h over the pseudohyperbolic circle of radius r about z.
 
     Parametrized as phi_z(r e^{i theta}); by Mobius invariance of the
     Green current this equals the d^c G_z boundary mean.  h is called
-    once, on the array of the n circle points.
+    once, on the array of the n circle points.  Raises DomainViolation
+    unless z lies in the disk and 0 < r < 1, before h is called.
     """
-    theta = (2.0 * math.pi / n) * np.arange(n)
-    w = mobius_involution(z, r * np.exp(1j * theta))
+    if not 0.0 < r < 1.0:
+        raise DomainViolation(f"radius must lie in (0, 1), got {r}")
+    theta, ring = _unit_circle(n)
+    w = _mobius(_check_domain(z), r * ring)
     vals = np.broadcast_to(np.asarray(h(w), dtype=float), w.shape)
     bad = ~np.isfinite(vals)
     if np.any(bad):

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
-from .quadrature import DEFAULT_RULE, QuadratureRule, a_r_hyperbolic, polar_integral
-from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, _hyper_weight
+from .quadrature import DEFAULT_RULE, QuadratureRule
+from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius
 from .weights import WeightModel
-from .weights import _annulus_sums, _lift_dists, _lifted_points, _puncture_denominators, _span
+from .weights import _annulus_sums, _curvature_masses, _lift_dists, _lifted_points, _puncture_denominators, _span
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -32,10 +32,6 @@ DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 # Random candidates generate_lattice("hyperbolic-disk", ...) draws.
 _CANDIDATES = 20000
-# Border centers of a sweep that share one polar_integral level loop.
-# Each point's loop keeps its previous level's row sums, so a chunk's live
-# state stays well below 1 MB.
-_CENTER_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -191,13 +187,6 @@ def separation_puncture(seq: SequenceSet):
 # ---------------------------------------------------------------------------
 # Density quotients.
 
-def _nested_kernel(radii):
-    """One kernel column log(max(r^2/rho^2, 1)) per radius, so that one
-    polar_integral over the largest disk gives each disk's kernel mass."""
-    r2 = np.square(radii, dtype=float)
-    return lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
-
-
 def _border_numerators(points, centers, radii):
     """The border numerators per (center, radius), and each point's distance to its nearest center.
 
@@ -249,26 +238,10 @@ def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
     """The border quotients at each center: one list of DensityReports per center, radii in order.
 
     numers[k] are the numerators at z = centers[k] (see
-    _border_numerators).  A weight without constant curvature gets
-    every denominator of a center from one polar_integral over
-    D_max(radii)(0), with a break at each radius and one kernel column
-    log(max(r^2/rho^2, 1)) per radius, so the pulled-back curvature
-    density is sampled once for all of them; and the centers share their
-    level loops, _CENTER_CHUNK at a time.
+    _border_numerators); the denominators are the kernel masses of
+    Delta phi / omega_P - 2 over D_r(z), from weights._curvature_masses.
     """
-    if weight.constant_poincare_ratio is not None:
-        denoms = [[(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]] * len(centers)
-    else:
-        g = lambda w: weight.lap_poincare_ratio(w) - 2.0
-        kernel = _nested_kernel(radii)
-        # a punctured-disk weight is singular at the puncture, which phi_z
-        # pulls back to modulus |z|: a break there keeps the kink off a panel
-        puncture = weight.domain is Domain.PUNCTURED_DISK
-        breaks = [radii + ((abs(z),) if puncture else ()) for z in centers]
-        chunks = (slice(i, i + _CENTER_CHUNK) for i in range(0, len(centers), _CENTER_CHUNK))
-        denoms = [row for s in chunks for row in polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
-                                                                breaks=breaks[s], pullback=centers[s])]
-    return _reports(centers, radii, numers, denoms, "border")
+    return _reports(centers, radii, numers, _curvature_masses(weight, centers, radii, rule, less=2.0), "border")
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:

@@ -1,8 +1,21 @@
 """Identity checks that exercise the whole stack end to end.
 
 The two-sided balance for a weighted log-modulus ties the circle means,
-the zero-counting terms, and the curvature quadrature to one scalar
-residual; a small residual certifies all three at once.
+the zero-counting terms, and the curvature mass to one scalar residual;
+a small residual certifies all three at once.  The curvature mass is the
+one the border denominators take (weights._curvature_masses), so what a
+small residual certifies depends on the weight.  For a weight that
+declares a constant curvature c, the mass is c a_r(r) in closed form,
+the formula that gives the sweep its (c - 2) a_r(r): the residual checks
+the declared c against phi, through the circle mean, and no quadrature
+runs.  For any other disk weight it is the sweep's pulled-back
+polar_integral, which the residual then certifies.  Punctured-disk
+weights are refused: their curvature ratio is taken against the
+punctured-disk metric, and the balance integrates against the disk's.
+
+mean_comparison_margin stays on quadrature for every weight on purpose:
+it compares phi with its own log-kernel mean, and a closed form there
+would read the declared constant instead of phi.
 """
 
 from __future__ import annotations
@@ -14,16 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainViolation
-from .geometry import _check_domain, _mobius
-from .quadrature import (
-    DEFAULT_RULE,
-    QuadratureRule,
-    _hyper_weight,
-    circle_mean,
-    disk_log_integral,
-    polar_integral,
-)
-from .weights import WeightModel, log_mean_disk
+from .geometry import Domain, _check_domain, _mobius
+from .quadrature import DEFAULT_RULE, QuadratureRule, _hyper_weight, circle_mean, polar_integral
+from .weights import WeightModel, _curvature_masses, log_mean_disk
 
 _BOUNDARY_GUARD = 1e-6
 
@@ -68,11 +74,11 @@ class BlaschkeSpec:
             return np.log(np.abs(self(z)))
 
 
-def _phi_and_ratio(weight: Optional[WeightModel]):
+def _phi_of(weight: Optional[WeightModel]):
+    """The weight's phi; None is the zero weight."""
     if weight is None:
-        zero = lambda w: np.zeros(np.shape(w))
-        return zero, zero
-    return weight.phi, weight.lap_poincare_ratio
+        return lambda w: np.zeros(np.shape(w))
+    return weight.phi
 
 
 def poisson_jensen_residual(
@@ -87,13 +93,18 @@ def poisson_jensen_residual(
 
     LHS: circle mean of 2 log|f| - psi over the pseudohyperbolic circle
     of radius r about z.  RHS: the center value, plus log(r^2/rho_j^2)
-    per zero strictly inside, minus the log-kernel curvature mean of psi
-    pulled back to D_r(0).  psi = None means the zero weight.
+    per zero strictly inside, minus 1/(2 pi) times the log-kernel
+    curvature mass of psi over D_r(z), as the border denominators take it
+    (see the module docstring).  psi = None means the zero weight.  A
+    punctured-disk weight raises DomainViolation.
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
+    if psi is not None and psi.domain is Domain.PUNCTURED_DISK:
+        raise DomainViolation("the Poisson-Jensen balance takes a disk weight: a punctured-disk weight's"
+                              " lap_poincare_ratio is taken against the punctured-disk metric")
     z = complex(_check_domain(z))
-    phi, ratio_fn = _phi_and_ratio(psi)
+    phi = _phi_of(psi)
 
     rhos = [abs(_mobius(a, z)) for a in f.zeros]
     for a, rho in zip(f.zeros, rhos):
@@ -110,7 +121,7 @@ def poisson_jensen_residual(
     center = float(u(np.asarray([z]))[0])
     zero_term = sum(math.log(r * r / (rho * rho)) for rho in rhos if rho < r)
 
-    curv = float(disk_log_integral(r, ratio_fn, rule, pullback=z)) / (2.0 * math.pi)
+    curv = float(_curvature_masses(psi, [z], (r,), rule)[0][0]) / (2.0 * math.pi)
 
     rhs = center + zero_term - curv
     return abs(lhs - rhs)
@@ -133,7 +144,7 @@ def bergman_inequality_margin(
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
     z = complex(z)
     cs = np.asarray(list(coeffs)[::-1], dtype=complex)
-    phi, _ = _phi_and_ratio(weight)
+    phi = _phi_of(weight)
 
     def g(w):
         return np.abs(np.polyval(cs, w)) ** 2 * np.exp(-np.asarray(phi(w), dtype=float))

@@ -36,6 +36,7 @@ from .quadrature import (
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
+    a_r_hyperbolic,
     c_r_cyl,
     c_r_disk,
     polar_integral,
@@ -253,6 +254,49 @@ def _puncture_denominators(weight: WeightModel, lifts, r, rule: QuadratureRule =
     lifts = _check_finite(lifts, "lift")
     floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * lifts))) + np.abs(2.0 * np.log(2.0 * lifts.imag)))
     return TWO_PI * _circle_means(U, lifts, r, rule, "lift", floor)
+
+
+# Centers of a curvature-mass quadrature that share one polar_integral level
+# loop.  Each point's loop keeps its previous level's row sums, so a chunk's
+# live state stays well below 1 MB.
+_CENTER_CHUNK = 16
+
+
+def _nested_kernel(radii):
+    """One kernel column log(max(r^2/rho^2, 1)) per radius, so that one
+    polar_integral over the largest disk gives each disk's kernel mass."""
+    r2 = np.square(radii, dtype=float)
+    return lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
+
+
+def _curvature_masses(weight: Optional[WeightModel], centers, radii, rule: QuadratureRule = DEFAULT_RULE, less=0.0):
+    """The log-kernel masses of Delta phi / omega_P - less over D_r(z): a list of rows, one per center z.
+
+    A row holds one mass per radius r: the integral of
+    (lap_poincare_ratio o phi_z - less) log(r^2/rho^2) over D_r(0)
+    against the hyperbolic area form.  It is the border denominator for
+    less = 2 and the curvature term of the Poisson-Jensen balance for
+    less = 0.  A weight that declares constant_poincare_ratio c gets
+    (c - less) a_r_hyperbolic(r), with no quadrature, and None, the zero
+    weight, c = 0; the callers check the centers.  Any other weight gets
+    every mass of a center from one polar_integral over D_max(radii)(0),
+    with a break at each radius and one kernel column per radius (see
+    _nested_kernel), so the pulled-back density is sampled once for all
+    of them; the centers share their level loops, _CENTER_CHUNK at a time.
+    """
+    c = 0.0 if weight is None else weight.constant_poincare_ratio
+    if c is not None:
+        return [[(c - less) * a_r_hyperbolic(r) for r in radii]] * len(centers)
+    ratio = weight.lap_poincare_ratio
+    g = lambda w: ratio(w) - less
+    kernel = _nested_kernel(radii)
+    # a punctured-disk weight is singular at the puncture, which phi_z
+    # pulls back to modulus |z|: a break there keeps the kink off a panel
+    puncture = weight.domain is Domain.PUNCTURED_DISK
+    breaks = [tuple(radii) + ((abs(z),) if puncture else ()) for z in centers]
+    chunks = (slice(i, i + _CENTER_CHUNK) for i in range(0, len(centers), _CENTER_CHUNK))
+    return [row for s in chunks for row in polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
+                                                          breaks=breaks[s], pullback=centers[s])]
 
 
 def _phi_fn(phi):

@@ -132,6 +132,19 @@ def test_deterministic_reruns_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_pj_verify_is_deterministic_and_exact(tmp_path):
+    # the standard weights' curvature term is closed-form, so every case
+    # balances to rounding
+    out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["pj-verify", "--out", str(out1)]) == 0
+    assert main(["pj-verify", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    text = out1.read_text()
+    residuals = [float(x) for x in re.findall(r"residual[=:] ?(\S+)", text)]
+    assert len(residuals) == 21 and max(residuals) < 1e-12
+    assert text.endswith("pass\n")
+
+
 def test_config_file_with_flag_override(tmp_path):
     lat = tmp_path / "lat.json"
     main(["gen", "--kind", "hyperbolic-disk", "--count", "8", "--mesh", "0.6",

@@ -547,6 +547,27 @@ def test_circle_mean_rejects_singular_samples():
         circle_mean(0.0, 0.5, h)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.5, 1.0, math.nan])
+def test_circle_mean_rejects_a_radius_outside_the_unit_interval(r):
+    calls = []
+    with pytest.raises(DomainViolation, match="radius"):
+        circle_mean(0.2, r, lambda w: calls.append(1) or np.zeros(np.shape(w)))
+    assert calls == []
+
+
+def test_circle_mean_shares_its_angles_and_keeps_the_explicit_mean_bit_for_bit():
+    h = lambda w: np.log(np.abs(w - 0.3)) + np.real(w) ** 2
+    for z, r, n in ((0.4 - 0.2j, 0.7, 2048), (0.9j, 0.5, 256), (-0.1, 0.95, 2048)):
+        theta = (2.0 * math.pi / n) * np.arange(n)
+        want = float(np.mean(h(mobius_involution(z, r * np.exp(1j * theta)))))
+        assert circle_mean(z, r, h, n) == want
+    # one read-only table per n
+    theta, ring = bergseq.quadrature._unit_circle(2048)
+    assert bergseq.quadrature._unit_circle(2048)[1] is ring
+    with pytest.raises(ValueError):
+        ring[0] = 0.0
+
+
 def test_circle_means_of_a_quadratic_are_exact_and_each_its_own_call():
     # the mean of |q + r e^{it}|^2 - |q|^2 is r^2; the angles settle at once
     sizes = []

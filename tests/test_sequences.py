@@ -35,7 +35,8 @@ from bergseq import (
 from bergseq import sequences, weights
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
 from bergseq.quadrature import _hyper_weight, polar_integral
-from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated, _nested_kernel
+from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated
+from bergseq.weights import _nested_kernel
 
 rng = np.random.default_rng(99)
 
@@ -151,7 +152,7 @@ def test_puncture_density_ratio_takes_only_the_lifts_a_sweep_takes(q, monkeypatc
     # nodes there and then raised QuadratureNotConverged.  A sweep takes a
     # lift at r only if Im q > r + 1.
     calls = []
-    monkeypatch.setattr(sequences, "polar_integral", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(weights, "polar_integral", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(WindowViolation, match="Im q > r \\+ 1 = 5,"):
         puncture_density_ratio(np.exp(-np.arange(1.0, 14.0)), standard_puncture(2.0, 3.0), q, 4.0)
     assert calls == []
@@ -526,6 +527,53 @@ def test_rim_center_denominators_settle_on_balanced_angles(c, grid, max_angles):
     assert max(n_theta for _, n_theta in shapes) <= max_angles
 
 
+def _bench_seed(seed, *parts):
+    """The benchmark's lattice seed for a run seed and a path (its subseed)."""
+    return int(np.random.SeedSequence([seed, *parts]).generate_state(1)[0])
+
+
+def _explicit_border_denominators(weight, centers, radii):
+    """Border denominators written out: (c - 2) a_r for a declared constant c, else
+    one polar_integral per 16 centers with one nested kernel column and one break per
+    radius, and a break at |z| on the punctured disk."""
+    if weight.constant_poincare_ratio is not None:
+        return np.array([[(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]] * len(centers))
+    g = lambda w: weight.lap_poincare_ratio(w) - 2.0
+    punctured = weight.domain is Domain.PUNCTURED_DISK
+    rows = []
+    for i in range(0, len(centers), 16):
+        chunk = centers[i:i + 16]
+        rows.extend(polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, _nested_kernel(radii),
+                                   breaks=[radii + ((abs(z),) if punctured else ()) for z in chunk], pullback=chunk))
+    return np.array(rows)
+
+
+_S3 = standard_disk(3.0)
+# the curved-sweep benchmark's 24-point lattice and the lattice-gram one's
+# 100-point lattice, at seeds 201 and 301, round 0
+_SWEEP_LATTICE = lambda: generate_lattice("hyperbolic-disk", 24, seed=_bench_seed(201, 20, 0, 0), d=0.35, margin=0.1)
+_GRAM_LATTICE = lambda: generate_lattice("hyperbolic-disk", 100, seed=_bench_seed(301, 10, 0, 0), d=0.35, margin=0.02)
+
+
+@pytest.mark.parametrize("make, weight", [
+    (_SWEEP_LATTICE, CURVED),
+    (_SWEEP_LATTICE, custom_weight(_S3.phi, _S3.lap_poincare_ratio, Domain.DISK)),
+    (_GRAM_LATTICE, standard_disk(2.0)),
+    (_GRAM_LATTICE, _S3),
+    # fault F1: 18 border centers of a punctured-disk weight, each with its own break at |z|
+    (lambda: generate_lattice("puncture-exponential", 40, s=0.5, n=2), standard_puncture(2.0, 3.0)),
+], ids=["curved", "wrapped", "standard-2", "standard-3", "F1"])
+def test_border_denominators_are_the_explicit_ones_bit_for_bit(make, weight):
+    sweep = classify(make(), weight).sweep
+    n = sweep.n_centers
+    border = [rep for rep in sweep.reports if rep.kind == "border"]
+    centers = np.array([rep.center for rep in border[:n]])
+    radii = tuple(rep.radius for rep in border[::n])
+    got = np.array([rep.denominator for rep in border]).reshape(len(radii), n).T
+    assert got.tobytes() == _explicit_border_denominators(weight, centers, radii).tobytes()
+    assert all(rep.ratio == rep.numerator / rep.denominator for rep in border)
+
+
 def test_denominators_that_settle_at_the_first_level_keep_uniform_angles():
     # a wrapped standard weight is constant under phi_z, so its angles
     # settle at once and the denominators are those of the explicit
@@ -555,7 +603,7 @@ def test_curved_sweep_node_budget(monkeypatch):
         calls.append(np.size(kwargs.get("pullback")))
         return polar_integral(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "polar_integral", counted)
+    monkeypatch.setattr(weights, "polar_integral", counted)
     sweep = density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
     assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1556740
     assert sweep.n_centers == 64 and calls == [16] * 4
@@ -593,7 +641,6 @@ def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
         calls.append(1)
         return polar_integral(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "polar_integral", counted)
     monkeypatch.setattr(weights, "polar_integral", counted)
     weight = standard_puncture(2.0, 3.0)
     classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), weight)

@@ -15,9 +15,13 @@ from bergseq import (
     polar_integral,
     poisson_jensen_residual,
     standard_disk,
+    standard_puncture,
 )
+from bergseq import quadrature, verify, weights
+from bergseq.cli import _pj_suite
 from bergseq.errors import DomainViolation
 from bergseq.quadrature import _hyper_weight
+from bergseq.weights import _curvature_masses
 
 rng = np.random.default_rng(17)
 
@@ -90,6 +94,60 @@ def test_pj_boundary_zero_rejected():
 @pytest.mark.parametrize("r", [0.5, 0.8, 0.95])
 def test_pj_curved_weight_at_a_rim_center(zeros, r):
     assert poisson_jensen_residual(BlaschkeSpec(zeros), CURVED, 0.97 * np.exp(0.7j), r) <= 1e-10
+
+
+@pytest.mark.parametrize("z, r", [(0.6, 0.5), (0.7j, 0.6), (-0.5 + 0.5j, 0.4)])
+def test_pj_rejects_a_punctured_disk_weight(z, r):
+    # lap_poincare_ratio is taken against the punctured-disk metric, and the
+    # balance integrates it against the disk's hyperbolic area: these cases
+    # read residuals of 0.149, 0.122 and 0.038.  No sample is taken.
+    sp = standard_puncture(2.0, 3.0)
+    calls = []
+    spy = custom_weight(lambda w: calls.append(1) or sp.phi(w), sp.lap_poincare_ratio, Domain.PUNCTURED_DISK,
+                        sp.lap_cyl_ratio)
+    calls.clear()
+    with pytest.raises(DomainViolation, match="punctured-disk metric"):
+        poisson_jensen_residual(BlaschkeSpec((0.1 + 0.2j,)), spy, z, r)
+    assert calls == []
+
+
+def _pj_cases():
+    """The pj-verify suite's (zeros, s, z, r), and its zero sets at the rim center 0.97 e^{0.7i}."""
+    rim = 0.97 * np.exp(0.7j)
+    return _pj_suite() + [(zeros, s, rim, r) for zeros, s, _, r in _pj_suite()]
+
+
+@pytest.mark.parametrize("zeros, s, z, r", _pj_cases())
+def test_pj_pins_the_quadrature_for_the_standard_weight(zeros, s, z, r):
+    # a wrapped standard_disk(s) declares no constant, so its curvature term
+    # is the pulled-back quadrature the sweep takes for curved weights
+    closed = standard_disk(s)
+    wrapped = custom_weight(closed.phi, closed.lap_poincare_ratio, Domain.DISK)
+    mass = _curvature_masses(wrapped, [z], (r,))[0][0]
+    assert mass == pytest.approx(_curvature_masses(closed, [z], (r,))[0][0], rel=1e-10)
+    f = BlaschkeSpec(zeros)
+    assert poisson_jensen_residual(f, wrapped, z, r) == pytest.approx(poisson_jensen_residual(f, closed, z, r),
+                                                                       abs=1e-10)
+
+
+def test_constant_curvature_pj_makes_no_quadrature_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return polar_integral(*args, **kwargs)
+
+    for module in (quadrature, verify, weights):
+        monkeypatch.setattr(module, "polar_integral", counted)
+    for zeros, s, z, r in _pj_suite():
+        assert poisson_jensen_residual(BlaschkeSpec(zeros), standard_disk(s), z, r) < 1e-13
+        assert poisson_jensen_residual(BlaschkeSpec(zeros), None, z, r) < 1e-13
+    assert calls == []
+    # the count sees the quadrature: a weight without a declared constant makes one call
+    s2 = standard_disk(2.0)
+    wrapped = custom_weight(s2.phi, s2.lap_poincare_ratio, Domain.DISK)
+    poisson_jensen_residual(BlaschkeSpec(), wrapped, 0.1, 0.5)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("weight", [CURVED, standard_disk(2.0)], ids=["curved", "standard"])
