@@ -50,13 +50,10 @@ point, may be a 1-D array of points with radial breaks of their own
 of them, each point keeping its own levels and verdicts, and each level
 samples the rings of all points on one grid together.  Each point's result is bit-identical to its own call.
 
-About centers, f receives the nodes w = q - zeta of a block as
-_LiftNodes, an ndarray that also offers exp_i(): e^{iw} as e^{iq} times
-a table of e^{-i zeta}, one per block of radii, which every center
-sampled on those rings shares.  An integrand on the exponential cover
-(weights._covered_integrand, behind extended_covered_mean) then pays
-one complex multiply per node for its exponential, not one complex exp.
-The table is made only when an integrand asks for it.
+About centers and pull-back points alike, f receives plain ndarrays of
+nodes, a block of whole rings at a time.  An integrand on the
+exponential cover (weights._covered_integrand, behind
+extended_covered_mean) takes e^{iw} by one complex exp per node.
 
 A log-kernel mass of a curvature density needs no 2-D integral when its
 potential is known: by Green's formula
@@ -254,121 +251,24 @@ def _balanced_rings(m, turn, rho, ring):
     return nodes, jac, a[:, 0]
 
 
-class _LiftNodes(np.ndarray):
-    """The nodes w = q - zeta of rings about one center q, as polar_integral hands them to f.
+def _ring_blocks(rho, owners, ring, columns, involution, a):
+    """(rows, nodes, Jacobians) of the rings, a block of whole rows at a time.
 
-    Besides the nodes, a block carries what e^{iw} needs: `lift`, its
-    center q, `rho`, the radius of each row (shape (rows, 1), increasing
-    down the rows), and exp_i(), which puts e^{iw} in their place from
-    the table of e^{-i zeta} that every center sampled on the same rings
-    shares (see _Rings).  An integrand on the exponential cover
-    (weights._covered_integrand) then spends one complex multiply per
-    node where a complex exp costs some fifteen.  Any other integrand
-    sees an ndarray of nodes.
-    """
-
-    def exp_i(self):
-        """e^{iw} at the nodes, written over them: e^{iq + s} times the table entry e^{-i zeta - s}.
-
-        Returns the block as an ndarray; the nodes are gone, and the table
-        is not touched.  s = rho on the first half ring (theta < pi,
-        sin theta >= 0) and 0 on the second, so that |e^{-i zeta - s}|
-        lies in [e^{-rho}, 1] (up to the rounding of sin pi); the two
-        factors e^{iq + s} of a row are one exp each, per ring and not per
-        node.  Where Im w >= 0 the product is e^{iw} to a few ulps on every
-        ring with rho <= _EXP_RHO_MAX, and on every ring at any radius when
-        Im q >= rho: a product that underflows is then one whose exact
-        value does too.  Any other ring raises DomainViolation.  Each
-        entry depends on its own q, rho and theta only, not on the rings
-        sampled with it.
-        """
-        outer = self.rho[-1, 0]
-        if outer > _EXP_RHO_MAX and self.lift.imag < outer:
-            raise DomainViolation(f"e^(iw) about {self.lift} needs radius <= {_EXP_RHO_MAX:g} on a ring"
-                                  f" that reaches Im w < 0, got {outer}")
-        rows, n = self.shape
-        iq = 1j * self.lift
-        factors = np.empty((rows, 2, 1), dtype=complex)
-        factors[:, 0] = np.exp(iq + self.rho)
-        factors[:, 1] = np.exp(iq)
-        z = self.view(np.ndarray)  # fresh and C-contiguous, so its reshape is a view
-        np.multiply(self.rings.table(self.radii).reshape(rows, 2, n // 2), factors, out=z.reshape(rows, 2, n // 2))
-        return z
-
-
-# The largest ring radius rho at which e^{-rho} is still a normal double
-# (e^{-708.4} is the least), so that no entry of a _Rings table loses
-# digits to gradual underflow.
-_EXP_RHO_MAX = 708.0
-
-
-class _Rings:
-    """zeta, the rings rho e^{i theta} of a block of radii, and their table of e^{-i zeta - s}.
-
-    The table (see _LiftNodes.exp_i) is made on first use, and every
-    center sampled on these rings shares it; a block holds at most
-    _BLOCK_NODES entries of each.
-    """
-
-    __slots__ = ("radii", "zeta", "_table")
-
-    def __init__(self, radii, ring):
-        self.radii, self.zeta, self._table = radii, radii[:, None] * ring, None
-
-    def table(self, k):
-        """The table rows k, or all of them if k is None."""
-        if self._table is None:
-            t = -1j * self.zeta
-            t[:, :t.shape[1] // 2] -= self.radii[:, None]
-            self._table = np.exp(t, out=t)
-        return self._table if k is None else self._table[k]
-
-
-def _pullback_blocks(rho, owners, ring, columns, a):
-    """(rings, nodes, Jacobians) of phi_p pulled-back rings, a block of whole rows at a time.
-
-    With a, an array of one entry per ring, the rings take the angles of
-    _balanced_rings, whose midpoints go to a; else uniform angles and no
-    Jacobians.
+    Ring k has radius rho[k] and point p, the _loop_points column
+    owners[k] of columns, and its nodes are involution(p, zeta) for zeta
+    on the ring.  With a, an array of one entry per ring (pull-backs
+    only), the rings take the angles of _balanced_rings, whose midpoints
+    go to a; else uniform angles and no Jacobians.
     """
     rows = max(1, _BLOCK_NODES // ring.size)
     for i in range(0, rho.size, rows):
         at = slice(i, i + rows)
         p, m, turn = columns[:, owners[at], None]
         if a is None:
-            yield at, _mobius(p, rho[at, None] * ring), None
+            yield at, involution(p, rho[at, None] * ring), None
         else:
             nodes, jac, a[at] = _balanced_rings(m.real, turn, rho[at, None], ring)
             yield at, nodes, jac
-
-
-def _center_blocks(rho, owners, ring, centers):
-    """(rings, nodes, None) of the rings p - zeta about the centers, as _LiftNodes.
-
-    The rings go by blocks of radii, each of at most _BLOCK_NODES nodes
-    (see _Rings), and within a block center by center: every center
-    sampled on a block's radii shares its rings and its table.
-    """
-    if not rho.size:
-        return
-    rows = max(1, _BLOCK_NODES // ring.size)
-    radii = _sorted_unique(rho)
-    which = np.searchsorted(radii, rho)
-    block = which // rows
-    # stable: a center's rings keep their order, which is by radius
-    order = np.lexsort((owners, block))
-    cut = np.flatnonzero(np.diff(block[order]) | np.diff(owners[order])) + 1
-    current = None
-    for ks in np.split(order, cut):
-        b = block[ks[0]]
-        if b != current:
-            rings, current = _Rings(radii[b * rows:(b + 1) * rows], ring), b
-        # the block's rows that the center samples: all of them, or these
-        k = None if ks.size == rings.radii.size else which[ks] - b * rows
-        q = centers[owners[ks[0]]]
-        nodes = np.subtract(q, rings.zeta if k is None else rings.zeta[k]).view(_LiftNodes)
-        nodes.lift, nodes.rho, nodes.rings, nodes.radii = q, rho[ks, None], rings, k
-        yield ks, nodes, None
 
 
 def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
@@ -379,8 +279,8 @@ def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     sampled a block of whole rows at a time and each block is reduced at
     once, so no len(rho) x n_theta array is held.  Ring k has radius
     rho[k] and point p, the _loop_points column owners[k] of columns, and
-    f is sampled at involution(p, zeta) of its nodes zeta: as _LiftNodes
-    for the centers of np.subtract (see _center_blocks).  balanced
+    f is sampled at involution(p, zeta) of its nodes zeta, a plain
+    ndarray for centers and pull-backs alike (see _ring_blocks).  balanced
     (pull-backs only) takes the angles of _balanced_rings, weights each
     sample by its Jacobian, and scales each ring's sums by
     (1 - a^N)/(1 + a^N), N the angles summed, the inverse of the N-angle
@@ -392,11 +292,7 @@ def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     ring = np.exp(1j * theta)
     sums = np.empty((3, rho.size))
     a = np.empty(rho.size) if balanced else None
-    if involution is np.subtract:
-        blocks = _center_blocks(rho, owners, ring, columns[0])
-    else:
-        blocks = _pullback_blocks(rho, owners, ring, columns, a)
-    for at, nodes, jac in blocks:
+    for at, nodes, jac in _ring_blocks(rho, owners, ring, columns, involution, a):
         vals = np.asarray(f(nodes), dtype=float)
         if vals.shape != nodes.shape:
             vals = np.broadcast_to(vals, nodes.shape)
@@ -475,12 +371,12 @@ def polar_integral(
     identical nodes so that constants are reproduced to machine
     precision.  The disk about a center q is sampled at q - zeta, the
     Euclidean involution swapping 0 and q; a uniform ring is symmetric
-    under zeta -> -zeta, so the integral is that of f about q.  f gets
-    those nodes as _LiftNodes, one center and a block of whole rings at a
-    time, whose exp_i() takes e^{iw} from a table shared by the centers on
-    the same rings (see _LiftNodes).  A center
+    under zeta -> -zeta, so the integral is that of f about q.  A center
     that is not finite raises DomainViolation before any sampling: every
     node would be excised as non-finite, and the integral would read 0.
+    So do radii outside 0 <= rho_lo < rho_hi < inf: a reversed or
+    negative annulus would return a signed area, and an infinite one
+    would sample until max_nodes.
 
     pullback=z integrates f o phi_z instead, phi_z the disk automorphism
     swapping 0 and z: f is called on phi_z of the nodes.  It needs
@@ -514,6 +410,8 @@ def polar_integral(
     radial doubling leaves whole keep their nodes, and their row sums are
     reused as they are.
     """
+    if not 0.0 <= rho_lo < rho_hi < math.inf:
+        raise DomainViolation(f"need radii 0 <= rho_lo < rho_hi < inf, got ({rho_lo}, {rho_hi})")
     points, label, columns, involution = _loop_points(center, pullback, rho_hi)
     breaks = tuple(breaks)
     if not (breaks and np.ndim(breaks[0])):
@@ -728,8 +626,11 @@ def circle_mean(z, r, h, n=256):
     Parametrized as phi_z(r e^{i theta}); by Mobius invariance of the
     Green current this equals the d^c G_z boundary mean.  h is called
     once, on the array of the n circle points.  Raises DomainViolation
-    unless z lies in the disk and 0 < r < 1, before h is called.
+    unless z lies in the disk and 0 < r < 1, and ValueError unless n is
+    an integer >= 1, before h is called.
     """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"the angle count n must be an integer >= 1, got {n!r}")
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
     theta, ring = _unit_circle(n)

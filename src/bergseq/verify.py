@@ -96,7 +96,8 @@ def poisson_jensen_residual(
     per zero strictly inside, minus 1/(2 pi) times the log-kernel
     curvature mass of psi over D_r(z), as the border denominators take it
     (see the module docstring).  psi = None means the zero weight.  A
-    punctured-disk weight raises DomainViolation.
+    punctured-disk weight raises DomainViolation, and an n_theta that is
+    not an integer >= 1 ValueError (see circle_mean).
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")

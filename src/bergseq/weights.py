@@ -185,7 +185,7 @@ def custom_weight(
         if _rel_gap(got, want) > check_tol:
             raise ValueError("inconsistent Laplacian densities between omega_P and omega_c")
         _, ratio = shifted_cyl_weight(weight)
-        want = polar_integral(lambda w: ratio(w.exp_i()), _PROBE_LIFTS, 0.0, _PROBE_R, _euclid_weight,
+        want = polar_integral(lambda w: ratio(np.exp(1j * w)), _PROBE_LIFTS, 0.0, _PROBE_R, _euclid_weight,
                               _log_kernel(_PROBE_R))
         gap = _rel_gap(_puncture_denominators(weight, _PROBE_LIFTS, _PROBE_R), want)
         if gap > check_tol:
@@ -344,39 +344,17 @@ def truncated_log_mean(phi, r, c, z, rule: QuadratureRule = _TRUNC_RULE):
 def _covered_integrand(f, eps):
     """w -> f(e^{iw}), with w lifted into Im w > eps, for polar_integral about lifts.
 
-    The quadrature about lifts q hands it the nodes w = q - zeta as
-    _LiftNodes, and e^{iw} comes from their shared table (exp_i, written
-    over the nodes), one complex multiply per node.  Nodes with
-    Im w <= eps are reflected across the line Im w = eps, which is the
-    eps-shift-and-reflect extension across the real axis: they take
-    exp(i (conj(w) + 2i eps)) node by node, the same arithmetic as a
-    direct computation.  Only a ring that reaches the line
-    (Im q - rho <= eps) looks for such nodes; exp_i raises
-    DomainViolation for one wider than its range.  Only
-    extended_covered_mean needs the extension: a density sweep takes its
-    lifts with Im q > r + 1 and samples psi's density at e^{iw} directly.
-    Raises DomainViolation unless eps > 0.
+    Nodes with Im w <= eps are reflected across the line Im w = eps, which
+    is the eps-shift-and-reflect extension across the real axis; every
+    node then takes one complex exp.  Only extended_covered_mean needs the
+    extension: a density sweep takes its lifts with Im q > r + 1 and
+    samples psi's density at e^{iw} directly.  Raises DomainViolation
+    unless 0 < eps < inf: an infinite eps would reflect every node to
+    NaN, and the row sums would excise them all to 0.
     """
-    if not eps > 0:
-        raise DomainViolation(f"eps must be positive, got {eps}")
-
-    def integrand(w):
-        # the rows go by increasing radius about one lift: unless the last
-        # ring reaches the line Im w = eps, none does
-        if w.lift.imag - w.rho[-1, 0] > eps:
-            return f(w.exp_i())
-        reaches = ~(w.lift.imag - w.rho[:, 0] > eps)
-        near = np.asarray(w[reaches])
-        low = ~(near.imag > eps)
-        flipped = np.conjugate(near[low]) + 2j * eps
-        flipped *= 1j
-        z = w.exp_i()
-        near = z[reaches]
-        near[low] = np.exp(flipped)
-        z[reaches] = near
-        return f(z)
-
-    return integrand
+    if not 0.0 < eps < math.inf:
+        raise DomainViolation(f"eps must be positive and finite, got {eps}")
+    return lambda w: f(np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps)))
 
 
 def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
@@ -388,10 +366,9 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
     radius r about the lift of z.  2 pi periodicity of the lift makes the
     projected value well defined.  The extension is defined on the whole
     plane, so z may be any nonzero finite point: a lift below the real
-    axis averages the reflected values.  The exponential comes from the
-    quadrature's shared table (see _covered_integrand); a disk whose
-    rings of radius above 708 reach below the real axis raises
-    DomainViolation (see _LiftNodes.exp_i).
+    axis averages the reflected values.  Each node takes one complex exp
+    (see _covered_integrand).  Raises DomainViolation unless 0 < eps < inf
+    and 0 < r < inf.
     """
     if not r > 0:
         raise DomainViolation(f"r must be positive, got {r}")

@@ -221,8 +221,7 @@ lift_offset = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 12.0))
 # and a repeat
 @example([(0.0, 0.0), (3.0, 9.0), (0.0, 0.0)], 4.0, 0.5)
 def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
-    # the puncture quotients: the lifted density about each lift q with
-    # Im q > r + 1, which the integrand overwrites in place, with two
+    # the lifted density about each lift q with Im q > r + 1, with two
     # nested kernel columns
     qs = [complex(x, r + 1.0 + h) for x, h in offsets]
     radii = (frac * r, r)
@@ -240,8 +239,8 @@ def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
 # a repeated lift, and lifts whose disks just clear Im w = r + 1
 @example([(0.0, 0.0), (1.0, 2.0), (0.0, 0.0)], [4.0, 2.0])
 def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offsets, radii):
-    # each lift samples e^{iw} as its own table entry times its own lift
-    # factors, whichever lifts share the table; admissible: Im q > max r + 1
+    # each lift's quotients are those of its own call, whichever lifts
+    # share the batch; admissible: Im q > max r + 1
     radii = tuple(sorted(radii))
     lifts = np.array([complex(x, radii[-1] + 1.0 + 1e-9 + h) for x, h in offsets])
     points = np.exp(-np.arange(1.0, 12.0)) * np.exp(0.3j * np.arange(11))

@@ -11,6 +11,7 @@ from scipy import integrate
 import bergseq
 from bergseq import (
     DEFAULT_RULE,
+    BlaschkeSpec,
     QuadratureRule,
     a_r_euclidean,
     a_r_hyperbolic,
@@ -18,6 +19,9 @@ from bergseq import (
     c_r_disk,
     circle_mean,
     disk_log_integral,
+    extended_covered_mean,
+    log_mean_disk,
+    poisson_jensen_residual,
     polar_integral,
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged
@@ -25,7 +29,6 @@ from bergseq.geometry import _mobius, mobius_involution
 from bergseq.quadrature import (
     _GL_W,
     _GL_X,
-    _center_blocks,
     _circle_means,
     _euclid_weight,
     _hyper_weight,
@@ -90,7 +93,18 @@ def test_c_r_cyl_against_scipy(r):
     oracle, err = integrate.quad(lambda rho: 2 * math.pi * rho * math.log(r**2 / rho**2), 1.0, r)
     assert err < 1e-8 * oracle
     assert c_r_cyl(r) == pytest.approx(oracle, rel=1e-10)
-    assert polar_integral(ones, 5j * r, 1.0, r, _euclid_weight, _log_kernel(r)) == pytest.approx(oracle, rel=1e-9)
+    blocks = []
+
+    def f(w):
+        blocks.append((type(w), w.copy()))
+        return ones(w)
+
+    assert polar_integral(f, 5j * r, 1.0, r, _euclid_weight, _log_kernel(r)) == pytest.approx(oracle, rel=1e-9)
+    # f gets plain nodes q - rho e^{i theta}, the first level's rings first
+    rho, _ = _radial_nodes(1.0, r, DEFAULT_RULE.n_panels, ())
+    ring = np.exp(1j * (2.0 * math.pi / DEFAULT_RULE.n_theta) * np.arange(DEFAULT_RULE.n_theta))
+    assert all(kind is np.ndarray for kind, _ in blocks)
+    assert np.concatenate([w for _, w in blocks])[:rho.size].tobytes() == (5j * r - rho[:, None] * ring).tobytes()
 
 
 def test_polar_integral_nonradial_against_scipy():
@@ -175,28 +189,6 @@ def test_border_integrand_near_the_rim_doubles_angles():
     assert max(seen) > DEFAULT_RULE.n_theta
 
 
-def test_centers_on_shared_rings_take_their_own_table_rows():
-    # three centers on one block of radii; the second samples every other
-    # ring of it, as a center that doubled its panels samples only its new
-    # radii.  Each gets its own nodes, and e^{iw} from the shared table as
-    # from a call of its own, bit for bit.
-    n_theta = 64
-    ring = np.exp(1j * (2.0 * math.pi / n_theta) * np.arange(n_theta))
-    centers = np.array([1.0 + 9.0j, 2.0 + 8.0j, 0.5 + 7.0j])
-    rho = np.array([1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 1.0, 2.0, 3.0, 4.0])
-    owners = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 2])
-    seen = np.zeros(rho.size, dtype=int)
-    for ks, nodes, _ in _center_blocks(rho, owners, ring, centers):
-        w = np.array(nodes)
-        assert w.tobytes() == (centers[owners[ks], None] - rho[ks, None] * ring).tobytes()
-        z = nodes.exp_i()
-        assert np.allclose(z, np.exp(1j * w), rtol=1e-14, atol=0.0)
-        (_, alone, _), = _center_blocks(rho[ks], np.zeros(ks.size, dtype=int), ring, centers[owners[ks[:1]]])
-        assert z.tobytes() == alone.exp_i().tobytes()
-        seen[ks] += 1
-    assert np.all(seen == 1)
-
-
 @pytest.mark.parametrize("n_theta", [16, 64, 1024])
 @pytest.mark.parametrize("z", [0.5, 0.97 * np.exp(0.3j), -0.995j])
 def test_balanced_rings_keep_constants_exact(z, n_theta):
@@ -275,6 +267,24 @@ def test_pullback_needs_a_disk_about_zero_inside_the_unit_disk():
         polar_integral(ones, 0.1, 0.0, 0.5, _hyper_weight, None, pullback=0.3)
     with pytest.raises(DomainViolation):
         polar_integral(ones, 0.0, 0.0, 1.5, _euclid_weight, None, pullback=0.3)
+
+
+@pytest.mark.parametrize("call", [
+    # these returned -0.5027, 0.6597 and 1.0; the NaN and infinite radii
+    # sampled 393 216 nodes and then raised QuadratureNotConverged
+    lambda f: polar_integral(f, 0.0, 0.5, 0.3, _hyper_weight, None),
+    lambda f: polar_integral(f, 0.0, -0.2, 0.5, _hyper_weight, None),
+    lambda f: log_mean_disk(f, -0.5, 0.2),
+    lambda f: polar_integral(f, 0.0, 0.0, math.nan, _euclid_weight, None),
+    lambda f: polar_integral(f, 0.0, 0.5, 0.5, _euclid_weight, None),
+    lambda f: polar_integral(f, [1.0, 2.0j], 0.0, math.inf, _euclid_weight, None),
+    lambda f: extended_covered_mean(f, 0.1, math.inf, 0.01),
+], ids=["reversed", "negative", "negative-log-mean", "nan", "empty", "infinite", "infinite-covered"])
+def test_polar_integral_needs_radii_from_zero_up_to_a_finite_bound(call):
+    calls = []
+    with pytest.raises(DomainViolation, match="radii"):
+        call(lambda w: calls.append(1) or ones(w))
+    assert calls == []
 
 
 def test_pullback_at_zero_keeps_uniform_angles():
@@ -566,6 +576,16 @@ def test_circle_mean_shares_its_angles_and_keeps_the_explicit_mean_bit_for_bit()
     assert bergseq.quadrature._unit_circle(2048)[1] is ring
     with pytest.raises(ValueError):
         ring[0] = 0.0
+    # n is an integer >= 1, checked before h is called: n = 0 once raised
+    # ZeroDivisionError, n = -4 returned NaN, and n = 2.5 a mean over 3
+    # angles 2 pi / 2.5 apart; the PJ check's n_theta is the same count
+    calls = []
+    for n in (0, -4, 2.5, 3.0, math.nan):
+        with pytest.raises(ValueError, match="angle count"):
+            circle_mean(0.2, 0.5, lambda w: calls.append(1) or h(w), n)
+        with pytest.raises(ValueError, match="angle count"):
+            poisson_jensen_residual(BlaschkeSpec(zeros=(0.1,)), None, 0.2, 0.5, n_theta=n)
+    assert calls == []
 
 
 def test_circle_means_of_a_quadratic_are_exact_and_each_its_own_call():
