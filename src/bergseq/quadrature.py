@@ -59,11 +59,14 @@ A log-kernel mass of a curvature density needs no 2-D integral when its
 potential is known: by Green's formula
 int_{D_r(q)} log(r^2/|w - q|^2) (Delta U / 2) dA = 2 pi (M - U(q)), M the
 mean of U over the circle |w - q| = r.  _circle_means is that 1-D loop:
-uniform angles, doubled until the mean over all of them and over the
-even-indexed ones agree, about an array of centers at once.  The
-puncture denominators take it (weights._puncture_denominators), on
-circles where U is real-analytic, so the trapezoid rule converges
-geometrically.
+angles doubled until the mean over all of them and over the
+even-indexed ones agree, about an array of centers at once.  The circle
+is the image of |zeta| = r under a map that takes 0 to q: q + zeta on
+the exponential cover, where the puncture denominators take it
+(weights._puncture_denominators) on uniform angles, and phi_q on the
+disk, where the border denominators take it (weights._phi_masses) on
+Mobius-balanced angles.  Either integrand is real-analytic on its
+circles, so the trapezoid rule converges geometrically.
 """
 
 from __future__ import annotations
@@ -215,11 +218,10 @@ def _loop_points(center, pullback, rho_hi):
 
     The points are the pull-back points if given, else the centers, and
     label names them in messages.  columns holds (p, |p|, p/|p|) per
-    point, by Python's complex abs and division (numpy's differ in the
-    last bit), so that a point's nodes do not depend on the points
-    sampled with it.  involution(p, zeta) swaps 0 and p: p - zeta, or
-    phi_p for a pull-back.  Raises DomainViolation unless every center is
-    finite, or, with a pull-back, every |z| < 1, center is 0 and rho_hi <= 1.
+    point (see _point_columns).  involution(p, zeta) swaps 0 and p:
+    p - zeta, or phi_p for a pull-back.  Raises DomainViolation unless
+    every center is finite, or, with a pull-back, every |z| < 1, center
+    is 0 and rho_hi <= 1.
     """
     if pullback is None:
         points, label, involution = _check_finite(center, "center"), "center", np.subtract
@@ -229,8 +231,19 @@ def _loop_points(center, pullback, rho_hi):
             raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
     if points.ndim > 1:
         raise DomainViolation(f"{label} points must be one point or a 1-D array, got shape {points.shape}")
-    columns = [(p, abs(p), p / abs(p) if p else 0.0) for p in map(complex, points.ravel())]
-    return points, label, np.array(columns, dtype=complex).reshape(-1, 3).T, involution
+    return points, label, _point_columns(points), involution
+
+
+def _point_columns(points):
+    """(p, |p|, p/|p|) per point, one column each.
+
+    Python's complex abs and division take them, not numpy's, which differ
+    in the last bit, so that a point's nodes do not depend on the points
+    sampled with it.  p/|p| is 1 at p = 0, where _balanced_rings then
+    gives uniform angles.
+    """
+    columns = [(p, abs(p), p / abs(p) if p else 1.0) for p in map(complex, np.ravel(points))]
+    return np.array(columns, dtype=complex).reshape(-1, 3).T
 
 
 def _balanced_rings(m, turn, rho, ring):
@@ -477,29 +490,48 @@ def polar_integral(
     return np.array(results)
 
 
-def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0):
-    """mean_theta [f(q + r e^{i theta}) - f(q)] about each center q of a 1-D array.
+def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0, involution=np.add, shift=None):
+    """mean_theta [f(involution(q, r e^{i theta})) - f(q)] about each center q of a 1-D array.
 
+    The circle's map is involution(q, zeta), which takes 0 to q: q + zeta
+    (np.add), a circle on the exponential cover, or _mobius, phi_q(zeta),
+    the pseudohyperbolic circle of radius r about a center q in the disk.
     f is called on complex arrays of points, the centers (1-D) and blocks
     of whole circles (2-D, at most _BLOCK_NODES nodes), and must act
-    elementwise.  Each center starts from rule.n_theta uniform angles and
-    doubles them until the mean over all angles and the mean over the
-    even-indexed ones settle (_settled_each), judged against the mean of
+    elementwise.  Each center starts from rule.n_theta angles and doubles
+    them until the mean over all angles and the mean over the
+    even-indexed ones settle (_settled_each).  On the cover the angles are
+    uniform.  On the disk they are Mobius-balanced (see _balanced_rings),
+    each sample weighted by its Jacobian and each sum scaled as in
+    _row_sums; the peak of |1 - conj(q) zeta|^-2 then sits on the node of
+    angle 0, so its aliases in the two means do not cancel, and at q = 0
+    the angles are uniform.
+
+    Without a shift the two means are judged against the mean of
     |f - f(q)|: the mean is often a small remainder of f, which cancels
-    against f(q).  Two estimates that differ by at most `floor` (one
-    value, or one per center) also settle: the caller's bound on the
-    rounding of f's samples, below which the mean is not known better
-    whatever the angles.  A doubling samples only the new, odd-indexed
-    angles.  Each center keeps its own angles and verdict, and its mean
-    is the same bit for bit as its own call gives.
+    against f(q).  With one, the caller takes mean - shift (one value, or
+    one per center), and the means are judged against that.  Two
+    estimates that differ by at most `floor` (one value, or one per
+    center) also settle: the caller's bound on the rounding of f's
+    samples, below which the mean is not known better whatever the
+    angles.  A doubling samples only the new, odd-indexed angles.  Each
+    center keeps its own angles and verdict, and its mean is the same bit
+    for bit as its own call gives.
 
     Raises DomainViolation before any sampling unless every center is
-    finite, and at the first value of f that is not finite, naming the
-    center, r and the point: such a value is not excised.  A circle that
-    would need more than rule.max_nodes angles raises
-    QuadratureNotConverged naming its center, with 0 radial panels.
+    finite (in the disk, with _mobius), and at the first value of f that
+    is not finite, naming the center, r and the point: such a value is
+    not excised.  A circle that would need more than rule.max_nodes
+    angles raises QuadratureNotConverged naming its center, with 0 radial
+    panels.
     """
-    qs = _check_finite(centers, label)
+    balanced = involution is _mobius
+    if balanced:
+        qs = _check_domain(centers, name=label)
+        _, m, turn = _point_columns(qs)[:, :, None]
+        m = m.real
+    else:
+        qs = _check_finite(centers, label)
 
     def check(vals, ks, w):
         """Raise at the first row of vals, of center ks[j] and points w[j], with a value that is not finite."""
@@ -516,6 +548,7 @@ def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0):
     total, absolute, even = np.zeros(qs.size), np.zeros(qs.size), np.empty(qs.size)
     prev, means = np.full(qs.size, math.nan), np.empty(qs.size)
     live, n, floor = np.arange(qs.size), rule.n_theta, np.broadcast_to(floor, qs.shape)
+    shift = None if shift is None else np.broadcast_to(shift, qs.shape)
     while live.size:
         first = n == rule.n_theta
         if not first and n > rule.max_nodes:
@@ -523,13 +556,19 @@ def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0):
             last = (means[k],) if n // 2 == rule.n_theta else (prev[k], means[k])
             raise QuadratureNotConverged(f"circle mean of radius {r} about {label}[{k}] = {qs[k]}",
                                          last, 0, n // 2, n // 2)
-        ring = r * np.exp(1j * (2.0 * math.pi / n) * np.arange(0 if first else 1, n, 1 if first else 2))
+        ring = np.exp(1j * (2.0 * math.pi / n) * np.arange(0 if first else 1, n, 1 if first else 2))
+        a = np.empty(live.size)
         rows = max(1, _BLOCK_NODES // ring.size)
         for i in range(0, live.size, rows):
             ks = live[i:i + rows]
-            w = qs[ks, None] + ring
+            if balanced:
+                w, jac, a[i:i + rows] = _balanced_rings(m[ks], turn[ks], r, ring)
+            else:
+                w = qs[ks, None] + r * ring
             vals = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape) - at_q[ks, None]
             check(vals, ks, w)
+            if balanced:
+                vals = vals * jac
             if first:
                 even[ks] = vals[:, ::2].sum(axis=1)
                 total[ks] = even[ks] + vals[:, 1::2].sum(axis=1)
@@ -537,10 +576,16 @@ def _circle_means(f, centers, r, rule=DEFAULT_RULE, label="center", floor=0.0):
                 even[ks] = total[ks]
                 total[ks] += vals.sum(axis=1)
             absolute[ks] += np.abs(vals).sum(axis=1)
-        prev[live] = means[live]
-        means[live] = est = total[live] / n
-        ref = 2.0 * even[live] / n
-        done = _settled_each(est, ref, rule, absolute[live] / n) | (np.abs(est - ref) <= floor[live])
+        est, ref = total[live] / n, 2.0 * even[live] / n
+        if balanced:
+            a_n, a_half = a ** n, a ** (n // 2)
+            est, ref = est * ((1.0 - a_n) / (1.0 + a_n)), ref * ((1.0 - a_half) / (1.0 + a_half))
+        prev[live], means[live] = means[live], est
+        if shift is None:
+            done = _settled_each(est, ref, rule, absolute[live] / n)
+        else:
+            done = _settled_each(est - shift[live], ref - shift[live], rule, 0.0)
+        done |= np.abs(est - ref) <= floor[live]
         live, n = live[~done], 2 * n
     return means
 

@@ -21,7 +21,8 @@ from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical
 from .quadrature import DEFAULT_RULE, QuadratureRule
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius
 from .weights import WeightModel
-from .weights import _annulus_sums, _curvature_masses, _lift_dists, _lifted_points, _puncture_denominators, _span
+from .weights import (_annulus_sums, _curvature_masses, _lift_dists, _lifted_points, _phi_masses,
+                      _puncture_denominators, _span)
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -239,9 +240,15 @@ def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
 
     numers[k] are the numerators at z = centers[k] (see
     _border_numerators); the denominators are the kernel masses of
-    Delta phi / omega_P - 2 over D_r(z), from weights._curvature_masses.
+    Delta phi / omega_P - 2 over D_r(z).  A weight whose phi passed
+    custom_weight's check (phi_matches_curvature) takes them from circle
+    means of phi, weights._phi_masses; every other one from
+    weights._curvature_masses, in closed form under a declared constant
+    curvature and else by 2-D quadrature of lap_poincare_ratio.
     """
-    return _reports(centers, radii, numers, _curvature_masses(weight, centers, radii, rule, less=2.0), "border")
+    masses = _phi_masses if weight.phi_matches_curvature else _curvature_masses
+    return _reports(centers, radii, numers, masses(weight, centers, radii, rule, less=2.0), "border")
+
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
@@ -249,7 +256,9 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
 
     Numerator: 2 pi sum of log(r^2/rho^2) over sequence points with
     phi_z image in 1/2 < rho < r.  Denominator: the log-kernel mass of
-    Delta phi - 2 omega_P over D_r(z), pulled back through phi_z.
+    Delta phi - 2 omega_P over D_r(z), pulled back through phi_z: a
+    circle mean of phi, a closed form or a 2-D integral of the ratio (see
+    _border_quotients).
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
@@ -462,6 +471,10 @@ def density_sweep(
         if centers is None and n_centers == CENTER_CAP:
             notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
                          f" coverage radius {coverage_radius:.3f}")
+        if (weight.domain is Domain.DISK and weight.constant_poincare_ratio is None
+                and not weight.phi_matches_curvature):
+            notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
+                         " the border denominators are 2-D integrals of the ratio")
         return side_estimate(grid, zip(*per_center))
 
     def run_puncture(part_points):

@@ -2,14 +2,17 @@
 
 The two-sided balance for a weighted log-modulus ties the circle means,
 the zero-counting terms, and the curvature mass to one scalar residual;
-a small residual certifies all three at once.  The curvature mass is the
-one the border denominators take (weights._curvature_masses), so what a
-small residual certifies depends on the weight.  For a weight that
-declares a constant curvature c, the mass is c a_r(r) in closed form,
-the formula that gives the sweep its (c - 2) a_r(r): the residual checks
-the declared c against phi, through the circle mean, and no quadrature
-runs.  For any other disk weight it is the sweep's pulled-back
-polar_integral, which the residual then certifies.  Punctured-disk
+a small residual certifies all three at once.  The curvature mass comes
+from weights._curvature_masses, so what a small residual certifies
+depends on the weight.  For a weight that declares a constant curvature
+c, the mass is c a_r(r) in closed form, the formula that gives the sweep
+its (c - 2) a_r(r): the residual checks the declared c against phi,
+through the circle mean, and no quadrature runs.  For any other disk
+weight it is the pulled-back 2-D polar_integral of lap_poincare_ratio.
+The sweep takes that integral only for a weight whose phi failed
+custom_weight's check; for one that passed, its denominators are circle
+means of phi (weights._phi_masses), so the residual checks phi against
+its ratio independently of the sweep's own code.  Punctured-disk
 weights are refused: their curvature ratio is taken against the
 punctured-disk metric, and the balance integrates against the disk's.
 
@@ -94,7 +97,7 @@ def poisson_jensen_residual(
     LHS: circle mean of 2 log|f| - psi over the pseudohyperbolic circle
     of radius r about z.  RHS: the center value, plus log(r^2/rho_j^2)
     per zero strictly inside, minus 1/(2 pi) times the log-kernel
-    curvature mass of psi over D_r(z), as the border denominators take it
+    curvature mass of psi over D_r(z), from weights._curvature_masses
     (see the module docstring).  psi = None means the zero weight.  A
     punctured-disk weight raises DomainViolation, and an n_theta that is
     not an integer >= 1 ValueError (see circle_mean).

@@ -19,12 +19,12 @@ attained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, WindowViolation
+from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _log_L, _mobius, lift_value
 from .quadrature import (
     DEFAULT_RULE,
@@ -50,6 +50,11 @@ class WeightModel:
     phi maps complex arrays to values (may be -inf at log poles).
     lap_poincare_ratio is Delta phi / omega_P; lap_cyl_ratio is
     Delta phi / omega_c and only meaningful on the punctured disk.
+
+    phi_matches_curvature is not a parameter: custom_weight sets it on
+    the disk when phi passes its check against lap_poincare_ratio, and
+    only then do the border denominators take circle means of phi (see
+    _phi_masses).  Every other weight keeps it False.
     """
 
     phi: Callable
@@ -60,6 +65,7 @@ class WeightModel:
     params: dict = field(default_factory=dict)
     constant_poincare_ratio: Optional[float] = None
     hypothesis_flags: dict = field(default_factory=dict)
+    phi_matches_curvature: bool = field(default=False, init=False)
 
 
 def standard_disk(s: float) -> WeightModel:
@@ -126,6 +132,10 @@ _PROBE = np.array([[0.3, 0.5j], [-0.4 + 0.2j, 0.1 - 0.6j]])
 # cylindrical density; both disks stay in Im w > 1.
 _PROBE_LIFTS = np.array([0.7 + 6j, 2.1 + 11j])
 _PROBE_R = 4.0
+# The centers and radius at which custom_weight checks phi against its
+# hyperbolic density on the disk.
+_DISK_PROBE = np.array([0.3 + 0.2j, -0.5j])
+_DISK_PROBE_R = 0.9
 
 
 def _vectorized(f):
@@ -159,14 +169,29 @@ def custom_weight(
     slower than a callable that takes arrays.  Everything downstream
     calls the weight on arrays only.
 
+    check_tol must lie in (0, inf), else ValueError.  Every check below
+    compares to check_tol relative to max(|value|, 1).
+
     On the punctured disk with a lap_cyl_ratio, two checks run at
-    construction, each to check_tol relative to max(|value|, 1), and a
-    failure raises ValueError.  The densities must satisfy
-    ratio_cyl = ratio_poincare / (log 1/|z|^2)^2, on a radial sample
-    grid.  And phi must match them: the puncture denominators come from
-    phi alone (see _cover_psi), so at two probe lifts they must agree with
-    the 2-D log-kernel integral of the shifted cylindrical density.
+    construction, and a failure raises ValueError.  The densities must
+    satisfy ratio_cyl = ratio_poincare / (log 1/|z|^2)^2, on a radial
+    sample grid.  And phi must match them: the puncture denominators come
+    from phi alone (see _cover_psi), so at two probe lifts they must agree
+    with the 2-D log-kernel integral of the shifted cylindrical density.
+
+    On the disk phi is checked against lap_poincare_ratio: at two probe
+    centers and one border radius, the curvature masses from circle means
+    of phi (_phi_masses) must agree with the 2-D integrals of the ratio
+    (_curvature_masses).  The outcome is recorded as
+    phi_matches_curvature, and the border denominators take circle means
+    of phi only when it holds.  A weight that fails, or whose phi or ratio
+    cannot be evaluated there (a value that is not finite, a mean that
+    does not converge), is still returned: its border denominators stay
+    2-D integrals of the ratio, and each density sweep under it says so
+    in a note.
     """
+    if not 0.0 < check_tol < math.inf:
+        raise ValueError(f"check_tol must lie in (0, inf), got {check_tol!r}")
     phi, lap_poincare_ratio = _vectorized(phi), _vectorized(lap_poincare_ratio)
     if lap_cyl_ratio is not None:
         lap_cyl_ratio = _vectorized(lap_cyl_ratio)
@@ -191,7 +216,22 @@ def custom_weight(
         if gap > check_tol:
             raise ValueError(f"phi does not match its cylindrical Laplacian density: puncture denominators at"
                              f" r = {_PROBE_R:g} about {_PROBE_LIFTS.tolist()} off by {gap:.3g} relative")
+    if domain is Domain.DISK:
+        # the field is not a parameter of WeightModel, and the weight is frozen
+        object.__setattr__(weight, "phi_matches_curvature", _phi_probe(weight, check_tol))
     return weight
+
+
+def _phi_probe(weight: WeightModel, check_tol):
+    """Whether the circle-mean masses of a disk weight's phi match its 2-D curvature masses at the probe (see custom_weight)."""
+    radii = (_DISK_PROBE_R,)
+    try:
+        got = _phi_masses(weight, _DISK_PROBE, radii)
+        want = np.array(_curvature_masses(weight, _DISK_PROBE, radii))
+    except (BergseqError, ArithmeticError, ValueError, TypeError):
+        return False
+    # a NaN gap compares False
+    return _rel_gap(got, want) <= check_tol
 
 
 def _check_cylindrical(weight: WeightModel):
@@ -234,10 +274,11 @@ def _cover_psi(weight: WeightModel):
     return lambda w: phi(np.exp(1j * w)) + 2.0 * np.log(2.0 * w.imag)
 
 
-# Rounding of a sample of U that _puncture_denominators allows for, relative
-# to the size of U's terms: far above the noise of a mean of N samples,
-# about eps / sqrt(N), and far below rel_tol times the mean of |U - U(q)|
-# unless psi is harmonic on the circle to about that precision.
+# Rounding of a sample of U (or of phi) that _puncture_denominators (and
+# _phi_masses) allows for, relative to the size of U's terms: far above the
+# noise of a mean of N samples, about eps / sqrt(N), and far below rel_tol
+# times the mean of |U - U(q)| unless psi is harmonic on the circle to about
+# that precision.
 _U_ROUNDING = 64.0 * np.finfo(float).eps
 
 
@@ -275,8 +316,11 @@ def _curvature_masses(weight: Optional[WeightModel], centers, radii, rule: Quadr
     A row holds one mass per radius r: the integral of
     (lap_poincare_ratio o phi_z - less) log(r^2/rho^2) over D_r(0)
     against the hyperbolic area form.  It is the border denominator for
-    less = 2 and the curvature term of the Poisson-Jensen balance for
-    less = 0.  A weight that declares constant_poincare_ratio c gets
+    less = 2, unless phi passed custom_weight's check, when the sweep takes
+    _phi_masses instead; and the curvature term of the Poisson-Jensen
+    balance for less = 0, which so checks such a phi against its ratio
+    independently of the sweep.  It also gives custom_weight's check its
+    reference.  A weight that declares constant_poincare_ratio c gets
     (c - less) a_r_hyperbolic(r), with no quadrature, and None, the zero
     weight, c = 0; the callers check the centers.  Any other weight gets
     every mass of a center from one polar_integral over D_max(radii)(0),
@@ -297,6 +341,51 @@ def _curvature_masses(weight: Optional[WeightModel], centers, radii, rule: Quadr
     chunks = (slice(i, i + _CENTER_CHUNK) for i in range(0, len(centers), _CENTER_CHUNK))
     return [row for s in chunks for row in polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule,
                                                           breaks=breaks[s], pullback=centers[s])]
+
+
+# How much finer than rule.rel_tol the circle means of _phi_masses settle:
+# a circle has one error indicator, the difference of two trapezoid sums,
+# where a 2-D level has two over many rings.  On 40 lattices of the
+# curved-sweep benchmark either tolerance put the curved and the wrapped
+# standard_disk(3) denominators within 2.5e-13 of their closed forms (the
+# rounding of phi near the rim), and the margin cost a quarter more samples.
+_PHI_MEAN_TOL = 1e-3
+
+
+def _phi_masses(weight: WeightModel, centers, radii, rule: QuadratureRule = DEFAULT_RULE, less=0.0):
+    """_curvature_masses from circle means of phi: an array of one row per center z, one mass per radius r.
+
+    Delta phi = ratio omega_P with omega_P = 2 (1 - |z|^2)^-2 dA, and
+    the hyperbolic area form and the ratio are invariant under phi_z, so
+    by Green's formula the mass of lap_poincare_ratio - less over D_r(z) is
+
+        2 pi mean_theta [phi(phi_z(r e^{i theta})) - phi(z)] - less a_r(r),
+
+    one circle mean per (z, r) on Mobius-balanced angles (see
+    quadrature._circle_means).  The means settle on this difference,
+    not on the mean or on the mean of |phi o phi_z - phi(z)|: for
+    less = 2 the border denominator is what is left of the mass after
+    2 a_r(r), and it can be a small part of it.  They settle to
+    _PHI_MEAN_TOL rule.rel_tol of it, or to the rounding of phi's
+    samples (_U_ROUNDING times |phi(z)| + a_r(r)/pi, the mean under
+    curvature 2).  phi is sampled near the rim as z and r near 1 ask:
+    where 1 - |w|^2 is d, a log weight's samples carry rounding of about
+    eps/d, which the 2-D integral of a bounded ratio does not.
+
+    Needs a disk weight whose phi matches its ratio; custom_weight's probe
+    checks that, and records it as phi_matches_curvature.
+    """
+    phi = weight.phi
+    fine = replace(rule, rel_tol=rule.rel_tol * _PHI_MEAN_TOL)
+    centers = _check_domain(centers, name="center")
+    size = np.abs(phi(centers))
+    masses = []
+    for r in radii:
+        a_r = a_r_hyperbolic(r)
+        floor = _U_ROUNDING * (size + a_r / math.pi)
+        means = _circle_means(phi, centers, r, fine, "center", floor, _mobius, less * a_r / TWO_PI)
+        masses.append(TWO_PI * means - less * a_r)
+    return np.transpose(masses)
 
 
 def _phi_fn(phi):

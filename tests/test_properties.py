@@ -42,7 +42,8 @@ from bergseq import (
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
 from bergseq.sequences import DEFAULT_SPLIT, PUNCTURE_R_GRID, _greedy_separated, _min_pairwise, _puncture_quotients
-from bergseq.weights import _border_radial_means, _covered_integrand, _disk_dists, _puncture_radial_means
+from bergseq.weights import (_border_radial_means, _covered_integrand, _curvature_masses, _disk_dists, _phi_masses,
+                             _puncture_radial_means)
 
 PROPS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
@@ -164,6 +165,32 @@ def test_curved_border_denominator_is_not_accepted_early(z, r):
     pulled = lambda zeta: _CURVED.lap_poincare_ratio(mobius_involution(z, zeta)) - 2.0
     ref = polar_integral(pulled, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), _FINE)
     assert math.isclose(got, ref, rel_tol=1e-12)
+
+
+def _quadratic_weight(a, b, c, eps=0.0):
+    """phi = a log 1/(1-|z|^2) + b |z|^2 + c Re z^2, whose density is 2a + 2b (1-|z|^2)^2
+    (Re z^2 is harmonic); eps adds eps |z|^4 to phi and nothing to the density."""
+    return custom_weight(
+        lambda z: -a * np.log1p(-np.abs(z) ** 2) + b * np.abs(z) ** 2 + c * np.real(z * z) + eps * np.abs(z) ** 4,
+        lambda z: 2.0 * a + 2.0 * b * (1.0 - np.abs(z) ** 2) ** 2,
+        Domain.DISK,
+    )
+
+
+@PROPS
+@given(st.floats(1.0, 4.0), st.floats(-0.4, 2.0), st.floats(-2.0, 2.0),
+       st.lists(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.95), angle), min_size=1, max_size=3),
+       st.sampled_from(BORDER_R_GRID), st.floats(1e-4, 1.0))
+@example(2.0, 1.0, 0.0, [0.95 * cmath.exp(0.3j), 0.0], 0.99, 1e-4)
+def test_circle_mean_masses_match_the_2d_integrals(a, b, c, zs, r, eps):
+    # Green's formula: the curvature mass over D_r(z) is 2 pi times the circle
+    # mean of phi o phi_z - phi(z); a phi off its density by eps |z|^4 fails
+    # custom_weight's check and keeps the 2-D denominators
+    weight = _quadratic_weight(a, b, c)
+    assert weight.phi_matches_curvature
+    got = _phi_masses(weight, zs, (r,))
+    np.testing.assert_allclose(got, np.array(_curvature_masses(weight, zs, (r,))), rtol=1e-10, atol=0.0)
+    assert not _quadratic_weight(a, b, c, eps).phi_matches_curvature
 
 
 rim_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.995), angle)

@@ -34,7 +34,8 @@ from bergseq import (
 )
 from bergseq import sequences, weights
 from bergseq.errors import BergseqError, DomainViolation, WindowViolation
-from bergseq.quadrature import _hyper_weight, polar_integral
+from bergseq.geometry import _mobius
+from bergseq.quadrature import DEFAULT_RULE, QuadratureRule, _balanced_rings, _circle_means, _hyper_weight, polar_integral
 from bergseq.sequences import CENTER_CAP, PUNCTURE_R_GRID, _greedy_separated
 from bergseq.weights import _nested_kernel
 
@@ -505,26 +506,37 @@ def test_curved_denominator_near_the_rim_matches_closed_form():
 
 
 def _counting_curved():
-    """CURVED with a curvature density that records the shape of every
-    node array the quadrature hands it."""
-    shapes = []
+    """CURVED with a phi that records the shape of every array of circle points
+    it is handed (2-D), and a curvature density that records every call, both
+    after construction."""
+    shapes, ratio_calls = [], []
 
-    def lap(w):
+    def phi(w):
         if np.ndim(w) == 2:
             shapes.append(w.shape)
+        return CURVED.phi(w)
+
+    def lap(w):
+        ratio_calls.append(np.shape(w))
         return CURVED.lap_poincare_ratio(w)
 
-    return custom_weight(CURVED.phi, lap, Domain.DISK), shapes
+    weight = custom_weight(phi, lap, Domain.DISK)
+    shapes.clear()
+    ratio_calls.clear()
+    return weight, shapes, ratio_calls
 
 
-@pytest.mark.parametrize("c, grid, max_angles", [
-    (0.97 * np.exp(0.3j), (0.99,), 128),            # fault F2; uniform angles reach 1024
-    (0.995 * np.exp(2.0j), BORDER_R_GRID, 256),     # uniform angles reach 2048
+@pytest.mark.parametrize("c, grid, max_samples", [
+    (0.97 * np.exp(0.3j), (0.99,), 256),            # fault F2; uniform angles take 1 024
+    (0.995 * np.exp(2.0j), BORDER_R_GRID, 1152),    # uniform angles take 512 + 1 024 + 2 048 + 4 096
 ])
-def test_rim_center_denominators_settle_on_balanced_angles(c, grid, max_angles):
-    weight, shapes = _counting_curved()
+def test_rim_center_denominators_settle_on_balanced_angles(c, grid, max_samples):
+    # one circle mean of phi per radius: 256 angles at F2, and 128 + 256 +
+    # 256 + 512 at 0.995 e^{2i}.  Uniform angles, judged the same way, need
+    # the counts above.
+    weight, shapes, _ = _counting_curved()
     density_sweep(SequenceSet((0.3,), Domain.DISK), weight, r_grid=grid, centers=[c])
-    assert max(n_theta for _, n_theta in shapes) <= max_angles
+    assert sum(rows * n for rows, n in shapes) <= max_samples
 
 
 def _bench_seed(seed, *parts):
@@ -533,11 +545,24 @@ def _bench_seed(seed, *parts):
 
 
 def _explicit_border_denominators(weight, centers, radii):
-    """Border denominators written out: (c - 2) a_r for a declared constant c, else
-    one polar_integral per 16 centers with one nested kernel column and one break per
-    radius, and a break at |z| on the punctured disk."""
+    """Border denominators written out: (c - 2) a_r for a declared constant c.
+    For a phi that passed custom_weight's check, 2 pi times one circle mean of phi
+    per radius, on balanced angles, settled to 1e-11 of the mean less a_r/pi or to
+    64 ulps of |phi(z)| + a_r/pi, less 2 a_r.  Else one polar_integral per 16
+    centers with one nested kernel column and one break per radius, and a break
+    at |z| on the punctured disk."""
     if weight.constant_poincare_ratio is not None:
         return np.array([[(weight.constant_poincare_ratio - 2.0) * a_r_hyperbolic(r) for r in radii]] * len(centers))
+    if weight.phi_matches_curvature:
+        rule = QuadratureRule(rel_tol=DEFAULT_RULE.rel_tol * 1e-3)
+        size = np.abs(weight.phi(centers))
+        cols = []
+        for r in radii:
+            a_r = a_r_hyperbolic(r)
+            floor = 64.0 * np.finfo(float).eps * (size + a_r / math.pi)
+            means = _circle_means(weight.phi, centers, r, rule, "center", floor, _mobius, a_r / math.pi)
+            cols.append(2.0 * math.pi * means - 2.0 * a_r)
+        return np.transpose(cols)
     g = lambda w: weight.lap_poincare_ratio(w) - 2.0
     punctured = weight.domain is Domain.PUNCTURED_DISK
     rows = []
@@ -549,64 +574,139 @@ def _explicit_border_denominators(weight, centers, radii):
 
 
 _S3 = standard_disk(3.0)
+_WRAPPED = custom_weight(_S3.phi, _S3.lap_poincare_ratio, Domain.DISK)
+# phi = 0 with the curvature density of CURVED: the benchmark's self-test weight
+_FLAT = custom_weight(lambda w: 0.0 * np.abs(w), CURVED.lap_poincare_ratio, Domain.DISK)
 # the curved-sweep benchmark's 24-point lattice and the lattice-gram one's
 # 100-point lattice, at seeds 201 and 301, round 0
 _SWEEP_LATTICE = lambda: generate_lattice("hyperbolic-disk", 24, seed=_bench_seed(201, 20, 0, 0), d=0.35, margin=0.1)
 _GRAM_LATTICE = lambda: generate_lattice("hyperbolic-disk", 100, seed=_bench_seed(301, 10, 0, 0), d=0.35, margin=0.02)
 
 
+def _border_table(sweep):
+    """(centers, radii, denominators) of a sweep's border reports, one row of denominators per center."""
+    n = sweep.n_centers
+    border = [rep for rep in sweep.reports if rep.kind == "border"]
+    radii = tuple(rep.radius for rep in border[::n])
+    got = np.array([rep.denominator for rep in border]).reshape(len(radii), n).T
+    return np.array([rep.center for rep in border[:n]]), radii, got
+
+
 @pytest.mark.parametrize("make, weight", [
     (_SWEEP_LATTICE, CURVED),
-    (_SWEEP_LATTICE, custom_weight(_S3.phi, _S3.lap_poincare_ratio, Domain.DISK)),
+    (_SWEEP_LATTICE, _WRAPPED),
+    (_SWEEP_LATTICE, _FLAT),
     (_GRAM_LATTICE, standard_disk(2.0)),
     (_GRAM_LATTICE, _S3),
     # fault F1: 18 border centers of a punctured-disk weight, each with its own break at |z|
     (lambda: generate_lattice("puncture-exponential", 40, s=0.5, n=2), standard_puncture(2.0, 3.0)),
-], ids=["curved", "wrapped", "standard-2", "standard-3", "F1"])
+], ids=["curved", "wrapped", "flat", "standard-2", "standard-3", "F1"])
 def test_border_denominators_are_the_explicit_ones_bit_for_bit(make, weight):
     sweep = classify(make(), weight).sweep
-    n = sweep.n_centers
-    border = [rep for rep in sweep.reports if rep.kind == "border"]
-    centers = np.array([rep.center for rep in border[:n]])
-    radii = tuple(rep.radius for rep in border[::n])
-    got = np.array([rep.denominator for rep in border]).reshape(len(radii), n).T
+    centers, radii, got = _border_table(sweep)
     assert got.tobytes() == _explicit_border_denominators(weight, centers, radii).tobytes()
-    assert all(rep.ratio == rep.numerator / rep.denominator for rep in border)
+    assert all(rep.ratio == rep.numerator / rep.denominator for rep in sweep.reports if rep.kind == "border")
 
 
-def test_denominators_that_settle_at_the_first_level_keep_uniform_angles():
-    # a wrapped standard weight is constant under phi_z, so its angles
-    # settle at once and the denominators are those of the explicit
-    # uniform-angle pull-back, bit for bit
-    s3 = standard_disk(3.0)
-    wrapped = custom_weight(s3.phi, s3.lap_poincare_ratio, Domain.DISK)
+def _curved_closed_form(c, r):
+    """CURVED's border denominator: its phi has circle means -2 log(1 - |c|^2) - 2 log(1 - r^2)
+    + 1 - (1 - |c|^2)(1 - r^2)/(1 - |c|^2 r^2) about c, so by Green's formula it is
+    2 a_r + 2 pi r^2 (1 - |c|^2)^2 / (1 - |c|^2 r^2)."""
+    a = np.abs(c) ** 2
+    return 2.0 * a_r_hyperbolic(r) + 2.0 * math.pi * r * r * (1.0 - a) ** 2 / (1.0 - a * r * r)
+
+
+@pytest.mark.parametrize("weight, closed", [
+    (CURVED, _curved_closed_form),
+    (_WRAPPED, lambda c, r: np.full(np.shape(c), 4.0 * a_r_hyperbolic(r))),
+], ids=["curved", "wrapped"])
+def test_circle_mean_denominators_match_closed_forms_and_the_2d_integrals(weight, closed):
+    centers, radii, got = _border_table(density_sweep(_SWEEP_LATTICE(), weight))
+    want = np.transpose([closed(centers, r) for r in radii])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the 2-D integrals of the ratio carry an error of their own: 1.5e-12
+    # relative at center 0.2359 + 0.6590i, r = 0.99, under CURVED, where the
+    # circle mean is within 3e-15 of the closed form
+    two_d = np.array(weights._curvature_masses(weight, centers, radii, less=2.0))
+    assert np.all(np.abs(got - two_d) <= 1e-12 * np.abs(two_d) + np.abs(two_d - want))
+
+
+def test_a_phi_off_its_curvature_keeps_the_2d_denominators_and_says_so():
+    # the benchmark's self-test weight fails the check, and its quotients are
+    # the 2-D integrals of its ratio, as before circle means, bit for bit
+    assert not _FLAT.phi_matches_curvature
+    assert CURVED.phi_matches_curvature and _WRAPPED.phi_matches_curvature
+    rep = border_density_ratio([0.3], _FLAT, 0.5 + 0.1j, 0.9)
+    assert rep.denominator == float(_explicit_border_denominators(_FLAT, np.array([0.5 + 0.1j]), (0.9,))[0, 0])
+    note = ("phi did not match lap_poincare_ratio at custom_weight's check:"
+            " the border denominators are 2-D integrals of the ratio")
+    assert note in density_sweep(_SWEEP_LATTICE(), _FLAT).notes
+    assert note not in density_sweep(_SWEEP_LATTICE(), CURVED).notes
+    assert density_sweep(_SWEEP_LATTICE(), standard_disk(2.0)).notes == density_sweep(_SWEEP_LATTICE(), CURVED).notes
+
+
+def test_a_curvature_just_above_2_settles_on_the_rounding_floor():
+    # under standard_disk(1 + 1e-9) a denominator is 1e-9 of the circle-mean
+    # mass it is left of, so it loses nine digits, and its circles settle on
+    # the rounding of phi's samples: 2 068 points for these 16 circles.
+    # Judged on the denominator alone, the rim center's circle at r = 0.99
+    # ran to 2^20 angles and raised QuadratureNotConverged.
+    near = standard_disk(1.0 + 1e-9)
+    points = []
+    weight = custom_weight(lambda w: points.append(np.size(w)) or near.phi(w), near.lap_poincare_ratio, Domain.DISK)
+    assert weight.phi_matches_curvature
+    points.clear()
+    sweep = density_sweep(SequenceSet((0.3,), Domain.DISK), weight, centers=[0.0, 0.5, 0.9j, 0.97 * np.exp(0.3j)])
+    assert sum(points) <= 1.25 * 2068
+    for rep in sweep.reports:
+        assert rep.denominator == pytest.approx((near.constant_poincare_ratio - 2.0) * a_r_hyperbolic(rep.radius), rel=1e-3)
+
+
+def test_denominators_that_settle_at_the_first_level_are_its_trapezoid_sums():
+    # the first level of a circle mean: 64 balanced angles (uniform about 0),
+    # the mean of (phi o phi_z - phi(z)) times the Jacobian, scaled by
+    # (1 - a^64)/(1 + a^64), settled when the 32 even-indexed angles agree
+    # with it to 1e-11 of the mean less a_r/pi
     lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
-    sweep = density_sweep(lat, wrapped)
-    n = sweep.n_centers
-    for k, c in enumerate(rep.center for rep in sweep.reports[:n]):
-        g = lambda zeta: s3.lap_poincare_ratio(mobius_involution(c, zeta)) - 2.0
-        want = polar_integral(g, 0.0, 0.0, max(BORDER_R_GRID), _hyper_weight, _nested_kernel(BORDER_R_GRID),
-                              breaks=BORDER_R_GRID)
-        assert [rep.denominator for rep in sweep.reports[k::n]] == list(want)
+    ctrs = np.append(0.0, center_net(lat.array(), 0.3))
+    reps = density_sweep(lat, _WRAPPED, centers=ctrs).reports
+    ring = np.exp(1j * (2.0 * math.pi / 64) * np.arange(64))
+    settled = 0
+    for k, z in enumerate(map(complex, ctrs)):
+        # Python's complex abs and division, as the library takes them
+        m, turn = np.array([[abs(z)]]), np.array([[z / abs(z) if z else 1.0]])
+        for j, r in enumerate(BORDER_R_GRID):
+            w, jac, a = _balanced_rings(m, turn, np.array([[r]]), ring)
+            if z == 0:
+                assert np.array_equal(w[0], -r * ring)  # uniform angles
+            vals = (_S3.phi(w) - _S3.phi(np.array([z]))[:, None]) * jac
+            even = vals[:, ::2].sum(axis=1)
+            est = (even + vals[:, 1::2].sum(axis=1)) / 64 * ((1.0 - a ** 64) / (1.0 + a ** 64))
+            ref = 2.0 * even / 64 * ((1.0 - a ** 32) / (1.0 + a ** 32))
+            shift = a_r_hyperbolic(r) / math.pi
+            if abs(est - ref)[0] <= 1e-11 * max(abs(est - shift)[0], abs(ref - shift)[0], 1e-12):
+                settled += 1
+                rep = reps[j * len(ctrs) + k]
+                assert rep.denominator == float(2.0 * math.pi * est[0] - 2.0 * a_r_hyperbolic(r))
+    assert settled == 99  # of the 65 x 4 circles
 
 
 def test_curved_sweep_node_budget(monkeypatch):
-    # the curved-weight sweep of a pinned lattice samples 1 556 740 nodes
-    # on balanced angles (1 919 232 when every level sampled all its
-    # rings), and 4 334 592 on uniform angles: a silent fall-back to
-    # uniform angles fails here without any timing.  Its 64 centers share
-    # four level loops.
-    weight, shapes = _counting_curved()
+    # the curved-weight sweep of a pinned lattice evaluates phi on 26 176
+    # circle points and never calls polar_integral or the curvature density.
+    # The 2-D integrals of the ratio sampled 1 556 740 nodes in four level
+    # loops; uniform angles, judged the same way, take 63 360 points.
+    weight, shapes, ratio_calls = _counting_curved()
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(np.size(kwargs.get("pullback")))
+        calls.append(1)
         return polar_integral(*args, **kwargs)
 
     monkeypatch.setattr(weights, "polar_integral", counted)
     sweep = density_sweep(generate_lattice("hyperbolic-disk", 24, seed=0, d=0.35, margin=0.1), weight)
-    assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 1556740
-    assert sweep.n_centers == 64 and calls == [16] * 4
+    assert sum(rows * n_theta for rows, n_theta in shapes) <= 1.25 * 26176
+    assert sweep.n_centers == 64 and calls == [] and ratio_calls == []
 
 
 def test_sequence_layer_mobius_call_budget(monkeypatch):

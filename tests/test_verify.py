@@ -131,6 +131,9 @@ def test_pj_pins_the_quadrature_for_the_standard_weight(zeros, s, z, r):
 
 
 def test_constant_curvature_pj_makes_no_quadrature_call(monkeypatch):
+    # built before the count: custom_weight's check of phi makes one call
+    s2 = standard_disk(2.0)
+    wrapped = custom_weight(s2.phi, s2.lap_poincare_ratio, Domain.DISK)
     calls = []
 
     def counted(*args, **kwargs):
@@ -144,8 +147,6 @@ def test_constant_curvature_pj_makes_no_quadrature_call(monkeypatch):
         assert poisson_jensen_residual(BlaschkeSpec(zeros), None, z, r) < 1e-13
     assert calls == []
     # the count sees the quadrature: a weight without a declared constant makes one call
-    s2 = standard_disk(2.0)
-    wrapped = custom_weight(s2.phi, s2.lap_poincare_ratio, Domain.DISK)
     poisson_jensen_residual(BlaschkeSpec(), wrapped, 0.1, 0.5)
     assert calls == [1]
 

@@ -88,6 +88,48 @@ def test_custom_weight_rejects_a_phi_that_does_not_match_its_densities(phi):
         custom_weight(phi, good_p, Domain.PUNCTURED_DISK, good_c)
 
 
+@pytest.mark.parametrize("domain", [Domain.DISK, Domain.PUNCTURED_DISK])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, 0.0])
+def test_custom_weight_needs_a_positive_finite_check_tol(tol, domain):
+    # NaN and inf once accepted the inconsistent densities below on the
+    # punctured disk, and a negative tolerance rejected every weight there
+    phi = lambda z: -1.5 * np.log(np.log(1.0 / np.abs(z) ** 2))
+    good_p = lambda z: np.full(np.shape(z), 3.0)
+    bad_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2)
+    with pytest.raises(ValueError, match="check_tol"):
+        custom_weight(phi, good_p, domain, bad_c, check_tol=tol)
+
+
+def test_the_disk_check_evaluates_phi_and_its_ratio_on_few_points():
+    # custom_weight's check of a curved disk weight evaluates phi at 136
+    # points (the 4 of the array probe, the 2 centers twice, and 64 angles on
+    # each circle) and the ratio at 27 652 (the array probe and the 2-D
+    # integrals).  The curved-sweep benchmark builds three custom weights in
+    # its set-up.
+    counts = {"phi": 0, "ratio": 0}
+
+    def counted(f, key):
+        def g(w):
+            counts[key] += np.size(w)
+            return f(w)
+        return g
+
+    weight = custom_weight(counted(lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2, "phi"),
+                           counted(lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2, "ratio"), Domain.DISK)
+    assert weight.phi_matches_curvature
+    assert counts["phi"] <= 1.25 * 136 and counts["ratio"] <= 1.25 * 27652
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("phi", [
+    lambda z: np.log(np.real(z) + 0.5),  # NaN where Re z < -0.5, which the probe circles reach
+    lambda z: np.sign(np.real(z)),       # a jump: its circle means do not settle by 2^20 angles
+], ids=["not-finite", "not-converged"])
+def test_a_disk_weight_whose_check_cannot_be_evaluated_still_constructs(phi):
+    weight = custom_weight(phi, lambda z: np.full(np.shape(z), 4.0), Domain.DISK)
+    assert not weight.phi_matches_curvature
+
+
 def test_a_wrapped_standard_puncture_weight_gives_its_denominators_bit_for_bit():
     sp = standard_puncture(2.0, 3.0)
     wrapped = custom_weight(sp.phi, sp.lap_poincare_ratio, Domain.PUNCTURED_DISK, sp.lap_cyl_ratio)
