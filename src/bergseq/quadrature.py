@@ -65,8 +65,10 @@ is the image of |zeta| = r under a map that takes 0 to q: q + zeta on
 the exponential cover, where the puncture denominators take it
 (weights._puncture_denominators) on uniform angles, and phi_q on the
 disk, where the border denominators take it (weights._phi_masses) on
-Mobius-balanced angles.  Either integrand is real-analytic on its
-circles, so the trapezoid rule converges geometrically.
+Mobius-balanced angles; both are the denominators of the one density
+quotient of sequences._quotients, one loop per radius over all its
+centers.  Either integrand is real-analytic on its circles, so the
+trapezoid rule converges geometrically.
 """
 
 from __future__ import annotations

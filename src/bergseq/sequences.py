@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical
 from .quadrature import DEFAULT_RULE, QuadratureRule
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius
 from .weights import WeightModel
-from .weights import (_annulus_sums, _curvature_masses, _lift_dists, _lifted_points, _phi_masses,
-                      _puncture_denominators, _span)
+from .weights import (_annulus_sums, _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators,
+                      _span, _window)
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -188,67 +188,72 @@ def separation_puncture(seq: SequenceSet):
 # ---------------------------------------------------------------------------
 # Density quotients.
 
-def _border_numerators(points, centers, radii):
-    """The border numerators per (center, radius), and each point's distance to its nearest center.
+@dataclass(frozen=True)
+class _Side:
+    """One side of the density quotient, the geometry that _quotients takes.
+
+    The annulus is (inner, r), r in the open range `radii`.  prepare
+    checks the points, and on the cover lifts them.  dists(prepared,
+    centers, r) has shape (centers, points, 2 span(r) + 1): on the cover
+    each point's translates in the window for r (see weights._window), on
+    the disk the point itself.  denominators(weight, centers, radii, rule)
+    gives the curvature masses, one row per center.
+    """
+
+    kind: str
+    inner: float
+    radii: tuple
+    prepare: Callable
+    dists: Callable
+    span: Callable
+    denominators: Callable
+
+
+# These lambdas look their module globals up at call time, so that a
+# patched _mobius or _lifted_points reaches them.  The border masses come from circle means of phi when phi passed
+# custom_weight's check, else in closed form or by 2-D quadrature of
+# lap_poincare_ratio (see weights._curvature_masses).
+_BORDER = _Side("border", 0.5, _BORDER_RADII, lambda points: _check_domain(points, name="points"),
+                lambda pts, centers, r: np.abs(_mobius(centers[:, None], pts))[..., None], lambda r: 0,
+                lambda weight, *args: (_phi_masses if weight.phi_matches_curvature else _curvature_masses)(
+                    weight, *args, less=2.0))
+_PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII, lambda points: _lifted_points(points),
+                  lambda w, lifts, r: np.abs(_window(w, lifts, r) - lifts[:, None, None]), _span,
+                  _puncture_denominators)
+
+
+def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
+    """The density quotients of one side at each center: one list of DensityReports per center, radii in order.
 
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
-    over the points whose pseudohyperbolic distance rho = |phi_z(gamma)|
-    from z = centers[k] lies in the open annulus (1/2, r), summed by
-    weights._annulus_sums.  The distances are taken a block of centers at
-    a time (see _block_rows); each distance and each sum is the same as
-    one center at a time would give.
+    over the distances rho from centers[k] in (side.inner, r), summed by
+    weights._annulus_sums; a denominator not > 0 is degenerate.  The
+    distances are taken a block of centers at a time (see _block_rows),
+    in the widest radius's window, and a smaller radius reads its middle
+    2 span(r) + 1 translate columns: they are its own window bit for bit,
+    so each sum is the one a single center and radius would give.  Also
+    returns each prepared point's least distance to a center (on the
+    cover, of its translates in the widest window).
     """
-    pts = np.asarray(points, dtype=complex)
+    pts = side.prepare(points)
     ctrs = np.asarray(centers, dtype=complex)
+    widest = max(radii)
+    span = side.span(widest)
     numers = np.empty((ctrs.size, len(radii)))
     nearest = np.full(pts.size, math.inf)
-    rows = _block_rows(pts.size)
+    rows = _block_rows(pts.size * (2 * span + 1))
     for i in range(0, ctrs.size, rows):
-        d = np.abs(_mobius(ctrs[i:i + rows, None], pts))
-        np.minimum(nearest, d.min(axis=0, initial=math.inf), out=nearest)
+        dist = side.dists(pts, ctrs[i:i + rows], widest)
+        np.minimum(nearest, dist.min(axis=(0, 2), initial=math.inf), out=nearest)
         for j, r in enumerate(radii):
-            numers[i:i + rows, j] = _annulus_sums(d, 0.5, r)
-    return numers, nearest
-
-
-def _puncture_numerators(w, lifts, radii):
-    """The puncture numerators per (lift, radius) of the lifted points w.
-
-    Numerator (k, j) is 2 pi times the sum of log(r^2/d^2), r = radii[j],
-    over the translates at distance d from q = lifts[k] in the open
-    annulus (1, r).  Each radius takes its own translate window (see
-    weights._window), and each sum is the same as one lift and one radius
-    at a time would give, a block of lifts at a time (see _block_rows).
-    """
-    numers = np.empty((len(lifts), len(radii)))
-    for j, r in enumerate(radii):
-        rows = _block_rows(w.size * (2 * _span(r) + 1))
-        for i in range(0, len(lifts), rows):
-            numers[i:i + rows, j] = _annulus_sums(_lift_dists(w, lifts[i:i + rows], r), 1.0, r)
-    return numers
-
-
-def _reports(centers, radii, numers, denoms, kind):
-    """One list of DensityReports per center, radii in order; a denominator not > 0 is degenerate."""
-    return [[DensityReport(complex(c), r, n, d, n / d if d > 0.0 else math.inf, kind, not d > 0.0)
-             for r, n, d in zip(map(float, radii), map(float, ns), map(float, ds))]
-            for c, ns, ds in zip(centers, numers, denoms)]
-
-
-def _border_quotients(numers, weight: WeightModel, centers, radii, rule):
-    """The border quotients at each center: one list of DensityReports per center, radii in order.
-
-    numers[k] are the numerators at z = centers[k] (see
-    _border_numerators); the denominators are the kernel masses of
-    Delta phi / omega_P - 2 over D_r(z).  A weight whose phi passed
-    custom_weight's check (phi_matches_curvature) takes them from circle
-    means of phi, weights._phi_masses; every other one from
-    weights._curvature_masses, in closed form under a declared constant
-    curvature and else by 2-D quadrature of lap_poincare_ratio.
-    """
-    masses = _phi_masses if weight.phi_matches_curvature else _curvature_masses
-    return _reports(centers, radii, numers, masses(weight, centers, radii, rule, less=2.0), "border")
-
+            cut = span - side.span(r)
+            window = dist[:, :, cut:dist.shape[2] - cut].reshape(len(dist), -1)
+            numers[i:i + rows, j] = _annulus_sums(window, side.inner, r)
+    denoms = side.denominators(weight, ctrs, radii, rule)
+    reports = [[DensityReport(complex(c), r, n, d, n / d if d > 0.0 else math.inf, side.kind, not d > 0.0)
+                for r, n, d in zip(map(float, radii), map(float, ns), map(float, ds))]
+               for c, ns, ds in zip(ctrs, numers, denoms)]
+    return reports, nearest
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
@@ -257,14 +262,14 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     Numerator: 2 pi sum of log(r^2/rho^2) over sequence points with
     phi_z image in 1/2 < rho < r.  Denominator: the log-kernel mass of
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z: a
-    circle mean of phi, a closed form or a 2-D integral of the ratio (see
-    _border_quotients).
+    circle mean of phi when phi passed custom_weight's check, else a
+    closed form or a 2-D integral of the ratio.  It is the sweep's
+    quotient at one center and radius (see _quotients).
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
-    pts = seq.array() if isinstance(seq, SequenceSet) else _check_domain(seq, name="points")
-    numers, _ = _border_numerators(pts, [z], (r,))
-    return _border_quotients(numers, weight, [z], (r,), rule)[0][0]
+    pts = seq.array() if isinstance(seq, SequenceSet) else seq
+    return _quotients(_BORDER, pts, weight, [z], (r,), rule)[0][0][0]
 
 
 def _admissible(q, r):
@@ -276,26 +281,6 @@ def _admissible(q, r):
     return q.imag > r + 1.0
 
 
-def _puncture_quotients(points, weight: WeightModel, lifts, radii, rule):
-    """The puncture quotients at each lift q, admissible at every radius: one list of DensityReports per lift.
-
-    The numerators come from _puncture_numerators; the points are checked
-    and lifted once, for every lift.  The denominators come from one
-    circle-mean loop per radius over all the lifts (see
-    weights._puncture_denominators): by Green's formula the kernel mass of
-    psi's cylindrical curvature over D_r(q) is 2 pi times the mean of
-    U - U(q) over the circle |w - q| = r, U = psi(e^{iw}).  Every
-    admissible circle lies in Im w > 1, where U is real-analytic, so the
-    trapezoid rule converges geometrically.  The lifts must be finite,
-    and a lift so deep that U is not finite on its circle (|e^{iw}|^2
-    underflows past Im w of about 354 for the standard weights) raises
-    DomainViolation naming it.
-    """
-    numers = _puncture_numerators(_lifted_points(points), lifts, radii)
-    denoms = np.transpose([_puncture_denominators(weight, lifts, r, rule) for r in radii])
-    return _reports(lifts, radii, numers, denoms, "puncture")
-
-
 def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) -> DensityReport:
     """Cylindrical density quotient at a lift q of the center.
 
@@ -304,9 +289,10 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover, computed as 2 pi times the mean of psi(e^{iw}) - psi(e^{iq})
-    over the circle |w - q| = r (see _puncture_quotients).  It takes the
-    lifts a density sweep takes, Im q > r + 1 (see _admissible), and
-    raises WindowViolation for any other before any sampling;
+    over the circle |w - q| = r (see weights._puncture_denominators).  It
+    is the sweep's quotient at one lift and radius (see _quotients), and
+    takes the lifts a density sweep takes, Im q > r + 1 (see
+    _admissible): any other raises WindowViolation before any sampling;
     DomainViolation if q is not finite, or so deep that psi is not finite
     on the circle.
     """
@@ -315,8 +301,8 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
     if not _admissible(q, r):
         raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
                               f" got Im q = {q.imag:g}")
-    pts = seq.array() if isinstance(seq, SequenceSet) else np.asarray(seq, dtype=complex)
-    return _puncture_quotients(pts, weight, [q], (r,), rule)[0][0]
+    pts = seq.array() if isinstance(seq, SequenceSet) else seq
+    return _quotients(_PUNCTURE, pts, weight, [q], (r,), rule)[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +382,12 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     return _greedy_separated(cands, 0.5 * mesh, max_centers)
 
 
-def _side_grid(grid, radii, kind):
+def _side_grid(grid, side: _Side):
     """One side's radii, each checked against that side's range."""
     if not grid:
-        raise DomainViolation(f"the r grid has no radius for the {kind} part")
+        raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
     for r in grid:
-        _check_radius(r, radii, f"{kind} quotient")
+        _check_radius(r, side.radii, f"{side.kind} quotient")
     return grid
 
 
@@ -423,8 +409,11 @@ def density_sweep(
     the border part whole on the disk, split at r = 1 on the punctured
     disk, and must leave each swept part at least one radius.  An explicit
     list of centers must not be empty.  split_a and mesh must lie in
-    (0, 1) whatever the domain.
+    (0, 1) whatever the domain.  The weight must live on the sequence's
+    domain, else DomainViolation.
     """
+    if weight.domain is not seq.domain:
+        raise DomainViolation(f"the weight lives on the {weight.domain.value}, the sequence on the {seq.domain.value}")
     _check_unit_interval(split_a, "split modulus")
     _check_unit_interval(mesh, "mesh")
     if centers is not None:
@@ -462,10 +451,9 @@ def density_sweep(
 
     def run_border(part_points):
         nonlocal n_centers, coverage_radius
-        grid = _side_grid(border_grid, _BORDER_RADII, "border")
+        grid = _side_grid(border_grid, _BORDER)
         ctrs = centers if centers is not None else center_net(part_points, mesh)
-        numers, nearest = _border_numerators(part_points, ctrs, grid)
-        per_center = _border_quotients(numers, weight, ctrs, grid, rule)
+        per_center, nearest = _quotients(_BORDER, part_points, weight, ctrs, grid, rule)
         n_centers = len(ctrs)
         coverage_radius = float(nearest.max()) if nearest.size else None
         if centers is None and n_centers == CENTER_CAP:
@@ -478,14 +466,14 @@ def density_sweep(
         return side_estimate(grid, zip(*per_center))
 
     def run_puncture(part_points):
-        grid = _side_grid(puncture_grid, _PUNCTURE_RADII, "puncture")
+        grid = _side_grid(puncture_grid, _PUNCTURE)
         lifts = np.atleast_1d(lift_value(part_points))
         # the lifts with the same admissible radii share their calls
         admissible = [tuple(r for r in grid if _admissible(q, r)) for q in lifts]
         per_lift = [{} for _ in lifts]
         for radii in dict.fromkeys(a for a in admissible if a):
             ks = [k for k, a in enumerate(admissible) if a == radii]
-            for k, reps in zip(ks, _puncture_quotients(part_points, weight, lifts[ks], radii, rule)):
+            for k, reps in zip(ks, _quotients(_PUNCTURE, part_points, weight, lifts[ks], radii, rule)[0]):
                 per_lift[k] = dict(zip(radii, reps))
         return side_estimate(grid, [[reps[r] for reps in per_lift if r in reps] for r in grid])
 

@@ -212,7 +212,7 @@ def custom_weight(
         _, ratio = shifted_cyl_weight(weight)
         want = polar_integral(lambda w: ratio(np.exp(1j * w)), _PROBE_LIFTS, 0.0, _PROBE_R, _euclid_weight,
                               _log_kernel(_PROBE_R))
-        gap = _rel_gap(_puncture_denominators(weight, _PROBE_LIFTS, _PROBE_R), want)
+        gap = _rel_gap(_puncture_denominators(weight, _PROBE_LIFTS, (_PROBE_R,))[:, 0], want)
         if gap > check_tol:
             raise ValueError(f"phi does not match its cylindrical Laplacian density: puncture denominators at"
                              f" r = {_PROBE_R:g} about {_PROBE_LIFTS.tolist()} off by {gap:.3g} relative")
@@ -282,8 +282,14 @@ def _cover_psi(weight: WeightModel):
 _U_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _puncture_denominators(weight: WeightModel, lifts, r, rule: QuadratureRule = DEFAULT_RULE):
-    """The puncture denominators at radius r about each lift q of a 1-D array: 2 pi mean [U - U(q)] (see _cover_psi).
+def _puncture_denominators(weight: WeightModel, lifts, radii, rule: QuadratureRule = DEFAULT_RULE):
+    """The puncture denominators 2 pi mean [U - U(q)] on |w - q| = r (see _cover_psi): lifts q by radii r.
+
+    One circle-mean loop per radius serves all the lifts.  A sweep's
+    circles lie in Im w > 1, where U is real-analytic, so the trapezoid
+    rule converges geometrically.  A lift that is not finite, or so deep
+    that U is not finite on its circle (past Im w of about 354 for the
+    standard weights), raises DomainViolation naming it.
 
     U = phi + 2 log(2 Im w) can cancel to far below its terms: under
     standard_puncture(s, 2) only s e^{-2 Im w} is left deep in the cusp.
@@ -294,7 +300,7 @@ def _puncture_denominators(weight: WeightModel, lifts, r, rule: QuadratureRule =
     U = _cover_psi(weight)
     lifts = _check_finite(lifts, "lift")
     floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * lifts))) + np.abs(2.0 * np.log(2.0 * lifts.imag)))
-    return TWO_PI * _circle_means(U, lifts, r, rule, "lift", floor)
+    return np.transpose([TWO_PI * _circle_means(U, lifts, r, rule, "lift", floor) for r in radii])
 
 
 # Centers of a curvature-mass quadrature that share one polar_integral level
@@ -639,9 +645,11 @@ def lifted_translates(points, q, radius):
     """All preimages of the points under the cover within `radius` of q.
 
     Ordered point by point, and for each point by increasing translate.
-    Raises DomainViolation unless q is finite.
+    Raises DomainViolation unless q is finite and 0 <= radius < inf.
     """
     _check_finite(q, "the lift q")
+    if not 0.0 <= radius < math.inf:
+        raise DomainViolation(f"the translate window needs a radius in [0, inf), got {radius}")
     t = _window(_lifted_points(points), q, radius)
     off = t - q
     # hypot, which abs() of a single complex number uses: numpy's array abs
@@ -668,12 +676,6 @@ def _window(w, q, radius):
     span = _span(radius)
     k = np.rint((np.asarray(q).real[..., None] - w.real) / TWO_PI)[..., None] + np.arange(-span, span + 1)
     return w[:, None] + TWO_PI * k
-
-
-def _lift_dists(w, lifts, r):
-    """One row per lift q: the distances to q of the translates of the lifted points w in q's window for r."""
-    lifts = np.asarray(lifts, dtype=complex)
-    return np.abs(_window(w, lifts, r) - lifts[:, None, None]).reshape(lifts.size, -1)
 
 
 # The moments int_0^b u^j (b - u) e^{2u} du, j = 0, 1, as power series,
@@ -741,11 +743,14 @@ def puncture_density_form(points, r, z=None, q=None):
     (1/c_r) sum of log(r^2/|gamma - q|^2) over lifted sequence points in
     the open annulus 1 < |gamma - q| < r; 2 pi periodicity of the
     translate set makes the value independent of the choice of lift.
-    Takes exactly one of z and q; raises DomainViolation otherwise.
+    Takes exactly one of z and q; raises DomainViolation otherwise, and
+    unless 1 < r < inf.
     """
     if (z is None) == (q is None):
         raise DomainViolation("need exactly one of z and a lift q")
+    _check_radius(r, _PUNCTURE_RADII, "puncture density form")
     if q is None:
         q = lift_value(_check_domain(z, Domain.PUNCTURED_DISK))
     q = _check_finite(q, "the lift q")
-    return float(_annulus_sums(_lift_dists(_lifted_points(points), [q], r), 1.0, r)[0] / (TWO_PI * c_r_cyl(r)))
+    d = np.abs(_window(_lifted_points(points), q, r) - q).reshape(1, -1)
+    return float(_annulus_sums(d, 1.0, r)[0] / (TWO_PI * c_r_cyl(r)))

@@ -118,6 +118,16 @@ def test_sweep_csv_shape(tmp_path):
     assert all(len(r.split(",")) == 7 for r in rows[1:])
 
 
+def test_sweep_refuses_a_weight_of_the_other_domain(tmp_path, capsys):
+    # the default weight, standard-disk:s=2, once swept a punctured-disk file
+    seq = tmp_path / "p.json"
+    main(["gen", "--kind", "puncture-exponential", "--count", "20", "--step", "0.5", "--rays", "2",
+          "--out", str(seq)])
+    capsys.readouterr()
+    assert main(["sweep", str(seq)]) == 1
+    assert "error: the weight lives on the disk, the sequence on the punctured-disk" in capsys.readouterr().err
+
+
 def test_deterministic_reruns_byte_identical(tmp_path):
     lat = tmp_path / "lat.json"
     main(["gen", "--kind", "hyperbolic-disk", "--count", "12", "--mesh", "0.55",

@@ -201,3 +201,24 @@ def test_a_non_finite_lift_or_center_fails_before_any_sampling(name, q, tmp_path
     with pytest.raises(DomainViolation, match="is not finite"):
         NON_FINITE_CALLS[name](q, spy)
     assert spy.calls == []
+
+
+BAD_RADII = [math.nan, math.inf, -1.0]
+
+BAD_RADIUS_CALLS = {
+    "lifted_translates": lambda r, s: lifted_translates([1e-3, 2e-3], 5j, r),
+    "puncture_density_form": lambda r, s: puncture_density_form([1e-3, 2e-3], r, q=5j),
+    "puncture_density_ratio": lambda r, s: puncture_density_ratio([1e-3, 2e-3], s.punct, 8j, r),
+    "puncture_potential": lambda r, s: puncture_potential([1e-3], r, 1e-4),
+}
+
+
+@pytest.mark.parametrize("r", BAD_RADII, ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize("name", sorted(BAD_RADIUS_CALLS))
+def test_a_bad_radius_on_the_cover_fails_before_any_sampling(name, r, tmp_path):
+    # the first two once raised OverflowError or ValueError from the
+    # translate window's int(), or took a negative radius for an empty window
+    spy = Spy(tmp_path)
+    with pytest.raises(DomainViolation, match="needs"):
+        BAD_RADIUS_CALLS[name](r, spy)
+    assert spy.calls == []

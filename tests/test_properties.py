@@ -41,7 +41,7 @@ from bergseq import (
 )
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
-from bergseq.sequences import DEFAULT_SPLIT, PUNCTURE_R_GRID, _greedy_separated, _min_pairwise, _puncture_quotients
+from bergseq.sequences import DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_pairwise, _quotients
 from bergseq.weights import (_border_radial_means, _covered_integrand, _curvature_masses, _disk_dists, _phi_masses,
                              _puncture_radial_means)
 
@@ -262,18 +262,27 @@ def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
 
 
 @PROPS
-@given(st.lists(lift_offset, min_size=1, max_size=5), st.lists(st.floats(1.5, 6.0), min_size=1, max_size=3, unique=True))
+@given(st.lists(lift_offset, min_size=1, max_size=5), st.lists(st.floats(1.5, 20.0), min_size=1, max_size=3, unique=True))
 # a repeated lift, and lifts whose disks just clear Im w = r + 1
 @example([(0.0, 0.0), (1.0, 2.0), (0.0, 0.0)], [4.0, 2.0])
+# the default grid, whose windows run over |k| <= 2, 3 and 4
+@example([(0.5, 0.0), (3.0, 1.0)], [4.0, 8.0, 16.0])
 def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offsets, radii):
     # each lift's quotients are those of its own call, whichever lifts
-    # share the batch; admissible: Im q > max r + 1
+    # share the batch, and each radius's are those of its own call, whose
+    # window is the middle of the widest radius's; admissible: Im q > max r + 1
     radii = tuple(sorted(radii))
     lifts = np.array([complex(x, radii[-1] + 1.0 + 1e-9 + h) for x, h in offsets])
     points = np.exp(-np.arange(1.0, 12.0)) * np.exp(0.3j * np.arange(11))
     weight = standard_puncture(2.0, 3.0)
-    got = _puncture_quotients(points, weight, lifts, radii, DEFAULT_RULE)
-    assert got == [_puncture_quotients(points, weight, [q], radii, DEFAULT_RULE)[0] for q in lifts]
+
+    def quotients(lifts, radii):
+        return _quotients(_PUNCTURE, points, weight, lifts, radii, DEFAULT_RULE)[0]
+
+    got = quotients(lifts, radii)
+    assert got == [quotients([q], radii)[0] for q in lifts]
+    for j, r in enumerate(radii):
+        assert [reps[j] for reps in got] == [reps[0] for reps in quotients(lifts, (r,))]
 
 
 @PROPS

@@ -371,6 +371,18 @@ def test_classify_domain_mismatch_indeterminate():
     assert verdict.verdict == "Indeterminate"
 
 
+@pytest.mark.parametrize("seq, weight", [
+    (generate_lattice("hyperbolic-disk", 20, seed=1, d=0.35), standard_puncture(2.0, 3.0)),
+    (generate_lattice("puncture-exponential", 20, s=0.5, n=2), standard_disk(2.0)),
+], ids=["disk-sequence", "punctured-sequence"])
+def test_sweep_refuses_a_weight_of_the_other_domain(seq, weight):
+    # each once swept without a word (estimates 0.2025 and 0.109), where
+    # classify calls the pair Indeterminate
+    with pytest.raises(DomainViolation, match="the weight lives on the"):
+        density_sweep(seq, weight)
+    assert classify(seq, weight).verdict == "Indeterminate"
+
+
 def test_classify_deterministic():
     lat = generate_lattice("hyperbolic-disk", 25, seed=8, d=0.5)
     a = classify(lat, standard_disk(2.0))
@@ -469,6 +481,16 @@ def test_one_pass_sweep_matches_per_radius_quotients():
         assert rep.numerator == border_density_ratio(lat, standard_disk(2.0), c, r).numerator
         g = lambda zeta: CURVED.lap_poincare_ratio(mobius_involution(c, zeta)) - 2.0
         assert rep.denominator == pytest.approx(disk_log_integral(r, g), rel=1e-8)
+    # closed-form and circle-mean denominators are taken per center and
+    # radius, so each report is the single call's bit for bit.  Not so a
+    # weight whose phi fails custom_weight's check: its sweep integrates
+    # every radius in one 2-D pass, the single call one radius, and the
+    # two differ by design in their last digits (by up to 1.4e-12 relative
+    # under phi = |z|^2, ratio 4 + |z|^2).
+    s3 = standard_disk(3.0)
+    for w in (standard_disk(2.0), custom_weight(s3.phi, s3.lap_poincare_ratio, Domain.DISK), CURVED):
+        for rep in density_sweep(lat, w).reports:
+            assert rep == border_density_ratio(lat, w, rep.center, rep.radius)
 
 
 def test_one_pass_sweep_keeps_an_explicit_grid_order():
@@ -822,9 +844,7 @@ def test_one_pass_puncture_quotients_match_single_radius_quotients():
         want = [complex(q) for q in lift_value(star.array()) if q.imag > r + 1.0]
         assert lifts == want
     for rep in reps:
-        one = puncture_density_ratio(star, w, rep.center, rep.radius)
-        assert rep.numerator == one.numerator
-        assert rep.denominator == pytest.approx(one.denominator, rel=1e-12)
+        assert rep == puncture_density_ratio(star, w, rep.center, rep.radius)
 
 
 def _coverage(points, centers):
