@@ -141,20 +141,10 @@ def cmd_sweep(args):
     weight = parse_weight(args.weight)
     result = density_sweep(seq, weight, r_grid=_parse_grid(args.r_grid), split_a=args.split_a)
     rows = [SWEEP_HEADER]
-    for rep in result.reports:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(rep.center.real),
-                    _fmt(rep.center.imag),
-                    _fmt(rep.radius),
-                    rep.kind,
-                    _fmt(rep.numerator),
-                    _fmt(rep.denominator),
-                    _fmt(rep.ratio),
-                ]
-            )
-        )
+    # straight from the sweep's columns, with no DensityReport built
+    for center, radius, numerator, denominator, ratio, kind, _ in result._rows():
+        rows.append(",".join([_fmt(center.real), _fmt(center.imag), _fmt(radius), kind, _fmt(numerator),
+                              _fmt(denominator), _fmt(ratio)]))
     _emit(args.out, "\n".join(rows) + "\n")
     for note in result.notes:  # stderr, so the CSV stays a plain table
         print(f"note: {note}", file=sys.stderr)

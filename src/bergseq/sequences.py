@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat, starmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,17 +70,74 @@ class DensityReport:
     degenerate: bool = False
 
 
+# The array columns of a _Block.
+_COLUMNS = ("centers", "numerators", "denominators")
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """One side's density quotients at one radius, centers in order, as read-only arrays.
+
+    The ratio of a quotient is numerator / denominator where the
+    denominator is > 0, else inf, and a denominator not > 0 is
+    degenerate.  Blocks compare and hash by value, as the DensityReports
+    they stand for do.
+    """
+
+    kind: str
+    radius: float
+    centers: np.ndarray
+    numerators: np.ndarray
+    denominators: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "radius", float(self.radius))
+        for name, dtype in zip(_COLUMNS, (complex, float, float)):
+            # a view, so that the caller's array stays writable
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def rows(self):
+        """Each quotient's DensityReport fields, as plain Python values."""
+        d = self.denominators
+        ok = d > 0.0
+        ratios = np.divide(self.numerators, d, out=np.full(d.shape, math.inf), where=ok)
+        return zip(self.centers.tolist(), repeat(self.radius), self.numerators.tolist(), d.tolist(), ratios.tolist(),
+                   repeat(self.kind), (~ok).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, _Block):
+            return NotImplemented
+        return ((self.kind, self.radius) == (other.kind, other.radius)
+                and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which == does not tell apart
+        return hash((self.kind, self.radius, *((getattr(self, name) + 0.0).tobytes() for name in _COLUMNS)))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """Reports in (r, center) order per side, border side first.
+    """The estimates of a density sweep, and its quotients as read-only arrays.
+
+    The quotients are held as one _Block of columns (centers, numerators,
+    denominators) per side and radius: border side first, radii in grid
+    order, centers in order within each.  `reports` gives them as
+    DensityReports in that (r, center) order; it is built on first access
+    and then cached, so a caller that reads only the estimates, as
+    classify does, builds none.  Results compare and hash by value.
 
     n_centers is the number of border-side centers swept, and
     coverage_radius the largest pseudohyperbolic distance from a
     border-part point to its nearest such center (None with no border
     part): the sup is taken over balls about those centers only.
+    skipped_radii are the radii, in grid order, at which the puncture
+    part had no admissible center lift (each also has a note), and
+    n_degenerate counts the degenerate quotients; degenerate is
+    n_degenerate > 0.
     """
 
-    reports: tuple
     estimate: float
     border_estimate: Optional[float]
     puncture_estimate: Optional[float]
@@ -87,6 +146,17 @@ class SweepResult:
     notes: tuple = ()
     n_centers: int = 0
     coverage_radius: Optional[float] = None
+    skipped_radii: tuple = ()
+    n_degenerate: int = 0
+    _blocks: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def reports(self):
+        return tuple(starmap(DensityReport, self._rows()))
+
+    def _rows(self):
+        """Each quotient's DensityReport fields in report order, as plain Python values."""
+        return chain.from_iterable(block.rows() for block in self._blocks)
 
 
 @dataclass(frozen=True)
@@ -223,16 +293,18 @@ _PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII, lambda points: _lifted_point
 
 
 def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
-    """The density quotients of one side at each center: one list of DensityReports per center, radii in order.
+    """(numerators, denominators, nearest) of one side's density quotients: one row per center, one column per radius.
 
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
     over the distances rho from centers[k] in (side.inner, r), summed by
-    weights._annulus_sums; a denominator not > 0 is degenerate.  The
+    weights._annulus_sums, and denominator (k, j) the curvature mass that
+    side.denominators gives there (see _Block for the ratio).  The
     distances are taken a block of centers at a time (see _block_rows),
     in the widest radius's window, and a smaller radius reads its middle
     2 span(r) + 1 translate columns: they are its own window bit for bit,
-    so each sum is the one a single center and radius would give.  Also
-    returns each prepared point's least distance to a center (on the
+    so each sum is the one a single center and radius would give.  Every
+    route to the denominators returns a float array of that shape too.
+    nearest is each prepared point's least distance to a center (on the
     cover, of its translates in the widest window).
     """
     pts = side.prepare(points)
@@ -249,11 +321,13 @@ def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
             cut = span - side.span(r)
             window = dist[:, :, cut:dist.shape[2] - cut].reshape(len(dist), -1)
             numers[i:i + rows, j] = _annulus_sums(window, side.inner, r)
-    denoms = side.denominators(weight, ctrs, radii, rule)
-    reports = [[DensityReport(complex(c), r, n, d, n / d if d > 0.0 else math.inf, side.kind, not d > 0.0)
-                for r, n, d in zip(map(float, radii), map(float, ns), map(float, ds))]
-               for c, ns, ds in zip(ctrs, numers, denoms)]
-    return reports, nearest
+    return numers, side.denominators(weight, ctrs, radii, rule), nearest
+
+
+def _report(side: _Side, points, weight: WeightModel, center, r, rule) -> DensityReport:
+    """The DensityReport of one side's quotient at one center and radius."""
+    numers, denoms, _ = _quotients(side, points, weight, [center], (r,), rule)
+    return DensityReport(*next(_Block(side.kind, r, [center], numers[:, 0], denoms[:, 0]).rows()))
 
 
 def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
@@ -269,7 +343,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
     pts = seq.array() if isinstance(seq, SequenceSet) else seq
-    return _quotients(_BORDER, pts, weight, [z], (r,), rule)[0][0][0]
+    return _report(_BORDER, pts, weight, z, r, rule)
 
 
 def _admissible(q, r):
@@ -302,7 +376,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
         raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
                               f" got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else seq
-    return _quotients(_PUNCTURE, pts, weight, [q], (r,), rule)[0][0][0]
+    return _report(_PUNCTURE, pts, weight, q, r, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +474,7 @@ def density_sweep(
     split_a=DEFAULT_SPLIT,
     rule=DEFAULT_RULE,
 ) -> SweepResult:
-    """Grid approximation of the upper density with per-(center, r) reports.
+    """Grid approximation of the upper density from the quotients at each (center, r).
 
     Disk sequences sweep the border quotient only.  Punctured-disk
     sequences are decomposed at split_a and both parts are swept; the
@@ -411,6 +485,11 @@ def density_sweep(
     list of centers must not be empty.  split_a and mesh must lie in
     (0, 1) whatever the domain.  The weight must live on the sequence's
     domain, else DomainViolation.
+
+    The quotients stay arrays: one block of columns per side and radius,
+    from which the sups, the estimates and the degenerate count are taken
+    with numpy.  The result builds its DensityReports only when `reports`
+    is read (see SweepResult).
     """
     if weight.domain is not seq.domain:
         raise DomainViolation(f"the weight lives on the {weight.domain.value}, the sequence on the {seq.domain.value}")
@@ -420,9 +499,8 @@ def density_sweep(
         if not len(centers):
             raise DomainViolation("the center list is empty")
         _check_domain(centers, name="centers")
-    reports = []
-    notes = []
-    n_centers, coverage_radius = 0, None
+    blocks, notes, skipped = [], [], []
+    n_centers, coverage_radius, n_degenerate = 0, None, 0
     if r_grid is None:
         border_grid, puncture_grid = BORDER_R_GRID, PUNCTURE_R_GRID
     else:
@@ -430,20 +508,25 @@ def density_sweep(
         border_grid = tuple(r for r in r_grid if disk or r < 1.0)
         puncture_grid = tuple(r for r in r_grid if not r < 1.0)
 
-    def side_estimate(grid, by_radius):
-        """(estimate, decreasing) of one side from its reports per radius of grid, each in center order.
+    def side_estimate(kind, grid, columns):
+        """(estimate, decreasing) of one side from its (centers, numerators, denominators) at each radius of grid.
 
-        The reports go out (r, center)-major; the estimate is the sup of the
-        nondegenerate quotients at the largest radius with reports (only a
-        puncture radius can have none).
+        Each radius with centers adds one block; the estimate is the sup of
+        the nondegenerate quotients at the largest radius with centers (only
+        a puncture radius can have none), and 0 where every one is
+        degenerate.
         """
+        nonlocal n_degenerate
         sups = []
-        for r, reps in zip(grid, by_radius):
-            if not reps:
+        for r, (ctrs, numers, denoms) in zip(grid, columns):
+            if not ctrs.size:
                 notes.append(f"no admissible center lifts at r = {r}")
+                skipped.append(float(r))
                 continue
-            reports.extend(reps)
-            sups.append((r, max((rep.ratio for rep in reps if not rep.degenerate), default=0.0)))
+            blocks.append(_Block(kind, r, ctrs, numers, denoms))
+            ok = denoms > 0.0
+            n_degenerate += ok.size - int(np.count_nonzero(ok))
+            sups.append((r, float((numers[ok] / denoms[ok]).max()) if ok.any() else 0.0))
         if not sups:
             return None, True
         sups = [sup for _, sup in sorted(sups)]
@@ -452,8 +535,9 @@ def density_sweep(
     def run_border(part_points):
         nonlocal n_centers, coverage_radius
         grid = _side_grid(border_grid, _BORDER)
-        ctrs = centers if centers is not None else center_net(part_points, mesh)
-        per_center, nearest = _quotients(_BORDER, part_points, weight, ctrs, grid, rule)
+        # a copy: the result keeps the centers, which the caller may change
+        ctrs = np.array(centers if centers is not None else center_net(part_points, mesh), dtype=complex)
+        numers, denoms, nearest = _quotients(_BORDER, part_points, weight, ctrs, grid, rule)
         n_centers = len(ctrs)
         coverage_radius = float(nearest.max()) if nearest.size else None
         if centers is None and n_centers == CENTER_CAP:
@@ -463,19 +547,25 @@ def density_sweep(
                 and not weight.phi_matches_curvature):
             notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
                          " the border denominators are 2-D integrals of the ratio")
-        return side_estimate(grid, zip(*per_center))
+        return side_estimate("border", grid, [(ctrs, numers[:, j], denoms[:, j]) for j in range(len(grid))])
 
     def run_puncture(part_points):
         grid = _side_grid(puncture_grid, _PUNCTURE)
         lifts = np.atleast_1d(lift_value(part_points))
-        # the lifts with the same admissible radii share their calls
-        admissible = [tuple(r for r in grid if _admissible(q, r)) for q in lifts]
-        per_lift = [{} for _ in lifts]
-        for radii in dict.fromkeys(a for a in admissible if a):
-            ks = [k for k, a in enumerate(admissible) if a == radii]
-            for k, reps in zip(ks, _quotients(_PUNCTURE, part_points, weight, lifts[ks], radii, rule)[0]):
-                per_lift[k] = dict(zip(radii, reps))
-        return side_estimate(grid, [[reps[r] for reps in per_lift if r in reps] for r in grid])
+        admissible = _admissible(lifts[:, None], np.asarray(grid, dtype=float))
+        numers, denoms = np.empty(admissible.shape), np.empty(admissible.shape)
+        # the lifts with the same admissible radii share their calls; those
+        # are the radii below Im q - 1, so their count names them
+        counts = admissible.sum(axis=1)
+        for count in range(1, len(grid) + 1):
+            ks = np.flatnonzero(counts == count)
+            if ks.size:
+                row = admissible[ks[0]]
+                radii = tuple(r for r, ok in zip(grid, row) if ok)
+                cells = ks[:, None], np.flatnonzero(row)
+                numers[cells], denoms[cells], _ = _quotients(_PUNCTURE, part_points, weight, lifts[ks], radii, rule)
+        return side_estimate("puncture", grid, [(lifts[a], numers[a, j], denoms[a, j])
+                                                for j, a in enumerate(admissible.T)])
 
     if seq.domain is Domain.DISK:
         border_est, decreasing = run_border(seq.array())
@@ -488,10 +578,9 @@ def density_sweep(
 
     cands = [e for e in (border_est, punct_est) if e is not None]
     estimate = max(cands) if cands else math.inf
-    degenerate = any(rep.degenerate for rep in reports)
     return SweepResult(
-        tuple(reports), estimate, border_est, punct_est, decreasing, degenerate, tuple(notes),
-        n_centers, coverage_radius,
+        estimate, border_est, punct_est, decreasing, n_degenerate > 0, tuple(notes),
+        n_centers, coverage_radius, tuple(skipped), n_degenerate, tuple(blocks),
     )
 
 

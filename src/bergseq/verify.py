@@ -125,7 +125,7 @@ def poisson_jensen_residual(
     center = float(u(np.asarray([z]))[0])
     zero_term = sum(math.log(r * r / (rho * rho)) for rho in rhos if rho < r)
 
-    curv = float(_curvature_masses(psi, [z], (r,), rule)[0][0]) / (2.0 * math.pi)
+    curv = float(_curvature_masses(psi, [z], (r,), rule)[0, 0]) / (2.0 * math.pi)
 
     rhs = center + zero_term - curv
     return abs(lhs - rhs)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bergseq import sequences
 from bergseq.cli import (
     SWEEP_HEADER,
     _FLAGS,
@@ -18,7 +19,7 @@ from bergseq.cli import (
 )
 from bergseq.errors import DomainViolation
 from bergseq.geometry import Domain
-from bergseq.sequences import SequenceSet, generate_lattice
+from bergseq.sequences import SequenceSet, density_sweep, generate_lattice
 
 
 def test_parse_weight_specs():
@@ -116,6 +117,26 @@ def test_sweep_csv_shape(tmp_path):
     n_rows = len(rows) - 1
     assert n_rows % 2 == 0  # |r grid| x |center net|
     assert all(len(r.split(",")) == 7 for r in rows[1:])
+
+
+def test_sweep_writes_its_csv_without_density_reports(tmp_path, monkeypatch):
+    lat = tmp_path / "lat.json"
+    main(["gen", "--kind", "hyperbolic-disk", "--count", "10", "--mesh", "0.6", "--out", str(lat)])
+    plain, columns = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", str(lat), "--out", str(plain)]) == 0
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a DensityReport was built")
+
+    monkeypatch.setattr(sequences, "DensityReport", no_report)
+    assert main(["sweep", str(lat), "--out", str(columns)]) == 0
+    monkeypatch.undo()
+    assert columns.read_bytes() == plain.read_bytes()
+    rows = [row.split(",") for row in plain.read_text().splitlines()[1:]]
+    reports = density_sweep(parse_sequence_file(lat), parse_weight("standard-disk:s=2")).reports
+    assert rows == [[repr(x) if isinstance(x, float) else x for x in (
+        rep.center.real, rep.center.imag, rep.radius, rep.kind, rep.numerator, rep.denominator, rep.ratio)]
+        for rep in reports]
 
 
 def test_sweep_refuses_a_weight_of_the_other_domain(tmp_path, capsys):

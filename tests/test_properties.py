@@ -277,12 +277,13 @@ def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offs
     weight = standard_puncture(2.0, 3.0)
 
     def quotients(lifts, radii):
-        return _quotients(_PUNCTURE, points, weight, lifts, radii, DEFAULT_RULE)[0]
+        # the numerators, then the denominators: one row per lift
+        return np.hstack(_quotients(_PUNCTURE, points, weight, lifts, radii, DEFAULT_RULE)[:2])
 
     got = quotients(lifts, radii)
-    assert got == [quotients([q], radii)[0] for q in lifts]
+    assert got.tobytes() == np.vstack([quotients([q], radii) for q in lifts]).tobytes()
     for j, r in enumerate(radii):
-        assert [reps[j] for reps in got] == [reps[0] for reps in quotients(lifts, (r,))]
+        assert got[:, [j, len(radii) + j]].tobytes() == quotients(lifts, (r,)).tobytes()
 
 
 @PROPS

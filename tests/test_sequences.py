@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -388,6 +388,79 @@ def test_classify_deterministic():
     a = classify(lat, standard_disk(2.0))
     b = classify(lat, standard_disk(2.0))
     assert a == b
+
+
+def test_equal_sweeps_compare_and_hash_equal():
+    lat = generate_lattice("hyperbolic-disk", 25, seed=8, d=0.5)
+    a, b = (classify(lat, standard_disk(2.0)) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a.sweep == b.sweep and hash(a.sweep) == hash(b.sweep)
+    assert classify(lat, standard_disk(2.0), ClassifyParams(r_grid=(0.9, 0.95))).sweep != a.sweep
+    # the same centers, radii and numerators, other denominators
+    assert density_sweep(lat, standard_disk(3.0)) != a.sweep
+
+
+class _NoReport:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a DensityReport was built")
+
+
+def test_classify_and_density_sweep_build_no_density_report(monkeypatch):
+    cases = [(generate_lattice("hyperbolic-disk", 25, seed=8, d=0.5), standard_disk(2.0)),
+             (generate_lattice("puncture-exponential", 40, s=0.5, n=2), standard_puncture(2.0, 3.0))]
+    monkeypatch.setattr(sequences, "DensityReport", _NoReport)
+    results = [(classify(seq, w), density_sweep(seq, w)) for seq, w in cases]
+    monkeypatch.undo()
+    for v, sweep in results:
+        assert sweep.reports and v.sweep.reports == sweep.reports
+        assert sweep.reports is sweep.reports  # built once, then cached
+
+
+def test_sweep_columns_are_read_only_views():
+    lat = generate_lattice("hyperbolic-disk", 12, seed=3, d=0.35, margin=0.1)
+    ctrs = np.array([0.0, 0.3 - 0.2j])
+    sweep = density_sweep(lat, standard_disk(2.0), centers=ctrs)
+    for block in sweep._blocks:
+        for column in (block.centers, block.numerators, block.denominators):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+    ctrs[0] = 0.5  # the caller's array stays writable, and the sweep keeps its centers
+    assert sweep.reports[0].center == 0.0
+
+
+def test_reports_are_the_single_quotient_calls_field_by_field():
+    # the border quotients of a disk weight and the puncture quotients are
+    # taken per center and radius, so a sweep's are the single calls' to the
+    # bit, and of the same Python types
+    lat = generate_lattice("hyperbolic-disk", 12, seed=3, d=0.35, margin=0.1)
+    star = generate_lattice("puncture-exponential", 30, s=1.0, n=2)
+    for seq, w, single in ((lat, CURVED, border_density_ratio),
+                           (star, standard_puncture(2.0, 3.0), puncture_density_ratio)):
+        reps = density_sweep(seq, w).reports
+        assert reps
+        for rep in reps:
+            want = single(seq, w, rep.center, rep.radius)
+            assert [(type(x), x) for x in astuple(rep)] == [(type(x), x) for x in astuple(want)]
+
+
+def test_sweep_records_skipped_radii_and_degenerate_count():
+    # the star lifts reach Im q = 10: past r + 1 = 5 and 9, short of 17
+    seq = generate_lattice("puncture-exponential", 40, s=0.5, n=2)
+    sweep = density_sweep(seq, standard_puncture(2.0, 3.0))
+    assert sweep.skipped_radii == (16.0,)
+    assert sweep.notes == ("no admissible center lifts at r = 16.0",)
+    assert {rep.radius for rep in sweep.reports if rep.kind == "puncture"} == {4.0, 8.0}
+    assert (sweep.n_degenerate, sweep.degenerate) == (0, False)
+    # a declared curvature of 2 puts every border denominator at 0
+    flat_border = replace(standard_puncture(2.0, 3.0), constant_poincare_ratio=2.0)
+    sweep = density_sweep(seq, flat_border)
+    border = [rep for rep in sweep.reports if rep.kind == "border"]
+    assert sweep.n_degenerate == sum(rep.degenerate for rep in sweep.reports) == len(border) > 0
+    assert all(rep.ratio == math.inf for rep in border)
+    assert sweep.degenerate and sweep.skipped_radii == (16.0,)
+    # the border side never skips a radius
+    lat = generate_lattice("hyperbolic-disk", 12, seed=3, d=0.35)
+    assert density_sweep(lat, standard_disk(2.0)).skipped_radii == ()
 
 
 def test_classify_params_validation():

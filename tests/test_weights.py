@@ -29,7 +29,7 @@ from bergseq import (
 )
 from bergseq.errors import DomainViolation, QuadratureNotConverged, WindowViolation
 from bergseq.quadrature import _euclid_weight, _log_kernel, polar_integral
-from bergseq.weights import _covered_integrand, _li2_complement
+from bergseq.weights import _covered_integrand, _curvature_masses, _li2_complement, _phi_masses
 
 rng = np.random.default_rng(7)
 
@@ -136,6 +136,21 @@ def test_a_wrapped_standard_puncture_weight_gives_its_denominators_bit_for_bit()
     seq = generate_lattice("puncture-exponential", 30, s=1.0, n=2)
     want = [rep.denominator for rep in density_sweep(seq, sp).reports]
     assert [rep.denominator for rep in density_sweep(seq, wrapped).reports] == want
+
+
+def test_curvature_masses_take_one_array_shape_with_rows_of_their_own():
+    # constant curvature once returned one list object as every row
+    centers, radii = np.array([0.0, 0.4j, -0.5 + 0.1j]), (0.9, 0.95)
+    masses = _curvature_masses(standard_disk(2.0), centers, radii)
+    assert masses.shape == (3, 2) and masses.dtype == float
+    want = masses.copy()
+    masses[0] = -1.0
+    np.testing.assert_array_equal(masses[1:], want[1:])
+    s3 = standard_disk(3.0)
+    wrapped = custom_weight(s3.phi, s3.lap_poincare_ratio, Domain.DISK)
+    for route in (_curvature_masses, _phi_masses):  # the 2-D integrals and the circle means
+        got = route(wrapped, centers, radii)
+        assert isinstance(got, np.ndarray) and got.shape == (3, 2) and got.dtype == float
 
 
 def test_shifted_cyl_weight():
