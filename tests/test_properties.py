@@ -8,6 +8,7 @@ reproducible from run to run.
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,9 +40,11 @@ from bergseq import (
     standard_disk,
     standard_puncture,
 )
-from bergseq.geometry import TWO_PI
+from bergseq import sequences
+from bergseq.geometry import TWO_PI, _hyperbolic
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
-from bergseq.sequences import DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_pairwise, _quotients
+from bergseq.sequences import (DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_disk_pairwise,
+                               _min_pairwise, _quotients)
 from bergseq.weights import (_border_radial_means, _covered_integrand, _curvature_masses, _disk_dists, _phi_masses,
                              _puncture_radial_means)
 
@@ -342,7 +345,7 @@ inner_point = st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.lists(inner_point, min_size=1, max_size=80),
-       st.floats(0.05, 0.9, exclude_min=True, exclude_max=True), st.integers(1, 60))
+       st.floats(0.05, 0.95, exclude_min=True), st.integers(1, 60))
 def test_greedy_separated_matches_pairwise_loop(cands, sep, limit):
     cands = np.asarray(cands, dtype=complex)
     got = _greedy_separated(cands, sep, limit)
@@ -499,6 +502,78 @@ def test_blocked_min_pairwise_matches_row_loop(n, seed):
     punctured = np.exp(-5.0 * np.random.default_rng(seed + 1).random(n)) * disk / np.abs(disk)
     for points, dist in ((disk, pseudo_dist), (disk, hyp_dist), (punctured, cyl_dist)):
         assert _min_pairwise(points, dist) == _min_by_rows(points, dist)
+    # the windowed scan of the disk metric, from 96 points on
+    assert _min_disk_pairwise(disk, lambda rho: rho) == _min_by_rows(disk, pseudo_dist)
+    assert _min_disk_pairwise(disk, _hyperbolic) == _min_by_rows(disk, hyp_dist)
+
+
+def _rim_cloud(seed, n):
+    """About n points with 1 - |z| = 10^-e, e uniform in [0, 9].  A share of
+    them lie within 1e-12 to 0.1 below arg = pi, each with its conjugate
+    just above -pi, and two sit on the negative axis, at arg pi and -pi."""
+    gen = np.random.default_rng(seed)
+    rho = 1.0 - 10.0 ** -gen.uniform(0.0, 9.0, n)
+    theta = gen.uniform(-math.pi, math.pi, n)
+    near = gen.random(n) < gen.random()
+    theta[near] = math.pi - 10.0 ** -gen.uniform(1.0, 12.0, near.sum())
+    pts = rho * np.exp(1j * theta)
+    return np.concatenate((pts, np.conj(pts[near]), [complex(-0.9, 0.0), complex(-0.95, -0.0)]))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 160), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.sampled_from([0, 1, 8, sequences._WINDOWED_FROM]))
+def test_windowed_scans_match_the_loops_at_the_rim_and_across_the_cut(n, seed, sep, windowed_from):
+    # windowed_from moves the switch from the dense to the windowed scans,
+    # so that small clouds take the windows too
+    pts = _rim_cloud(seed, n)
+    # two points 1e-8 from the circle can lie at a distance that rounds
+    # to 1, where _hyperbolic divides by 0
+    inner = pts[np.abs(pts) <= 1.0 - 1e-7]
+    with mock.patch.object(sequences, "_WINDOWED_FROM", windowed_from):
+        got = _greedy_separated(pts, sep, pts.size)
+        least = _min_disk_pairwise(pts, lambda rho: rho), _min_disk_pairwise(inner, _hyperbolic)
+    assert got.tobytes() == _greedy_oracle(pts, sep, pts.size).tobytes()
+    assert least == (_min_by_rows(pts, pseudo_dist), _min_by_rows(inner, hyp_dist) if inner.size > 1 else math.inf)
+
+
+def test_windows_keep_the_pairs_on_their_edge():
+    # f is the foot of the perpendicular from c to the ray at the edge of
+    # c's window for sep, so it lies at distance sep from c up to rounding:
+    # a window without its slack drops some of these pairs, and the greedy
+    # then keeps a c that the loop, reading a distance just below sep, drops
+    gen = np.random.default_rng(5)
+    with mock.patch.object(sequences, "_WINDOWED_FROM", 0):
+        for _ in range(400):
+            sep = gen.uniform(0.05, 0.95)
+            a = 1.0 - (1.0 - sep) * 10.0 ** -gen.uniform(0.0, 6.0)
+            d, h = 2.0 * math.atanh(a), 2.0 * math.atanh(sep)
+            delta = math.asin(math.sinh(h) / math.sinh(d)) * gen.choice([-1.0, 1.0])
+            theta = gen.uniform(-math.pi, math.pi)
+            c = np.asarray([a * cmath.exp(1j * theta)])
+            f = np.asarray([math.tanh(0.5 * math.acosh(math.cosh(d) / math.cosh(h))) * cmath.exp(1j * (theta + delta))])
+            # one chunk each, so that c is screened against f through c's window
+            got = sequences._greedy_chunks((f, c), 2, sep, 2)
+            assert got.tobytes() == _greedy_oracle(np.concatenate((f, c)), sep, 2).tobytes()
+
+
+@pytest.mark.parametrize("seed, margin", [(1, 0.05), (4, 0.001)])
+def test_center_net_matches_the_pairwise_loop_on_its_candidates(monkeypatch, seed, margin):
+    # uncapped, the net keeps past sequences._WINDOWED_FROM centers, so its
+    # greedy screens through the argument windows
+    greedy, seen = sequences._greedy_separated, []
+
+    def recorded(cands, sep, limit):
+        seen.append((cands, sep, limit))
+        return greedy(cands, sep, limit)
+
+    monkeypatch.setattr(sequences, "_greedy_separated", recorded)
+    pts = generate_lattice("hyperbolic-disk", 40, seed=seed, d=0.35, margin=margin).array()
+    for cap in (sequences.CENTER_CAP, 10 ** 6):
+        net = sequences.center_net(pts, 0.3, max_centers=cap)
+        cands, sep, limit = seen.pop()
+        assert net.tobytes() == _greedy_oracle(cands, sep, limit).tobytes()
+    assert net.size > sequences._WINDOWED_FROM
 
 
 def _fsum_numerator(d, inner, r):

@@ -249,6 +249,15 @@ def test_center_net_needs_a_mesh_in_the_unit_interval(mesh):
         center_net(pts, mesh)
 
 
+@pytest.mark.parametrize("max_centers", [0, math.nan, -1, 2.5, None, "8"], ids=["0", "nan", "-1", "2.5", "None", "str"])
+def test_center_net_needs_an_integer_cap_of_at_least_one(max_centers):
+    # 0 and nan once returned an empty net, -1 raised numpy's "negative
+    # dimensions are not allowed", and 2.5 and None a TypeError from numpy
+    pts = generate_lattice("hyperbolic-disk", 10, seed=1, d=0.5).array()
+    with pytest.raises(ValueError, match=re.escape(f"max_centers must be an integer >= 1, got {max_centers!r}")):
+        center_net(pts, 0.3, max_centers)
+
+
 def test_generate_lattice_examples():
     seq = generate_lattice("puncture-exponential", 3, s=1.0, n=1)
     assert np.allclose(seq.array(), np.exp(-np.arange(1.0, 4.0)))
@@ -302,18 +311,33 @@ def test_generate_lattice_rejects_a_bad_count(kind, kw, count):
         generate_lattice(kind, count, **kw)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 11])
-def test_hyperbolic_lattice_matches_the_plain_formula(seed):
-    # the in-place candidate build must draw the same points, bit for bit
-    rmax, n = 0.98, 20000
+def _plain_candidates(seed, rmax, n=20000):
+    """The origin, then n points uniform in hyperbolic area up to rmax, from one draw of all 2 n numbers."""
     gen = np.random.default_rng(seed)
     u = gen.random(n)
     s_max = rmax * rmax / (1.0 - rmax * rmax)
     rho = np.sqrt(u * s_max / (1.0 + u * s_max))
     theta = gen.random(n) * 2.0 * math.pi
-    cands = np.concatenate(([0.0 + 0.0j], rho * np.exp(1j * theta)))
-    want = _greedy_separated(cands, 0.35, 100)
-    got = generate_lattice("hyperbolic-disk", 100, seed=seed, d=0.35, margin=0.02).array()
+    return np.concatenate(([0.0 + 0.0j], rho * np.exp(1j * theta)))
+
+
+@pytest.mark.parametrize("seed, n", [(0, 100), (7, 100), (11, 100), (0, 300), (11, 300)],
+                         ids=["0", "7", "11", "0-n300", "11-n300"])
+def test_hyperbolic_lattice_matches_the_plain_formula(seed, n):
+    # the in-place candidate build must draw the same points, bit for bit;
+    # 300 points reach the fifth of the doubling chunks
+    want = _greedy_separated(_plain_candidates(seed, 0.98), 0.35, n)
+    got = generate_lattice("hyperbolic-disk", n, seed=seed, d=0.35, margin=0.02).array()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hyperbolic_lattice_that_runs_out_places_the_whole_greedy_set():
+    # every chunk is drawn, and the greedy keeps what one pass over all
+    # 20 001 candidates keeps
+    want = _greedy_separated(_plain_candidates(3, 0.98), 0.35, 10 ** 6)
+    with pytest.raises(BergseqError, match=f"asked for 1000 points, placed {want.size} "):
+        generate_lattice("hyperbolic-disk", 1000, seed=3, d=0.35, margin=0.02)
+    got = generate_lattice("hyperbolic-disk", want.size, seed=3, d=0.35, margin=0.02).array()
     assert got.tobytes() == want.tobytes()
 
 
@@ -805,25 +829,40 @@ def test_curved_sweep_node_budget(monkeypatch):
 
 
 def test_sequence_layer_mobius_call_budget(monkeypatch):
-    # the blocked pairwise kernels make 93, 20 and 983 _mobius calls here,
+    # the blocked pairwise kernels make 22, 9 and 52 _mobius calls here,
     # where one call per point or per center made 1 072, 662 and 2 999: a
-    # per-point loop that comes back fails without any timing
-    calls = []
-    mobius = sequences._mobius
+    # per-point loop that comes back fails without any timing.  The
+    # argument windows evaluate 26 057, 26 243 and 118 521 pair distances,
+    # where screening every kept point evaluated 226 613, 74 518 (48 822
+    # of them in the separation) and 2 374 765; and the lattice draws
+    # 1 985 candidates in doubling chunks, where one chunk drew 4 097.
+    calls, pairs, drawn = [], [], []
+    mobius, candidates = sequences._mobius, sequences._disk_candidates
 
     def counted(*args):
         calls.append(1)
+        pairs.append(np.broadcast(*args).size)
         return mobius(*args)
 
+    def counted_candidates(*args):
+        for chunk in candidates(*args):
+            drawn.append(chunk.size)
+            yield chunk
+
     monkeypatch.setattr(sequences, "_mobius", counted)
+    monkeypatch.setattr(sequences, "_disk_candidates", counted_candidates)
     lat = generate_lattice("hyperbolic-disk", 300, seed=11, d=0.35, margin=0.02)
-    assert len(calls) <= 1.25 * 93
+    assert len(calls) <= 1.25 * 22 and sum(pairs) <= 1.25 * 26057
+    # the greedy reaches candidate 1 073
+    assert sum(drawn) <= 2 * 1037
     calls.clear()
+    pairs.clear()
     classify(lat, standard_disk(2.0))
-    assert len(calls) <= 1.25 * 20
+    assert len(calls) <= 1.25 * 9 and sum(pairs) <= 1.25 * 26243
     calls.clear()
+    pairs.clear()
     net = center_net(lat.array(), 0.35, max_centers=10 ** 6)
-    assert len(net) == 1453 and len(calls) <= 1.25 * 983
+    assert len(net) == 1453 and len(calls) <= 1.25 * 52 and sum(pairs) <= 1.25 * 118521
 
 
 def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
