@@ -73,9 +73,52 @@ def _mobius(z, zeta):
     return (z - zeta) / (1.0 - np.conjugate(z) * zeta)
 
 
-def _hyperbolic(rho):
-    """Geodesic distance of the curvature -4 metric at pseudohyperbolic distance rho."""
-    return 0.5 * np.log((1.0 + rho) / (1.0 - rho))
+# Veltkamp's splitter for doubles, 2^27 + 1.
+_SPLITTER = 134217729.0
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _square_error(x, xx):
+    """x^2 - xx exactly, xx = fl(x^2), |x| < 1 (Dekker's product, by Veltkamp's split)."""
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    lo = x - hi
+    return ((hi * hi - xx) + 2.0 * hi * lo) + lo * lo
+
+
+def _one_minus_abs2(z):
+    """1 - |z|^2 at checked disk points, to about an ulp of the result.
+
+    1 - abs(z)**2 carries the rounding of |z|^2, about 1e-16, whatever
+    the result: at |z| = 1 - 1e-9 that is 1e-7 of it.  Here the squares
+    and the two subtractions keep their rounding errors, which are added
+    back at the end.
+    """
+    x, y = np.real(z), np.imag(z)
+    xx, yy = x * x, y * y
+    s, e = _two_sum(1.0, -xx)
+    s, f = _two_sum(s, -yy)
+    return s + (e + f - _square_error(x, xx) - _square_error(y, yy))
+
+
+def _hyperbolic(rho, z, w):
+    """Geodesic distance of the curvature -4 metric between checked disk points z, w at pseudohyperbolic distance rho.
+
+    It is artanh rho = log1p(2 rho / (1 - rho)) / 2.  With 1 - rho^2 =
+    (1 - |z|^2)(1 - |w|^2) / m^2, m = |1 - conj(z) w|, the argument of
+    log1p is 2 rho (1 + rho) m^2 / ((1 - |z|^2)(1 - |w|^2)), which does
+    not cancel where 1 - rho does: near the circle rho rounds to 1, and
+    the distance stays finite.
+    """
+    u = 1.0 - np.conjugate(z) * w
+    m2 = np.real(u) ** 2 + np.imag(u) ** 2
+    return 0.5 * np.log1p(2.0 * rho * (1.0 + rho) * m2 / (_one_minus_abs2(z) * _one_minus_abs2(w)))
 
 
 def _log_L(z):
@@ -102,8 +145,9 @@ def pseudo_dist(z, w):
 
 
 def hyp_dist(z, w):
-    """Geodesic distance of the curvature -4 metric on the disk."""
-    return _hyperbolic(pseudo_dist(z, w))
+    """Geodesic distance of the curvature -4 metric on the disk; finite up to the circle."""
+    z, w = _check_domain(z), _check_domain(w)
+    return _hyperbolic(np.abs(_mobius(z, w)), z, w)
 
 
 def poincare_coeff(z, domain):

@@ -313,44 +313,45 @@ def _pair_blocks(starts, counts):
         yield rows, starts[rows] + flat - (ends[rows] - counts[rows])
 
 
-def _min_disk_pairwise(points, of_rho):
-    """Least of_rho(|phi_z(w)|) over the pairs z = points[i], w = points[j], i < j, of checked disk points.
+def _min_disk_pairwise(points, hyperbolic=False):
+    """Least pseudohyperbolic distance, or hyperbolic one, over the pairs of checked disk points.
 
-    of_rho is increasing.  The least pseudohyperbolic distance between
-    argument neighbours bounds the answer above.  A pair whose arguments
-    lie apart by the half-width for that bound (see _half_angles) of
-    either of its points lies a relative 1e-6 beyond it, so only the pairs
-    inside the narrower window are evaluated, each once.  Every pair
-    evaluated is of_rho(|_mobius(points[i], points[j])|), i < j, so the
-    least is the one over all pairs bit for bit: windows rule pairs out
-    only at bounds >= _WINDOW_RIM, where the rounding of _hyperbolic is
-    below 3e-8 relative.  Below _WINDOWED_FROM points every pair is
+    A pair's rho is |_mobius(points[i], points[j])|, i < j, through the
+    module's _mobius, so that a patched one sees the separations too.  The
+    least distance between argument neighbours bounds the answer above.  A
+    pair whose arguments lie apart by the half-width for that bound (see
+    _half_angles) of either of its points lies a relative 1e-6 beyond it,
+    so only the pairs inside the narrower window are evaluated, each once.
+    Windows rule pairs out only at bounds >= _WINDOW_RIM, where both
+    distances round to below 1e-7 relative, so the least is the one over
+    all pairs bit for bit.  Below _WINDOWED_FROM points every pair is
     evaluated (see _min_pairwise).
     """
+    dist = ((lambda z, w: _hyperbolic(np.abs(_mobius(z, w)), z, w)) if hyperbolic
+            else (lambda z, w: np.abs(_mobius(z, w))))
     arr = np.asarray(points, dtype=complex)
     n = arr.size
     if n < _WINDOWED_FROM:
-        return _min_pairwise(arr, lambda z, w: of_rho(np.abs(_mobius(z, w))))
+        return _min_pairwise(arr, dist)
     theta = np.angle(arr)
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
 
-    def rho(rows, cols):
-        """|_mobius| of the pairs of sorted positions rows, cols % n, each taken in index order."""
+    def pair_dist(rows, cols):
+        """dist of the pairs of sorted positions rows, cols % n, each taken in index order."""
         p, q = order[rows], order[cols % n]
-        return np.abs(_mobius(arr[np.minimum(p, q)], arr[np.maximum(p, q)]))
+        return dist(arr[np.minimum(p, q)], arr[np.maximum(p, q)])
 
-    bound = best = math.inf
+    best = math.inf
     # each point and its next argument neighbour
     for rows, cols in _pair_blocks(np.arange(1, n + 1), np.ones(n, dtype=int)):
-        near = rho(rows, cols)
-        bound, best = min(bound, float(near.min())), min(best, float(of_rho(near).min()))
-    half = _half_angles(np.abs(arr[order]), bound)
+        best = min(best, float(pair_dist(rows, cols).min()))
+    half = _half_angles(np.abs(arr[order]), math.tanh(best) if hyperbolic else best)
     for rows, cols in _pair_blocks(*_argument_windows(_wrapped(theta), theta, half)):
         cols %= n
         # each pair from the point with the narrower window, ties by position
         mine = (half[rows] < half[cols]) | ((half[rows] == half[cols]) & (rows < cols))
-        best = min(best, float(of_rho(rho(rows[mine], cols[mine])).min(initial=math.inf)))
+        best = min(best, float(pair_dist(rows[mine], cols[mine]).min(initial=math.inf)))
     return best
 
 
@@ -361,9 +362,10 @@ def separation_border(seq: SequenceSet):
     Only the pairs inside the argument windows for an upper bound taken
     from argument neighbours are evaluated (see _min_disk_pairwise); the
     windows rule out only pairs at least a relative 1e-6 beyond the
-    bound, so the result is the all-pairs minimum bit for bit.
+    bound, so the result is the all-pairs minimum bit for bit.  The
+    hyperbolic distance stays finite up to the circle.
     """
-    return 0.5 * _min_disk_pairwise(seq.points, (lambda rho: rho) if seq.domain is Domain.DISK else _hyperbolic)
+    return 0.5 * _min_disk_pairwise(seq.points, hyperbolic=seq.domain is not Domain.DISK)
 
 
 def separation_puncture(seq: SequenceSet):
@@ -376,14 +378,21 @@ def separation_puncture(seq: SequenceSet):
 
 @dataclass(frozen=True)
 class _Side:
-    """One side of the density quotient, the geometry that _quotients takes.
+    """One side of the density quotient, the geometry that _quotients and density_sweep take.
 
     The annulus is (inner, r), r in the open range `radii`.  prepare
     checks the points, and on the cover lifts them.  dists(prepared,
     centers, r) has shape (centers, points, 2 span(r) + 1): on the cover
     each point's translates in the window for r (see weights._window), on
     the disk the point itself.  denominators(weight, centers, radii, rule)
-    gives the curvature masses, one row per center.
+    gives the curvature masses, one row per center.  centers(points, mesh)
+    is the one place a sweep's centers come from: on the disk a center
+    net, on the cover the points' own lifts (a net of the cover, or cells
+    that bracket the sup, would replace it alone).  admits(centers, radii)
+    is the (center, radius) mask of the quotients a sweep takes (on the
+    cover, _admissible), or None where it takes every one (the disk); a
+    center's admitted radii are the grid's radii below a bound, so their
+    count names them.
     """
 
     kind: str
@@ -393,19 +402,24 @@ class _Side:
     dists: Callable
     span: Callable
     denominators: Callable
+    centers: Callable
+    admits: Callable
 
 
 # These lambdas look their module globals up at call time, so that a
-# patched _mobius or _lifted_points reaches them.  The border masses come from circle means of phi when phi passed
-# custom_weight's check, else in closed form or by 2-D quadrature of
-# lap_poincare_ratio (see weights._curvature_masses).
+# patched _mobius, _lifted_points or center_net reaches them.  The border
+# masses come from circle means of phi when phi passed custom_weight's
+# check, else in closed form or by 2-D quadrature of lap_poincare_ratio
+# (see weights._curvature_masses).
 _BORDER = _Side("border", 0.5, _BORDER_RADII, lambda points: _check_domain(points, name="points"),
                 lambda pts, centers, r: np.abs(_mobius(centers[:, None], pts))[..., None], lambda r: 0,
                 lambda weight, *args: (_phi_masses if weight.phi_matches_curvature else _curvature_masses)(
-                    weight, *args, less=2.0))
+                    weight, *args, less=2.0),
+                lambda points, mesh: center_net(points, mesh), lambda centers, radii: None)
 _PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII, lambda points: _lifted_points(points),
                   lambda w, lifts, r: np.abs(_window(w, lifts, r) - lifts[:, None, None]), _span,
-                  _puncture_denominators)
+                  _puncture_denominators, lambda points, mesh: np.atleast_1d(lift_value(points)),
+                  lambda centers, radii: _admissible(centers[:, None], np.asarray(radii, dtype=float)))
 
 
 def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
@@ -601,15 +615,6 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     return _greedy_separated(cands, 0.5 * mesh, max_centers)
 
 
-def _side_grid(grid, side: _Side):
-    """One side's radii, each checked against that side's range."""
-    if not grid:
-        raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
-    for r in grid:
-        _check_radius(r, side.radii, f"{side.kind} quotient")
-    return grid
-
-
 def density_sweep(
     seq: SequenceSet,
     weight: WeightModel,
@@ -627,14 +632,16 @@ def density_sweep(
     r_grid None sweeps each side's built-in grid; an explicit grid goes to
     the border part whole on the disk, split at r = 1 on the punctured
     disk, and must leave each swept part at least one radius.  An explicit
-    list of centers must not be empty.  split_a and mesh must lie in
-    (0, 1) whatever the domain.  The weight must live on the sequence's
-    domain, else DomainViolation.
+    list of centers must not be empty, and replaces the center net of the
+    border part only: the puncture part takes its points' own lifts.
+    split_a and mesh must lie in (0, 1) whatever the domain.  The weight
+    must live on the sequence's domain, else DomainViolation.
 
-    The quotients stay arrays: one block of columns per side and radius,
-    from which the sups, the estimates and the degenerate count are taken
-    with numpy.  The result builds its DensityReports only when `reports`
-    is read (see SweepResult).
+    One loop sweeps each part on its _Side, with one _quotients call per
+    set of centers that admit the same radii.  The quotients stay arrays:
+    one block of columns per side and radius, from which the sups, the
+    estimates and the degenerate count are taken with numpy.  The result
+    builds its DensityReports only when `reports` is read (see SweepResult).
     """
     if weight.domain is not seq.domain:
         raise DomainViolation(f"the weight lives on the {weight.domain.value}, the sequence on the {seq.domain.value}")
@@ -644,87 +651,78 @@ def density_sweep(
         if not len(centers):
             raise DomainViolation("the center list is empty")
         _check_domain(centers, name="centers")
+    disk = seq.domain is Domain.DISK
+    border_grid = BORDER_R_GRID if r_grid is None else tuple(r for r in r_grid if disk or r < 1.0)
+    puncture_grid = PUNCTURE_R_GRID if r_grid is None else tuple(r for r in r_grid if not r < 1.0)
+    if disk:
+        parts = [(_BORDER, seq.array(), border_grid, centers)]
+        estimates = {"puncture": (None, True)}
+    else:
+        # a punctured-disk part with no points is not swept, and estimates
+        # 0; explicit centers go to the border part only
+        star, border = decompose(seq, split_a)
+        parts = [(side, part.array(), grid, given) for side, part, grid, given in
+                 ((_BORDER, border, border_grid, centers), (_PUNCTURE, star, puncture_grid, None)) if len(part)]
+        estimates = {"border": (0.0, True), "puncture": (0.0, True)}
     blocks, notes, skipped = [], [], []
     n_centers, coverage_radius, n_degenerate = 0, None, 0
-    if r_grid is None:
-        border_grid, puncture_grid = BORDER_R_GRID, PUNCTURE_R_GRID
-    else:
-        disk = seq.domain is Domain.DISK
-        border_grid = tuple(r for r in r_grid if disk or r < 1.0)
-        puncture_grid = tuple(r for r in r_grid if not r < 1.0)
-
-    def side_estimate(kind, grid, columns):
-        """(estimate, decreasing) of one side from its (centers, numerators, denominators) at each radius of grid.
-
-        Each radius with centers adds one block; the estimate is the sup of
-        the nondegenerate quotients at the largest radius with centers (only
-        a puncture radius can have none), and 0 where every one is
-        degenerate.
-        """
-        nonlocal n_degenerate
+    for side, pts, grid, given in parts:
+        if not grid:
+            raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
+        for r in grid:
+            _check_radius(r, side.radii, f"{side.kind} quotient")
+        # a copy: the result keeps the centers, which the caller may change
+        ctrs = np.array(side.centers(pts, mesh) if given is None else given, dtype=complex)
+        admits = side.admits(ctrs, grid)
+        if admits is None:
+            # one call, and no cell indexed
+            numers, denoms, nearest = _quotients(side, pts, weight, ctrs, grid, rule)
+        else:
+            # the centers with the same admitted radii share their calls;
+            # those are the radii of the grid below a bound, so their count
+            # names them
+            numers, denoms, nearest = np.empty(admits.shape), np.empty(admits.shape), math.inf
+            counts = admits.sum(axis=1)
+            for count in sorted(set(counts.tolist()) - {0}):
+                ks = np.flatnonzero(counts == count)
+                cols = np.flatnonzero(admits[ks[0]])
+                cells, radii = (ks[:, None], cols), [grid[j] for j in cols]
+                numers[cells], denoms[cells], near = _quotients(side, pts, weight, ctrs[ks], radii, rule)
+                nearest = np.minimum(nearest, near)
+        if side is _BORDER:
+            # the coverage of the puncture part waits for a net of the cover
+            n_centers = ctrs.size
+            coverage_radius = float(nearest.max()) if nearest.size else None
+            if given is None and n_centers == CENTER_CAP:
+                notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
+                             f" coverage radius {coverage_radius:.3f}")
+        # one block per radius with centers (views where every center admits
+        # every radius); the estimate is the sup of the nondegenerate
+        # quotients at the largest such radius, and 0 where every one is
+        # degenerate
         sups = []
-        for r, (ctrs, numers, denoms) in zip(grid, columns):
-            if not ctrs.size:
+        for j, r in enumerate(grid):
+            sel = slice(None) if admits is None else admits[:, j]
+            ns, ds = numers[sel, j], denoms[sel, j]
+            if not ns.size:
                 notes.append(f"no admissible center lifts at r = {r}")
                 skipped.append(float(r))
                 continue
-            blocks.append(_Block(kind, r, ctrs, numers, denoms))
-            ok = denoms > 0.0
+            blocks.append(_Block(side.kind, r, ctrs[sel], ns, ds))
+            ok = ds > 0.0
             n_degenerate += ok.size - int(np.count_nonzero(ok))
-            sups.append((r, float((numers[ok] / denoms[ok]).max()) if ok.any() else 0.0))
-        if not sups:
-            return None, True
+            sups.append((r, float((ns[ok] / ds[ok]).max()) if ok.any() else 0.0))
         sups = [sup for _, sup in sorted(sups)]
-        return sups[-1], all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
-
-    def run_border(part_points):
-        nonlocal n_centers, coverage_radius
-        grid = _side_grid(border_grid, _BORDER)
-        # a copy: the result keeps the centers, which the caller may change
-        ctrs = np.array(centers if centers is not None else center_net(part_points, mesh), dtype=complex)
-        numers, denoms, nearest = _quotients(_BORDER, part_points, weight, ctrs, grid, rule)
-        n_centers = len(ctrs)
-        coverage_radius = float(nearest.max()) if nearest.size else None
-        if centers is None and n_centers == CENTER_CAP:
-            notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
-                         f" coverage radius {coverage_radius:.3f}")
-        if (weight.domain is Domain.DISK and weight.constant_poincare_ratio is None
-                and not weight.phi_matches_curvature):
-            notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
-                         " the border denominators are 2-D integrals of the ratio")
-        return side_estimate("border", grid, [(ctrs, numers[:, j], denoms[:, j]) for j in range(len(grid))])
-
-    def run_puncture(part_points):
-        grid = _side_grid(puncture_grid, _PUNCTURE)
-        lifts = np.atleast_1d(lift_value(part_points))
-        admissible = _admissible(lifts[:, None], np.asarray(grid, dtype=float))
-        numers, denoms = np.empty(admissible.shape), np.empty(admissible.shape)
-        # the lifts with the same admissible radii share their calls; those
-        # are the radii below Im q - 1, so their count names them
-        counts = admissible.sum(axis=1)
-        for count in range(1, len(grid) + 1):
-            ks = np.flatnonzero(counts == count)
-            if ks.size:
-                row = admissible[ks[0]]
-                radii = tuple(r for r, ok in zip(grid, row) if ok)
-                cells = ks[:, None], np.flatnonzero(row)
-                numers[cells], denoms[cells], _ = _quotients(_PUNCTURE, part_points, weight, lifts[ks], radii, rule)
-        return side_estimate("puncture", grid, [(lifts[a], numers[a, j], denoms[a, j])
-                                                for j, a in enumerate(admissible.T)])
-
-    if seq.domain is Domain.DISK:
-        border_est, decreasing = run_border(seq.array())
-        punct_est = None
-    else:
-        star, border = decompose(seq, split_a)
-        border_est, dec_b = run_border(border.array()) if len(border) else (0.0, True)
-        punct_est, dec_p = run_puncture(star.array()) if len(star) else (0.0, True)
-        decreasing = dec_b and dec_p
-
-    cands = [e for e in (border_est, punct_est) if e is not None]
-    estimate = max(cands) if cands else math.inf
+        estimates[side.kind] = ((sups[-1], all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))) if sups
+                                else (None, True))
+    if weight.domain is Domain.DISK and weight.constant_poincare_ratio is None and not weight.phi_matches_curvature:
+        notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
+                     " the border denominators are 2-D integrals of the ratio")
+    (border_est, dec_b), (punct_est, dec_p) = estimates["border"], estimates["puncture"]
+    # the border part, swept or not, always has an estimate
+    estimate = max(e for e in (border_est, punct_est) if e is not None)
     return SweepResult(
-        estimate, border_est, punct_est, decreasing, n_degenerate > 0, tuple(notes),
+        estimate, border_est, punct_est, dec_b and dec_p, n_degenerate > 0, tuple(notes),
         n_centers, coverage_radius, tuple(skipped), n_degenerate, tuple(blocks),
     )
 

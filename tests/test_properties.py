@@ -41,7 +41,7 @@ from bergseq import (
     standard_puncture,
 )
 from bergseq import sequences
-from bergseq.geometry import TWO_PI, _hyperbolic
+from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
 from bergseq.sequences import (DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_disk_pairwise,
                                _min_pairwise, _quotients)
@@ -503,8 +503,8 @@ def test_blocked_min_pairwise_matches_row_loop(n, seed):
     for points, dist in ((disk, pseudo_dist), (disk, hyp_dist), (punctured, cyl_dist)):
         assert _min_pairwise(points, dist) == _min_by_rows(points, dist)
     # the windowed scan of the disk metric, from 96 points on
-    assert _min_disk_pairwise(disk, lambda rho: rho) == _min_by_rows(disk, pseudo_dist)
-    assert _min_disk_pairwise(disk, _hyperbolic) == _min_by_rows(disk, hyp_dist)
+    assert _min_disk_pairwise(disk) == _min_by_rows(disk, pseudo_dist)
+    assert _min_disk_pairwise(disk, hyperbolic=True) == _min_by_rows(disk, hyp_dist)
 
 
 def _rim_cloud(seed, n):
@@ -526,15 +526,15 @@ def _rim_cloud(seed, n):
 def test_windowed_scans_match_the_loops_at_the_rim_and_across_the_cut(n, seed, sep, windowed_from):
     # windowed_from moves the switch from the dense to the windowed scans,
     # so that small clouds take the windows too
+    # two points 1e-8 from the circle can lie at a pseudohyperbolic
+    # distance that rounds to 1; their hyperbolic distance stays finite
     pts = _rim_cloud(seed, n)
-    # two points 1e-8 from the circle can lie at a distance that rounds
-    # to 1, where _hyperbolic divides by 0
-    inner = pts[np.abs(pts) <= 1.0 - 1e-7]
     with mock.patch.object(sequences, "_WINDOWED_FROM", windowed_from):
         got = _greedy_separated(pts, sep, pts.size)
-        least = _min_disk_pairwise(pts, lambda rho: rho), _min_disk_pairwise(inner, _hyperbolic)
+        least = _min_disk_pairwise(pts), _min_disk_pairwise(pts, hyperbolic=True)
     assert got.tobytes() == _greedy_oracle(pts, sep, pts.size).tobytes()
-    assert least == (_min_by_rows(pts, pseudo_dist), _min_by_rows(inner, hyp_dist) if inner.size > 1 else math.inf)
+    assert least == (_min_by_rows(pts, pseudo_dist), _min_by_rows(pts, hyp_dist))
+    assert math.isfinite(least[1])
 
 
 def test_windows_keep_the_pairs_on_their_edge():

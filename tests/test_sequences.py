@@ -1,6 +1,9 @@
+import cmath
 import math
 import re
+import warnings
 from dataclasses import astuple, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,6 +75,33 @@ def test_split_modulus_must_lie_in_the_unit_interval(a):
         decompose(seq, a)
     with pytest.raises(DomainViolation):
         classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(split_a=a))
+
+
+def _hyperbolic_exact(z, w):
+    """The hyperbolic distance of two disk points, taken in 60-digit decimals from their doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        zx, zy, wx, wy = map(Decimal, (z.real, z.imag, w.real, w.imag))
+        re, im = 1 - (zx * wx + zy * wy), zy * wx - zx * wy  # 1 - conj(z) w
+        q = (1 - zx * zx - zy * zy) * (1 - wx * wx - wy * wy) / (re * re + im * im)  # 1 - rho^2
+        rho = (1 - q).sqrt()
+        return float(((1 + rho) * (1 + rho) / q).ln() / 2)
+
+
+def test_hyperbolic_separation_stays_finite_at_the_rim():
+    # rho rounds to 1 here, and artanh rho taken from 1 - rho divided by 0
+    pts = [(1.0 - 1e-9) * cmath.exp(1j * t) for t in (0.0, 1.0, 3.0)]
+    seq = SequenceSet(pts, Domain.PUNCTURED_DISK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            want = _hyperbolic_exact(pts[i], pts[j])
+            assert hyp_dist(pts[i], pts[j]) == pytest.approx(want, rel=1e-12)
+        sep = separation_border(seq)
+        verdict = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(r_grid=(0.9,)))
+    assert sep == pytest.approx(0.5 * _hyperbolic_exact(pts[0], pts[1]), rel=1e-12)
+    assert sep == pytest.approx(10.34, abs=0.01)
+    assert verdict.separation_border == sep
 
 
 def test_separation_values():
@@ -836,6 +866,10 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
     # where screening every kept point evaluated 226 613, 74 518 (48 822
     # of them in the separation) and 2 374 765; and the lattice draws
     # 1 985 candidates in doubling chunks, where one chunk drew 4 097.
+    # The separations take their pairs through sequences._mobius on
+    # either domain: 547 on the disk (in classify's 26 243 too), and 540
+    # for the lattice without the origin on the punctured disk, where the
+    # dense scan takes 48 589.
     calls, pairs, drawn = [], [], []
     mobius, candidates = sequences._mobius, sequences._disk_candidates
 
@@ -863,6 +897,10 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
     pairs.clear()
     net = center_net(lat.array(), 0.35, max_centers=10 ** 6)
     assert len(net) == 1453 and len(calls) <= 1.25 * 52 and sum(pairs) <= 1.25 * 118521
+    for points, domain, budget in ((lat.points, Domain.DISK, 547), (lat.points[1:], Domain.PUNCTURED_DISK, 540)):
+        pairs.clear()
+        separation_border(SequenceSet(points, domain))
+        assert sum(pairs) <= 1.25 * budget
 
 
 def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
@@ -959,6 +997,53 @@ def test_one_pass_puncture_quotients_match_single_radius_quotients():
         assert rep == puncture_density_ratio(star, w, rep.center, rep.radius)
 
 
+def test_unsorted_repeated_puncture_grid_keeps_grid_order():
+    # lifts at Im q = 1 .. 24: some admissible at 4 only, some at 4 and 8,
+    # some at every radius, and the shallowest at none
+    seq = generate_lattice("puncture-exponential", 24, s=1.0, n=1)
+    w = standard_puncture(2.0, 3.0)
+    grid = (16.0, 4.0, 8.0, 8.0)
+    sweep = density_sweep(seq, w, r_grid=grid)
+    assert [block.radius for block in sweep._blocks] == list(grid)
+    lifts = lift_value(seq.array())
+    for block, r in zip(sweep._blocks, grid):
+        assert block.centers.tolist() == [complex(q) for q in lifts if q.imag > r + 1.0]
+    assert [rep.radius for rep in sweep.reports] == [block.radius for block in sweep._blocks for _ in block.centers]
+    for rep in sweep.reports:
+        assert rep == puncture_density_ratio(seq, w, rep.center, rep.radius)
+
+
+def test_empty_disk_sequence_is_swept_at_the_origin():
+    # the net of no points is the origin
+    sweep = density_sweep(SequenceSet((), Domain.DISK), standard_disk(2.0))
+    assert (sweep.n_centers, sweep.coverage_radius) == (1, None)
+    assert [block.radius for block in sweep._blocks] == list(BORDER_R_GRID)
+    assert all(block.centers.tolist() == [0j] for block in sweep._blocks)
+
+
+def test_sweeps_call_center_net_through_the_module(monkeypatch):
+    # a tracer that wraps sequences.center_net sees each border part's net
+    calls = []
+    net = sequences.center_net
+    monkeypatch.setattr(sequences, "center_net", lambda *args: calls.append(args) or net(*args))
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    density_sweep(lat, standard_disk(2.0))
+    classify(lat, standard_disk(2.0))
+    assert len(calls) == 2
+    # the punctured disk: one call for the border part, none for the puncture part
+    calls.clear()
+    seq = generate_lattice("puncture-exponential", 40, s=0.5, n=2)
+    density_sweep(seq, standard_puncture(2.0, 3.0))
+    classify(seq, standard_puncture(2.0, 3.0))
+    assert len(calls) == 2
+    assert all(np.array_equal(args[0], decompose(seq, 0.5)[1].array()) for args in calls)
+    # no border part, or explicit centers: no net
+    calls.clear()
+    density_sweep(generate_lattice("puncture-exponential", 10, s=1.0, n=1), standard_puncture(2.0, 3.0))
+    density_sweep(lat, standard_disk(2.0), centers=[0.0, 0.5j])
+    assert calls == []
+
+
 def _coverage(points, centers):
     return max(min(pseudo_dist(p, c) for c in centers) for p in points)
 
@@ -984,7 +1069,8 @@ def test_sweep_reports_center_cap_and_coverage():
     sweep = density_sweep(lat, standard_disk(2.0), centers=ctrs)
     assert (sweep.n_centers, sweep.notes) == (2, ())
     assert sweep.coverage_radius == pytest.approx(_coverage(lat.points, ctrs), rel=1e-12)
-    # a punctured-disk sequence with no border part has no coverage radius
+    # a punctured-disk sequence with no border part has no coverage radius,
+    # and a border estimate of 0
     star = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
     sweep = density_sweep(star, standard_puncture(2.0, 3.0))
-    assert (sweep.n_centers, sweep.coverage_radius) == (0, None)
+    assert (sweep.n_centers, sweep.coverage_radius, sweep.border_estimate) == (0, None, 0.0)
