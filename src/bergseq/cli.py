@@ -42,16 +42,20 @@ SWEEP_HEADER = "center_re,center_im,r,kind,numerator,denominator,ratio"
 def parse_weight(spec):
     """Parse 'standard-disk:s=2' or 'standard-puncture:s=2,t=2'.
 
-    Omitted parameters default to 2; an unknown parameter is an error.
+    Omitted parameters default to 2; an unknown or repeated parameter is
+    an error.
     """
     family, _, rest = spec.partition(":")
     params = {}
     if rest:
         for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not _:
+            key, sep, val = item.partition("=")
+            key = key.strip()
+            if not sep:
                 raise ValueError(f"malformed weight parameter {item!r}")
-            params[key.strip()] = float(val)
+            if key in params:
+                raise ValueError(f"weight parameter {key!r} given twice")
+            params[key] = float(val)
     if family == "standard-disk":
         make, keys = standard_disk, ("s",)
     elif family == "standard-puncture":

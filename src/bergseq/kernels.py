@@ -34,8 +34,9 @@ def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
     The mass, the integral of (1 - |zeta|^2)^(s-2) over the unit disk, is
     the squared norm of the monomial 1, by quadrature.
     """
-    if s <= 1.0:
-        raise ValueError(f"need s > 1, got {s}")
+    # written so that NaN fails too, before any quadrature
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"need a finite s > 1, got {s}")
     c_s = 1.0 / _monomial_norms(s, 0, rule)[0]
 
     def evaluate(z, w):

@@ -39,11 +39,24 @@ _CANDIDATES = 20000
 
 @dataclass(frozen=True)
 class SequenceSet:
-    """A finite stand-in for a closed discrete subset of the domain."""
+    """A finite stand-in for a closed discrete subset of the domain.
+
+    A SequenceSet keeps the sequence half of its last density sweep (see
+    density_sweep): the separations, each part's centers and admitted
+    radii, the numerators and the coverage, as read-only arrays, keyed by
+    (mesh, split_a, border grid, puncture grid, explicit centers or None).
+    A sweep or classify under the same key, whatever the weight, reads it
+    back; one under another key computes a new half, which replaces it.
+    The half is not a field: it takes no part in ==, hash or repr, and
+    copies and pickles leave it out, so a new SequenceSet, even an equal
+    one, computes its own.
+    """
 
     points: tuple
     domain: Domain
     label: str = ""
+    # the kept sequence half, set by _sequence_half
+    _sweep_half = None
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
@@ -51,6 +64,10 @@ class SequenceSet:
         _check_domain(pts, self.domain, "points")
         if len(set(pts)) != len(pts):
             raise DomainViolation("sequence points must be pairwise distinct")
+
+    def __getstate__(self):
+        # the half holds the sides' functions, which do not pickle
+        return {name: value for name, value in self.__dict__.items() if name != "_sweep_half"}
 
     def __len__(self):
         return len(self.points)
@@ -378,7 +395,7 @@ def separation_puncture(seq: SequenceSet):
 
 @dataclass(frozen=True)
 class _Side:
-    """One side of the density quotient, the geometry that _quotients and density_sweep take.
+    """One side of the density quotient, the geometry that _numerators and density_sweep take.
 
     The annulus is (inner, r), r in the open range `radii`.  prepare
     checks the points, and on the cover lifts them.  dists(prepared,
@@ -422,20 +439,20 @@ _PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII, lambda points: _lifted_point
                   lambda centers, radii: _admissible(centers[:, None], np.asarray(radii, dtype=float)))
 
 
-def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
-    """(numerators, denominators, nearest) of one side's density quotients: one row per center, one column per radius.
+def _numerators(side: _Side, points, centers, radii):
+    """(numerators, nearest) of one side's density quotients: one row per center, one column per radius.
 
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
     over the distances rho from centers[k] in (side.inner, r), summed by
-    weights._annulus_sums, and denominator (k, j) the curvature mass that
-    side.denominators gives there (see _Block for the ratio).  The
-    distances are taken a block of centers at a time (see _block_rows),
-    in the widest radius's window, and a smaller radius reads its middle
-    2 span(r) + 1 translate columns: they are its own window bit for bit,
-    so each sum is the one a single center and radius would give.  Every
-    route to the denominators returns a float array of that shape too.
-    nearest is each prepared point's least distance to a center (on the
-    cover, of its translates in the widest window).
+    weights._annulus_sums; the denominators, which side.denominators(weight,
+    centers, radii, rule) gives in the same shape, complete the quotient
+    (see _Block for the ratio).  The distances are taken a block of
+    centers at a time (see _block_rows), in the widest radius's window,
+    and a smaller radius reads its middle 2 span(r) + 1 translate columns:
+    they are its own window bit for bit, so each sum is the one a single
+    center and radius would give.  nearest is each prepared point's least
+    distance to a center (on the cover, of its translates in the widest
+    window).
     """
     pts = side.prepare(points)
     ctrs = np.asarray(centers, dtype=complex)
@@ -451,12 +468,13 @@ def _quotients(side: _Side, points, weight: WeightModel, centers, radii, rule):
             cut = span - side.span(r)
             window = dist[:, :, cut:dist.shape[2] - cut].reshape(len(dist), -1)
             numers[i:i + rows, j] = _annulus_sums(window, side.inner, r)
-    return numers, side.denominators(weight, ctrs, radii, rule), nearest
+    return numers, nearest
 
 
 def _report(side: _Side, points, weight: WeightModel, center, r, rule) -> DensityReport:
     """The DensityReport of one side's quotient at one center and radius."""
-    numers, denoms, _ = _quotients(side, points, weight, [center], (r,), rule)
+    numers, _ = _numerators(side, points, [center], (r,))
+    denoms = side.denominators(weight, np.asarray([center], dtype=complex), (r,), rule)
     return DensityReport(*next(_Block(side.kind, r, [center], numers[:, 0], denoms[:, 0]).rows()))
 
 
@@ -468,7 +486,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z: a
     circle mean of phi when phi passed custom_weight's check, else a
     closed form or a 2-D integral of the ratio.  It is the sweep's
-    quotient at one center and radius (see _quotients).
+    quotient at one center and radius (see _numerators).
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
@@ -494,7 +512,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover, computed as 2 pi times the mean of psi(e^{iw}) - psi(e^{iq})
     over the circle |w - q| = r (see weights._puncture_denominators).  It
-    is the sweep's quotient at one lift and radius (see _quotients), and
+    is the sweep's quotient at one lift and radius (see _numerators), and
     takes the lifts a density sweep takes, Im q > r + 1 (see
     _admissible): any other raises WindowViolation before any sampling;
     DomainViolation if q is not finite, or so deep that psi is not finite
@@ -615,6 +633,182 @@ def center_net(points, mesh, max_centers=CENTER_CAP):
     return _greedy_separated(cands, 0.5 * mesh, max_centers)
 
 
+@dataclass(frozen=True)
+class _Part:
+    """One swept part of a sweep's sequence half (see _SequenceHalf).
+
+    centers are the part's swept centers, admits their (center, radius)
+    mask (None where every center admits every radius; see _Side),
+    numerators the (center, radius) numerators where admitted, and
+    nearest each prepared point's least distance to a center (see
+    _numerators).  groups holds the (cells, centers, columns) of each
+    _numerators and side.denominators call: the centers that admit the
+    same radii, the index of the cells they fill, and the grid columns of
+    their radii.  The arrays of centers, numerators and distances are
+    read-only.
+    """
+
+    side: _Side
+    centers: np.ndarray
+    admits: Optional[np.ndarray]
+    numerators: np.ndarray
+    nearest: np.ndarray
+    groups: tuple
+
+
+@dataclass(frozen=True)
+class _SequenceHalf:
+    """What a density sweep takes from its sequence alone, whatever the weight.
+
+    key is (mesh, split_a, border grid, puncture grid, the shape and bytes
+    of the explicit centers or None), the arguments the half depends on.
+    separations are classify's (border, puncture); parts the (border,
+    puncture) _Parts, None for a part that is not swept; n_centers,
+    coverage_radius and notes the border record of the SweepResult.
+    """
+
+    key: tuple
+    separations: tuple
+    parts: tuple
+    n_centers: int
+    coverage_radius: Optional[float]
+    notes: tuple
+
+
+def _grids(domain, r_grid):
+    """(border grid, puncture grid) of a sweep; r_grid None gives each side's built-in grid.
+
+    An explicit grid goes to the border part whole on the disk, split at
+    r = 1 on the punctured disk.
+    """
+    if r_grid is None:
+        return BORDER_R_GRID, PUNCTURE_R_GRID
+    disk = domain is Domain.DISK
+    return tuple(r for r in r_grid if disk or r < 1.0), tuple(r for r in r_grid if not r < 1.0)
+
+
+def _separations(seq: SequenceSet, split_a):
+    """classify's (border, puncture) separations, the puncture one None on the disk."""
+    if seq.domain is Domain.DISK:
+        return separation_border(seq), None
+    star, border = decompose(seq, split_a)
+    return separation_border(border), separation_puncture(star)
+
+
+def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
+    """The _Part of one side's points: the given centers, else the side's own, and their numerators.
+
+    The grid is checked first: it must hold a radius, each in side.radii.
+    """
+    if not grid:
+        raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
+    for r in grid:
+        _check_radius(r, side.radii, f"{side.kind} quotient")
+    # a copy, made read-only below: a patched or traced center_net may keep the array it returns
+    ctrs = np.array(side.centers(pts, mesh), dtype=complex) if given is None else given
+    admits = side.admits(ctrs, grid)
+    if admits is None:
+        # one call, and no cell indexed
+        groups = [((slice(None), slice(None)), ctrs, range(len(grid)))]
+    else:
+        # the centers with the same admitted radii share their calls; those
+        # are the radii of the grid below a bound, so their count names them
+        counts = admits.sum(axis=1)
+        groups = []
+        for count in sorted(set(counts.tolist()) - {0}):
+            ks = np.flatnonzero(counts == count)
+            cols = np.flatnonzero(admits[ks[0]]).tolist()
+            groups.append(((ks[:, None], cols), ctrs[ks], cols))
+    numers, nearest = np.empty((ctrs.size, len(grid))), np.full(len(pts), math.inf)
+    for cells, centers, cols in groups:
+        numers[cells], near = _numerators(side, pts, centers, [grid[j] for j in cols])
+        np.minimum(nearest, near, out=nearest)
+    for a in (ctrs, numers, nearest, *(centers for _, centers, _ in groups)):
+        a.flags.writeable = False
+    return _Part(side, ctrs, admits, numers, nearest, tuple(groups))
+
+
+def _sequence_half(seq: SequenceSet, grids, centers, mesh, split_a) -> _SequenceHalf:
+    """The sequence half of a sweep of seq: the one seq keeps when its key matches, else a new one that replaces it.
+
+    A new half is built with the module's functions as they are when it
+    runs.  mesh and split_a must lie in (0, 1), and explicit centers be
+    a non-empty list of disk points, before the call; each swept part's
+    grid is checked before its centers are taken.
+    """
+    given = None if centers is None else np.array(centers, dtype=complex)
+    key = (mesh, split_a, *grids, None if given is None else (given.shape, given.tobytes()))
+    half = seq._sweep_half
+    if half is not None and half.key == key:
+        return half
+    if seq.domain is Domain.DISK:
+        parts = ((_BORDER, seq.array(), given), None)
+    else:
+        # a punctured-disk part with no points is not swept; explicit
+        # centers go to the border part only
+        star, border = decompose(seq, split_a)
+        parts = ((_BORDER, border.array(), given) if len(border) else None,
+                 (_PUNCTURE, star.array(), None) if len(star) else None)
+    swept = tuple(None if part is None else _sweep_part(*part, grid, mesh) for part, grid in zip(parts, grids))
+    n_centers, coverage_radius, notes = 0, None, ()
+    if swept[0] is not None:
+        # the coverage of the puncture part waits for a net of the cover
+        n_centers, nearest = swept[0].centers.size, swept[0].nearest
+        coverage_radius = float(nearest.max()) if nearest.size else None
+        if given is None and n_centers == CENTER_CAP:
+            notes = (f"center net reached its cap of {CENTER_CAP} centers; coverage radius {coverage_radius:.3f}",)
+    half = _SequenceHalf(key, _separations(seq, split_a), swept, n_centers, coverage_radius, notes)
+    object.__setattr__(seq, "_sweep_half", half)
+    return half
+
+
+def _weight_half(domain, half: _SequenceHalf, weight: WeightModel, grids, rule) -> SweepResult:
+    """The SweepResult of a sequence half under a weight: its denominators, blocks, sups and estimates.
+
+    grids are the call's own, equal to those of the half's key; the radii
+    of the blocks, notes and denominators are read from them, so a note
+    prints a radius as this call gave it (4 and 4.0 make one key).
+    """
+    blocks, notes, skipped, n_degenerate = [], list(half.notes), [], 0
+    estimates = {}
+    for kind, part, grid in zip(("border", "puncture"), half.parts, grids):
+        if part is None:
+            # an empty punctured-disk part estimates 0; the disk has no puncture part
+            estimates[kind] = (None if domain is Domain.DISK else 0.0, True)
+            continue
+        denoms = np.empty((part.centers.size, len(grid)))
+        for cells, centers, cols in part.groups:
+            denoms[cells] = part.side.denominators(weight, centers, [grid[j] for j in cols], rule)
+        # one block per radius with centers (views where every center admits
+        # every radius); the estimate is the sup of the nondegenerate
+        # quotients at the largest such radius, and 0 where every one is
+        # degenerate
+        sups = []
+        for j, r in enumerate(grid):
+            sel = slice(None) if part.admits is None else part.admits[:, j]
+            ns, ds = part.numerators[sel, j], denoms[sel, j]
+            if not ns.size:
+                notes.append(f"no admissible center lifts at r = {r}")
+                skipped.append(float(r))
+                continue
+            blocks.append(_Block(kind, r, part.centers[sel], ns, ds))
+            ok = ds > 0.0
+            n_degenerate += ok.size - int(np.count_nonzero(ok))
+            sups.append((r, float((ns[ok] / ds[ok]).max()) if ok.any() else 0.0))
+        sups = [sup for _, sup in sorted(sups)]
+        estimates[kind] = (sups[-1], all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))) if sups else (None, True)
+    if weight.domain is Domain.DISK and weight.constant_poincare_ratio is None and not weight.phi_matches_curvature:
+        notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
+                     " the border denominators are 2-D integrals of the ratio")
+    (border_est, dec_b), (punct_est, dec_p) = estimates["border"], estimates["puncture"]
+    # the border part, swept or not, always has an estimate
+    estimate = max(e for e in (border_est, punct_est) if e is not None)
+    return SweepResult(
+        estimate, border_est, punct_est, dec_b and dec_p, n_degenerate > 0, tuple(notes),
+        half.n_centers, half.coverage_radius, tuple(skipped), n_degenerate, tuple(blocks),
+    )
+
+
 def density_sweep(
     seq: SequenceSet,
     weight: WeightModel,
@@ -637,11 +831,16 @@ def density_sweep(
     split_a and mesh must lie in (0, 1) whatever the domain.  The weight
     must live on the sequence's domain, else DomainViolation.
 
-    One loop sweeps each part on its _Side, with one _quotients call per
-    set of centers that admit the same radii.  The quotients stay arrays:
-    one block of columns per side and radius, from which the sups, the
-    estimates and the degenerate count are taken with numpy.  The result
-    builds its DensityReports only when `reports` is read (see SweepResult).
+    A sweep has two halves.  The sequence half (_sequence_half) depends on
+    the points alone: the decomposition, the separations, each part's
+    centers and admitted radii, the numerators and the coverage.  seq
+    keeps the last one it computed (see SequenceSet), so a sweep of the
+    same SequenceSet under another weight, with the same mesh, split_a,
+    grids and centers, computes only the weight half (_weight_half): the
+    denominators, the blocks, the sups and the estimates.  The quotients
+    stay arrays: one block of read-only columns per side and radius.  The
+    result builds its DensityReports only when `reports` is read (see
+    SweepResult).
     """
     if weight.domain is not seq.domain:
         raise DomainViolation(f"the weight lives on the {weight.domain.value}, the sequence on the {seq.domain.value}")
@@ -651,80 +850,8 @@ def density_sweep(
         if not len(centers):
             raise DomainViolation("the center list is empty")
         _check_domain(centers, name="centers")
-    disk = seq.domain is Domain.DISK
-    border_grid = BORDER_R_GRID if r_grid is None else tuple(r for r in r_grid if disk or r < 1.0)
-    puncture_grid = PUNCTURE_R_GRID if r_grid is None else tuple(r for r in r_grid if not r < 1.0)
-    if disk:
-        parts = [(_BORDER, seq.array(), border_grid, centers)]
-        estimates = {"puncture": (None, True)}
-    else:
-        # a punctured-disk part with no points is not swept, and estimates
-        # 0; explicit centers go to the border part only
-        star, border = decompose(seq, split_a)
-        parts = [(side, part.array(), grid, given) for side, part, grid, given in
-                 ((_BORDER, border, border_grid, centers), (_PUNCTURE, star, puncture_grid, None)) if len(part)]
-        estimates = {"border": (0.0, True), "puncture": (0.0, True)}
-    blocks, notes, skipped = [], [], []
-    n_centers, coverage_radius, n_degenerate = 0, None, 0
-    for side, pts, grid, given in parts:
-        if not grid:
-            raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
-        for r in grid:
-            _check_radius(r, side.radii, f"{side.kind} quotient")
-        # a copy: the result keeps the centers, which the caller may change
-        ctrs = np.array(side.centers(pts, mesh) if given is None else given, dtype=complex)
-        admits = side.admits(ctrs, grid)
-        if admits is None:
-            # one call, and no cell indexed
-            numers, denoms, nearest = _quotients(side, pts, weight, ctrs, grid, rule)
-        else:
-            # the centers with the same admitted radii share their calls;
-            # those are the radii of the grid below a bound, so their count
-            # names them
-            numers, denoms, nearest = np.empty(admits.shape), np.empty(admits.shape), math.inf
-            counts = admits.sum(axis=1)
-            for count in sorted(set(counts.tolist()) - {0}):
-                ks = np.flatnonzero(counts == count)
-                cols = np.flatnonzero(admits[ks[0]])
-                cells, radii = (ks[:, None], cols), [grid[j] for j in cols]
-                numers[cells], denoms[cells], near = _quotients(side, pts, weight, ctrs[ks], radii, rule)
-                nearest = np.minimum(nearest, near)
-        if side is _BORDER:
-            # the coverage of the puncture part waits for a net of the cover
-            n_centers = ctrs.size
-            coverage_radius = float(nearest.max()) if nearest.size else None
-            if given is None and n_centers == CENTER_CAP:
-                notes.append(f"center net reached its cap of {CENTER_CAP} centers;"
-                             f" coverage radius {coverage_radius:.3f}")
-        # one block per radius with centers (views where every center admits
-        # every radius); the estimate is the sup of the nondegenerate
-        # quotients at the largest such radius, and 0 where every one is
-        # degenerate
-        sups = []
-        for j, r in enumerate(grid):
-            sel = slice(None) if admits is None else admits[:, j]
-            ns, ds = numers[sel, j], denoms[sel, j]
-            if not ns.size:
-                notes.append(f"no admissible center lifts at r = {r}")
-                skipped.append(float(r))
-                continue
-            blocks.append(_Block(side.kind, r, ctrs[sel], ns, ds))
-            ok = ds > 0.0
-            n_degenerate += ok.size - int(np.count_nonzero(ok))
-            sups.append((r, float((ns[ok] / ds[ok]).max()) if ok.any() else 0.0))
-        sups = [sup for _, sup in sorted(sups)]
-        estimates[side.kind] = ((sups[-1], all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))) if sups
-                                else (None, True))
-    if weight.domain is Domain.DISK and weight.constant_poincare_ratio is None and not weight.phi_matches_curvature:
-        notes.append("phi did not match lap_poincare_ratio at custom_weight's check:"
-                     " the border denominators are 2-D integrals of the ratio")
-    (border_est, dec_b), (punct_est, dec_p) = estimates["border"], estimates["puncture"]
-    # the border part, swept or not, always has an estimate
-    estimate = max(e for e in (border_est, punct_est) if e is not None)
-    return SweepResult(
-        estimate, border_est, punct_est, dec_b and dec_p, n_degenerate > 0, tuple(notes),
-        n_centers, coverage_radius, tuple(skipped), n_degenerate, tuple(blocks),
-    )
+    grids = _grids(seq.domain, r_grid)
+    return _weight_half(seq.domain, _sequence_half(seq, grids, centers, mesh, split_a), weight, grids, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +867,12 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
     the strict cylindrical lower bound (hypothesis flag puncture_strict).
     Everything else, or any degenerate denominator or failed weight
     hypothesis, is Indeterminate.
+
+    The separations and the sweep come from the sequence half that seq
+    keeps for params' mesh, split_a and grids (see density_sweep), so a
+    second classify of the same SequenceSet under another weight computes
+    only the weight half.  A weight that fails a hypothesis flag sweeps
+    nothing and leaves the kept half as it is.
     """
     reasons = []
     if weight.domain is not seq.domain:
@@ -748,14 +881,6 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
             ("weight and sequence live on different domains",),
         )
 
-    if seq.domain is Domain.DISK:
-        sep_b = separation_border(seq)
-        sep_p = None
-    else:
-        star, border = decompose(seq, params.split_a)
-        sep_b = separation_border(border)
-        sep_p = separation_puncture(star)
-
     flags = weight.hypothesis_flags
     if flags and not flags.get("border_lower", True):
         reasons.append("weight fails the border curvature lower bound")
@@ -763,17 +888,13 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
         reasons.append("weight fails Delta phi >= 4 omega_P near the puncture")
     if reasons:
         return ClassificationVerdict(
-            "Indeterminate", sep_b, sep_p, None, None, params, tuple(reasons)
+            "Indeterminate", *_separations(seq, params.split_a), None, None, params, tuple(reasons)
         )
 
-    sweep = density_sweep(
-        seq,
-        weight,
-        r_grid=params.r_grid,
-        mesh=params.mesh,
-        split_a=params.split_a,
-        rule=params.rule,
-    )
+    grids = _grids(seq.domain, params.r_grid)
+    half = _sequence_half(seq, grids, None, params.mesh, params.split_a)
+    sep_b, sep_p = half.separations
+    sweep = _weight_half(seq.domain, half, weight, grids, params.rule)
     d_b, d_p = sweep.border_estimate, sweep.puncture_estimate
 
     seps = [s for s in (sep_b, sep_p) if s is not None]

@@ -70,8 +70,9 @@ class WeightModel:
 
 def standard_disk(s: float) -> WeightModel:
     """phi = s log 1/(1-|z|^2); Delta phi = 2s omega_P exactly."""
-    if s <= 1.0:
-        raise ValueError(f"standard disk weight needs s > 1, got {s}")
+    # written so that NaN fails too
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"standard disk weight needs a finite s > 1, got {s}")
     return WeightModel(
         phi=lambda z: -s * np.log1p(-np.abs(z) ** 2),
         lap_poincare_ratio=lambda z: np.full(np.shape(z), 2.0 * s),
@@ -92,10 +93,12 @@ def standard_puncture(s: float, t: float) -> WeightModel:
     the hypothesis flags record; puncture-side density quotients for it
     are reported but degenerate as the center approaches the puncture.
     """
-    if s <= 1.0:
-        raise ValueError(f"standard puncture weight needs s > 1, got {s}")
-    if t < 2.0:
-        raise ValueError(f"shifted weight is superharmonic at the puncture for t < 2, got {t}")
+    # written so that NaN fails too
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"standard puncture weight needs a finite s > 1, got {s}")
+    if not 2.0 <= t < math.inf:
+        raise ValueError(f"standard puncture weight needs a finite t >= 2 (the shifted weight is superharmonic"
+                         f" at the puncture for t < 2), got {t}")
 
     def phi(z):
         return -s * np.log1p(-np.abs(z) ** 2) - t * np.log(_log_L(z))

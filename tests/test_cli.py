@@ -33,6 +33,14 @@ def test_parse_weight_specs():
         parse_weight("standard-disk:s2")
     with pytest.raises(ValueError):
         parse_weight("standard-disk:S=3")
+    # a repeated key once read the last value, s = 3
+    with pytest.raises(ValueError, match="given twice"):
+        parse_weight("standard-disk:s=2,s=3")
+    with pytest.raises(ValueError, match="given twice"):
+        parse_weight("standard-puncture:t=3, t=3")
+    for spec in ("standard-disk:s=nan", "standard-disk:s=inf", "standard-puncture:t=nan"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_weight(spec)
 
 
 def test_parse_sequence_file_basic(tmp_path):

@@ -46,10 +46,12 @@ from bergseq import (
     puncture_density_form,
     puncture_density_ratio,
     puncture_potential,
+    standard_disk,
     standard_kernel,
     standard_puncture,
     truncated_log_mean,
 )
+from bergseq import kernels
 from bergseq.cli import parse_sequence_file
 from bergseq.errors import DomainViolation
 from bergseq.quadrature import _euclid_weight, _hyper_weight
@@ -222,3 +224,28 @@ def test_a_bad_radius_on_the_cover_fails_before_any_sampling(name, r, tmp_path):
     with pytest.raises(DomainViolation, match="needs"):
         BAD_RADIUS_CALLS[name](r, spy)
     assert spy.calls == []
+
+
+NON_FINITE_WEIGHTS = {
+    "standard_disk(nan)": lambda: standard_disk(math.nan),
+    "standard_disk(inf)": lambda: standard_disk(math.inf),
+    "standard_puncture(nan, 3)": lambda: standard_puncture(math.nan, 3.0),
+    "standard_puncture(inf, 3)": lambda: standard_puncture(math.inf, 3.0),
+    "standard_puncture(2, nan)": lambda: standard_puncture(2.0, math.nan),
+    "standard_puncture(2, inf)": lambda: standard_puncture(2.0, math.inf),
+    "standard_kernel(nan)": lambda: standard_kernel(math.nan),
+    "standard_kernel(inf)": lambda: standard_kernel(math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_WEIGHTS))
+def test_a_non_finite_weight_parameter_fails_before_any_quadrature(name, monkeypatch):
+    # each was accepted: classify under standard_disk(nan) read Indeterminate
+    # with a curvature reason, and standard_kernel(nan) ran a 393 216-node
+    # quadrature before QuadratureNotConverged
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the kernel's mass was integrated")
+
+    monkeypatch.setattr(kernels, "_monomial_norms", no_quadrature)
+    with pytest.raises(ValueError, match="needs? a finite"):
+        NON_FINITE_WEIGHTS[name]()

@@ -16,6 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bergseq import (
     BORDER_R_GRID,
+    ClassificationVerdict,
+    ClassifyParams,
     DEFAULT_RULE,
     FAST_RULE,
     Domain,
@@ -23,6 +25,7 @@ from bergseq import (
     SequenceSet,
     border_density_ratio,
     border_potential,
+    classify,
     custom_weight,
     cyl_dist,
     decompose,
@@ -35,6 +38,7 @@ from bergseq import (
     polar_integral,
     pseudo_dist,
     puncture_density_form,
+    puncture_density_ratio,
     puncture_potential,
     shifted_cyl_weight,
     standard_disk,
@@ -44,7 +48,7 @@ from bergseq import sequences
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
 from bergseq.sequences import (DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_disk_pairwise,
-                               _min_pairwise, _quotients)
+                               _min_pairwise, _numerators)
 from bergseq.weights import (_border_radial_means, _covered_integrand, _curvature_masses, _disk_dists, _phi_masses,
                              _puncture_radial_means)
 
@@ -281,7 +285,9 @@ def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offs
 
     def quotients(lifts, radii):
         # the numerators, then the denominators: one row per lift
-        return np.hstack(_quotients(_PUNCTURE, points, weight, lifts, radii, DEFAULT_RULE)[:2])
+        lifts = np.asarray(lifts, dtype=complex)
+        return np.hstack((_numerators(_PUNCTURE, points, lifts, radii)[0],
+                          _PUNCTURE.denominators(weight, lifts, radii, DEFAULT_RULE)))
 
     got = quotients(lifts, radii)
     assert got.tobytes() == np.vstack([quotients([q], radii) for q in lifts]).tobytes()
@@ -607,3 +613,113 @@ def test_blocked_puncture_numerators_match_per_lift_sums(n, seed):
         q, r = rep.center, rep.radius
         want = _fsum_numerator(np.abs(lifted_translates(points, q, r) - q), 1.0, r)
         assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.85), angle), min_size=1,
+                max_size=12),
+       st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.85), angle),
+       st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.0, 0.85), angle),
+       st.floats(1.05, 4.0))
+def test_border_quotient_is_mobius_invariant(points, z, a, s):
+    # phi_a is a disk automorphism, so |phi_{phi_a(z)}(phi_a(w))| = |phi_z(w)|:
+    # each term of the numerator moves by rounding only, and under constant
+    # curvature the denominator does not depend on the center.  A distance
+    # at an edge of (1/2, r) could cross it and move a whole term.
+    pts = np.asarray(points)
+    images, z_image = mobius_involution(a, pts), complex(mobius_involution(a, z))
+    weight = standard_disk(s)
+    for r in BORDER_R_GRID:
+        for d in (_disk_dists(pts, z), _disk_dists(images, z_image)):
+            assume(np.all(np.abs(d - 0.5) > 1e-9) and np.all(np.abs(d - r) > 1e-9))
+        want = border_density_ratio(pts, weight, z, r)
+        got = border_density_ratio(images, weight, z_image, r)
+        assert got.numerator == pytest.approx(want.numerator, rel=1e-12, abs=0.0)
+        assert got.denominator == want.denominator
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PUNCTURE_R_GRID), st.floats(0.0, TWO_PI), st.floats(0.5, 4.0), st.floats(-TWO_PI, TWO_PI),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), angle), min_size=1, max_size=10))
+def test_puncture_quotient_is_rotation_invariant_on_the_cover(r, x, h, t, offsets):
+    # a rotation z -> e^{it} z of the punctured disk is the shift w -> w + t
+    # of the cover, and the weight is radial: the quotient at the shifted
+    # lift q + t of the turned points is the one at q.  A translate distance
+    # at an edge of (1, r) could cross it and move a whole term.
+    q = complex(x, r + 1.0 + h)
+    points = np.array([math.exp(-(q.imag + dy * r)) * cmath.exp(1j * theta) for dy, theta in offsets])
+    turned = points * cmath.exp(1j * t)
+    for pts, lift in ((points, q), (turned, q + t)):
+        d = np.abs(lifted_translates(pts, lift, r + 1.0) - lift)
+        assume(np.all(np.abs(d - 1.0) > 1e-9) and np.all(np.abs(d - r) > 1e-9))
+    weight = standard_puncture(2.0, 3.0)
+    want = puncture_density_ratio(points, weight, q, r)
+    got = puncture_density_ratio(turned, weight, q + t, r)
+    assert got.numerator == pytest.approx(want.numerator, rel=1e-12, abs=0.0)
+    assert got.denominator == pytest.approx(want.denominator, rel=1e-12, abs=0.0)
+
+
+def _curved_disk_weight():
+    """phi = 2 log 1/(1-|z|^2) + |z|^2, whose Delta phi / omega_P is 4 + 2 (1-|z|^2)^2."""
+    return custom_weight(lambda z: -2.0 * np.log1p(-np.abs(z) ** 2) + np.abs(z) ** 2,
+                         lambda z: 4.0 + 2.0 * (1.0 - np.abs(z) ** 2) ** 2, Domain.DISK)
+
+
+_KEPT_HALF_WEIGHTS = {
+    Domain.DISK: (standard_disk(2.0), standard_disk(3.0), _curved_disk_weight()),
+    Domain.PUNCTURED_DISK: (standard_puncture(2.0, 3.0), standard_puncture(3.0, 2.5)),
+}
+# each grid leaves every part of its domain a radius, and two punctured-disk
+# grids differ on the puncture side only
+_KEPT_HALF_GRIDS = {
+    Domain.DISK: (None, (0.99, 0.9, 0.9), (0.95,)),
+    Domain.PUNCTURED_DISK: (None, (0.9, 4.0), (0.9, 16.0, 4.0, 8.0, 8.0)),
+}
+
+
+def _kept_half_options(domain):
+    """The values of each argument of a call: a sweep or a classify, its mesh, split, grid and centers."""
+    return {"classify": (False, True), "mesh": (0.3, 0.45), "split_a": (DEFAULT_SPLIT, 0.3),
+            "r_grid": _KEPT_HALF_GRIDS[domain], "centers": (None, [0.0, 0.5j], (0.2, -0.7 + 0.1j, 0.9))}
+
+
+def _sweep_or_classify(seq, weight, call):
+    """density_sweep, or classify where the call asks for it and has no centers."""
+    kwargs = dict(call)
+    if kwargs.pop("classify") and kwargs.pop("centers") is None:
+        return classify(seq, weight, ClassifyParams(**kwargs))
+    return density_sweep(seq, weight, **kwargs)
+
+
+@pytest.mark.parametrize("domain", sorted(_KEPT_HALF_WEIGHTS, key=lambda d: d.value), ids=lambda d: d.value)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 24), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_a_kept_sequence_half_gives_the_result_of_a_new_sequence(domain, n, seed, data):
+    # whatever an earlier call under another weight kept, a sweep or
+    # classify equals the one on a new SequenceSet of the same points: the
+    # later call takes the earlier arguments, or them with any one changed
+    gen = np.random.default_rng(seed)
+    if domain is Domain.DISK:
+        points = _disk_cloud(seed, n, 0.8)
+    else:
+        # n star points and one between |z| = 0.3 and 0.5, which the split
+        # 0.3 puts in the border part and the split 0.5 in the star part
+        moduli = np.append(np.exp(-gen.uniform(0.8, 12.0, n)), gen.uniform(0.3, 0.5))
+        points = moduli * np.exp(2j * math.pi * gen.random(n + 1))
+    weights = _KEPT_HALF_WEIGHTS[domain]
+    first, second = data.draw(st.sampled_from(weights)), data.draw(st.sampled_from(weights))
+    options = _kept_half_options(domain)
+    earlier = {name: data.draw(st.sampled_from(values)) for name, values in options.items()}
+    changes = [{}] + [{name: value} for name, values in options.items() for value in values if value != earlier[name]]
+    for change in changes:
+        later = {**earlier, **change}
+        seq = SequenceSet(tuple(points), domain)
+        _sweep_or_classify(seq, first, earlier)
+        got = _sweep_or_classify(seq, second, later)
+        want = _sweep_or_classify(SequenceSet(seq.points, seq.domain), second, later)
+        assert got == want and hash(got) == hash(want)
+        sweep = got.sweep if isinstance(got, ClassificationVerdict) else got
+        for block in sweep._blocks:
+            assert not any(getattr(block, column).flags.writeable for column in ("centers", "numerators", "denominators"))
+        for part in filter(None, seq._sweep_half.parts):
+            assert not any(a.flags.writeable for a in (part.centers, part.numerators, part.nearest))

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import re
 import warnings
 from dataclasses import astuple, replace
@@ -903,6 +905,38 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
         assert sum(pairs) <= 1.25 * budget
 
 
+def test_a_second_weight_pays_only_its_denominators(monkeypatch):
+    # the sequence half of a classify (separation, center net, numerators)
+    # is kept on the SequenceSet: a classify under another weight with the
+    # same mesh, split and grid evaluates no pair distance and builds no
+    # net, and one with another mesh builds them again
+    mobius, net = sequences._mobius, sequences.center_net
+    lat = generate_lattice("hyperbolic-disk", 300, seed=11, d=0.35, margin=0.02)
+    calls, nets = [], []
+    monkeypatch.setattr(sequences, "_mobius", lambda *args: calls.append(1) or mobius(*args))
+    monkeypatch.setattr(sequences, "center_net", lambda *args: nets.append(1) or net(*args))
+    first = classify(lat, standard_disk(2.0))
+    assert calls and nets == [1]
+    calls.clear()
+    nets.clear()
+    second = classify(lat, standard_disk(3.0))
+    assert calls == [] and nets == []
+    assert second == classify(SequenceSet(lat.points, lat.domain), standard_disk(3.0)) != first
+    calls.clear()
+    nets.clear()
+    classify(lat, standard_disk(3.0), ClassifyParams(mesh=0.35))
+    assert calls and nets == [1]
+
+
+def test_a_sequence_set_pickles_and_copies_without_its_sweep_half():
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    sweep = density_sweep(lat, standard_disk(2.0))
+    assert lat._sweep_half is not None
+    for other in (pickle.loads(pickle.dumps(lat)), copy.copy(lat), copy.deepcopy(lat)):
+        assert other == lat and other._sweep_half is None
+        assert density_sweep(other, standard_disk(2.0)) == sweep
+
+
 def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
     # the puncture denominators are circle means, with no polar_integral
     # call: F1's 18 border centers keep their two calls, and the lifts of
@@ -1022,19 +1056,28 @@ def test_empty_disk_sequence_is_swept_at_the_origin():
 
 
 def test_sweeps_call_center_net_through_the_module(monkeypatch):
-    # a tracer that wraps sequences.center_net sees each border part's net
+    # a tracer that wraps sequences.center_net sees each border part's net,
+    # one per sequence and key: the sweeps of a SequenceSet under one mesh,
+    # split and grid share the net, whatever the weight
     calls = []
     net = sequences.center_net
     monkeypatch.setattr(sequences, "center_net", lambda *args: calls.append(args) or net(*args))
     lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
     density_sweep(lat, standard_disk(2.0))
     classify(lat, standard_disk(2.0))
-    assert len(calls) == 2
+    density_sweep(lat, standard_disk(3.0))
+    assert len(calls) == 1
+    # a new SequenceSet, equal or not, and a new mesh build their own nets
+    density_sweep(SequenceSet(lat.points, lat.domain), standard_disk(2.0))
+    classify(lat, standard_disk(2.0), ClassifyParams(mesh=0.35))
+    assert [args[1] for args in calls] == [0.3, 0.3, 0.35]
     # the punctured disk: one call for the border part, none for the puncture part
     calls.clear()
     seq = generate_lattice("puncture-exponential", 40, s=0.5, n=2)
     density_sweep(seq, standard_puncture(2.0, 3.0))
     classify(seq, standard_puncture(2.0, 3.0))
+    assert len(calls) == 1
+    classify(SequenceSet(seq.points, seq.domain), standard_puncture(2.0, 3.0))
     assert len(calls) == 2
     assert all(np.array_equal(args[0], decompose(seq, 0.5)[1].array()) for args in calls)
     # no border part, or explicit centers: no net
