@@ -85,11 +85,17 @@ def parse_sequence_file(path) -> SequenceSet:
         domain = Domain(doc["domain"])
     except ValueError:
         raise DomainViolation(f"sequence file {path}: unknown domain {doc['domain']!r}")
+    if not isinstance(doc["points"], list):
+        raise DomainViolation(f"sequence file {path}: points must be a list of [re, im] pairs")
     pts = []
     for i, pair in enumerate(doc["points"]):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise DomainViolation(f"sequence file {path}: points[{i}] is not a [re, im] pair")
-        pts.append(complex(float(pair[0]), float(pair[1])))
+        # json reads a number as an int or a float; a bool, a string or null is not a coordinate
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+            raise DomainViolation(f"sequence file {path}: points[{i}] = {pair!r} is not a [re, im] pair of numbers")
+        try:
+            pts.append(complex(float(pair[0]), float(pair[1])))
+        except OverflowError:
+            raise DomainViolation(f"sequence file {path}: points[{i}] has a coordinate too large for a float")
     return SequenceSet(tuple(pts), domain, str(doc.get("label", "")))
 
 

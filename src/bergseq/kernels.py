@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainViolation, SingularSystem
 from .geometry import area_A
-from .quadrature import DEFAULT_RULE, QuadratureRule, _one, polar_integral
+from .quadrature import _one, polar_integral
 from .weights import WeightModel, standard_disk
 
 
@@ -28,7 +28,7 @@ class KernelSpec:
     name: str = ""
 
 
-def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
+def standard_kernel(s) -> KernelSpec:
     """K(z, w) = c_s (1 - z conj(w))^{-s} with c_s fixed by K(0,0) = 1/mass.
 
     The mass, the integral of (1 - |zeta|^2)^(s-2) over the unit disk, is
@@ -37,7 +37,7 @@ def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
     # written so that NaN fails too, before any quadrature
     if not 1.0 < s < math.inf:
         raise ValueError(f"need a finite s > 1, got {s}")
-    c_s = 1.0 / _monomial_norms(s, 0, rule)[0]
+    c_s = 1.0 / _monomial_norms(s, 0)[0]
 
     def evaluate(z, w):
         # in place, so that an n x n evaluation holds one n x n buffer; the
@@ -51,7 +51,7 @@ def standard_kernel(s, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
     return KernelSpec(evaluate, standard_disk(s), f"standard-disk s={s}")
 
 
-def _monomial_norms(s, degree, rule: QuadratureRule):
+def _monomial_norms(s, degree):
     """Squared weighted norms of 1, z, ..., z^degree, by quadrature.
 
     One polar_integral of 1 against the columns rho^(2k) (1 - rho^2)^(s-2),
@@ -62,16 +62,16 @@ def _monomial_norms(s, degree, rule: QuadratureRule):
     ks = np.arange(degree + 1)
     w = lambda rho: (1.0 - rho * rho) ** (s - 2.0)
     moments = lambda rho: rho[:, None] ** (2 * ks)
-    return polar_integral(_one, 0.0, 0.0, 1.0 - 1e-12, w, moments, rule)
+    return polar_integral(_one, 0.0, 0.0, 1.0 - 1e-12, w, moments)
 
 
-def numeric_gram_kernel(s, degree=160, rule: QuadratureRule = DEFAULT_RULE) -> KernelSpec:
+def numeric_gram_kernel(s, degree=160) -> KernelSpec:
     """Truncated monomial expansion sum_k z^k conj(w)^k / ||z^k||^2.
 
     The truncation tail at |z| = |w| = r is O((s r^2)^degree-ish); degree
     160 keeps it below 1e-6 throughout |z| <= 0.95 for s in {2, 3}.
     """
-    norms = _monomial_norms(s, degree, rule)
+    norms = _monomial_norms(s, degree)
     if np.any(norms <= 0):
         raise SingularSystem("nonpositive monomial norm in kernel expansion")
     coeff = 1.0 / norms

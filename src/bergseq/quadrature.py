@@ -648,14 +648,14 @@ def _log_kernel(r):
     return lambda rho: np.log(r * r / (rho * rho))
 
 
-def disk_log_integral(r, f, rule=DEFAULT_RULE, pullback=None):
+def disk_log_integral(r, f, pullback=None):
     """int_{D_r(0)} f(zeta) log(r^2/|zeta|^2) dmu(zeta), mu the hyperbolic (curvature -4) area form.
 
     pullback=z integrates f o phi_z, as in polar_integral.
     """
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
-    return polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, pullback=pullback)
+    return polar_integral(f, 0.0, 0.0, r, _hyper_weight, _log_kernel(r), pullback=pullback)
 
 
 @functools.lru_cache(maxsize=8)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
-from .quadrature import DEFAULT_RULE, QuadratureRule
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius
 from .weights import WeightModel
 from .weights import (_annulus_sums, _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators,
@@ -182,7 +181,6 @@ class ClassifyParams:
     split_a: float = DEFAULT_SPLIT
     delta: float = 0.05
     mesh: float = 0.3
-    rule: QuadratureRule = DEFAULT_RULE
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -401,7 +399,7 @@ class _Side:
     checks the points, and on the cover lifts them.  dists(prepared,
     centers, r) has shape (centers, points, 2 span(r) + 1): on the cover
     each point's translates in the window for r (see weights._window), on
-    the disk the point itself.  denominators(weight, centers, radii, rule)
+    the disk the point itself.  denominators(weight, centers, radii)
     gives the curvature masses, one row per center.  centers(points, mesh)
     is the one place a sweep's centers come from: on the disk a center
     net, on the cover the points' own lifts (a net of the cover, or cells
@@ -445,7 +443,7 @@ def _numerators(side: _Side, points, centers, radii):
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
     over the distances rho from centers[k] in (side.inner, r), summed by
     weights._annulus_sums; the denominators, which side.denominators(weight,
-    centers, radii, rule) gives in the same shape, complete the quotient
+    centers, radii) gives in the same shape, complete the quotient
     (see _Block for the ratio).  The distances are taken a block of
     centers at a time (see _block_rows), in the widest radius's window,
     and a smaller radius reads its middle 2 span(r) + 1 translate columns:
@@ -471,14 +469,14 @@ def _numerators(side: _Side, points, centers, radii):
     return numers, nearest
 
 
-def _report(side: _Side, points, weight: WeightModel, center, r, rule) -> DensityReport:
+def _report(side: _Side, points, weight: WeightModel, center, r) -> DensityReport:
     """The DensityReport of one side's quotient at one center and radius."""
     numers, _ = _numerators(side, points, [center], (r,))
-    denoms = side.denominators(weight, np.asarray([center], dtype=complex), (r,), rule)
+    denoms = side.denominators(weight, np.asarray([center], dtype=complex), (r,))
     return DensityReport(*next(_Block(side.kind, r, [center], numers[:, 0], denoms[:, 0]).rows()))
 
 
-def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> DensityReport:
+def border_density_ratio(seq, weight: WeightModel, z, r) -> DensityReport:
     """Point-count vs curvature-mass quotient at one (center, radius).
 
     Numerator: 2 pi sum of log(r^2/rho^2) over sequence points with
@@ -491,7 +489,7 @@ def border_density_ratio(seq, weight: WeightModel, z, r, rule=DEFAULT_RULE) -> D
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
     pts = seq.array() if isinstance(seq, SequenceSet) else seq
-    return _report(_BORDER, pts, weight, z, r, rule)
+    return _report(_BORDER, pts, weight, z, r)
 
 
 def _admissible(q, r):
@@ -503,7 +501,7 @@ def _admissible(q, r):
     return q.imag > r + 1.0
 
 
-def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) -> DensityReport:
+def puncture_density_ratio(seq, weight: WeightModel, q, r) -> DensityReport:
     """Cylindrical density quotient at a lift q of the center.
 
     Numerator: 2 pi sum of log(r^2/d^2) over lifted sequence points in
@@ -524,7 +522,7 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r, rule=DEFAULT_RULE) ->
         raise WindowViolation(f"a puncture quotient needs a lift with Im q > r + 1 = {r + 1.0:g},"
                               f" got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else seq
-    return _report(_PUNCTURE, pts, weight, q, r, rule)
+    return _report(_PUNCTURE, pts, weight, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +726,15 @@ def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
     return _Part(side, ctrs, admits, numers, nearest, tuple(groups))
 
 
-def _sequence_half(seq: SequenceSet, grids, centers, mesh, split_a) -> _SequenceHalf:
+def _sequence_half(seq: SequenceSet, grids, given, mesh, split_a) -> _SequenceHalf:
     """The sequence half of a sweep of seq: the one seq keeps when its key matches, else a new one that replaces it.
 
     A new half is built with the module's functions as they are when it
-    runs.  mesh and split_a must lie in (0, 1), and explicit centers be
-    a non-empty list of disk points, before the call; each swept part's
-    grid is checked before its centers are taken.
+    runs.  mesh and split_a must lie in (0, 1), and the explicit centers
+    given, if not None, be a non-empty 1-D complex array of disk points
+    that the half may keep, before the call; each swept part's grid is
+    checked before its centers are taken.
     """
-    given = None if centers is None else np.array(centers, dtype=complex)
     key = (mesh, split_a, *grids, None if given is None else (given.shape, given.tobytes()))
     half = seq._sweep_half
     if half is not None and half.key == key:
@@ -762,7 +760,7 @@ def _sequence_half(seq: SequenceSet, grids, centers, mesh, split_a) -> _Sequence
     return half
 
 
-def _weight_half(domain, half: _SequenceHalf, weight: WeightModel, grids, rule) -> SweepResult:
+def _weight_half(domain, half: _SequenceHalf, weight: WeightModel, grids) -> SweepResult:
     """The SweepResult of a sequence half under a weight: its denominators, blocks, sups and estimates.
 
     grids are the call's own, equal to those of the half's key; the radii
@@ -778,7 +776,7 @@ def _weight_half(domain, half: _SequenceHalf, weight: WeightModel, grids, rule) 
             continue
         denoms = np.empty((part.centers.size, len(grid)))
         for cells, centers, cols in part.groups:
-            denoms[cells] = part.side.denominators(weight, centers, [grid[j] for j in cols], rule)
+            denoms[cells] = part.side.denominators(weight, centers, [grid[j] for j in cols])
         # one block per radius with centers (views where every center admits
         # every radius); the estimate is the sup of the nondegenerate
         # quotients at the largest such radius, and 0 where every one is
@@ -816,7 +814,6 @@ def density_sweep(
     centers=None,
     mesh=0.3,
     split_a=DEFAULT_SPLIT,
-    rule=DEFAULT_RULE,
 ) -> SweepResult:
     """Grid approximation of the upper density from the quotients at each (center, r).
 
@@ -826,8 +823,9 @@ def density_sweep(
     r_grid None sweeps each side's built-in grid; an explicit grid goes to
     the border part whole on the disk, split at r = 1 on the punctured
     disk, and must leave each swept part at least one radius.  An explicit
-    list of centers must not be empty, and replaces the center net of the
-    border part only: the puncture part takes its points' own lifts.
+    list of centers must be a non-empty 1-D list of disk points, and
+    replaces the center net of the border part only: the puncture part
+    takes its points' own lifts.
     split_a and mesh must lie in (0, 1) whatever the domain.  The weight
     must live on the sequence's domain, else DomainViolation.
 
@@ -847,11 +845,17 @@ def density_sweep(
     _check_unit_interval(split_a, "split modulus")
     _check_unit_interval(mesh, "mesh")
     if centers is not None:
-        if not len(centers):
-            raise DomainViolation("the center list is empty")
+        need = "the centers must be a non-empty 1-D list of disk points"
+        try:
+            # a copy, which the sequence half keeps
+            centers = np.array(centers, dtype=complex)
+        except (TypeError, ValueError):
+            raise DomainViolation(f"{need}, got {centers!r}") from None
+        if centers.ndim != 1 or not centers.size:
+            raise DomainViolation(f"{need}, got an array of shape {centers.shape}")
         _check_domain(centers, name="centers")
     grids = _grids(seq.domain, r_grid)
-    return _weight_half(seq.domain, _sequence_half(seq, grids, centers, mesh, split_a), weight, grids, rule)
+    return _weight_half(seq.domain, _sequence_half(seq, grids, centers, mesh, split_a), weight, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +898,7 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
     grids = _grids(seq.domain, params.r_grid)
     half = _sequence_half(seq, grids, None, params.mesh, params.split_a)
     sep_b, sep_p = half.separations
-    sweep = _weight_half(seq.domain, half, weight, grids, params.rule)
+    sweep = _weight_half(seq.domain, half, weight, grids)
     d_b, d_p = sweep.border_estimate, sweep.puncture_estimate
 
     seps = [s for s in (sep_b, sep_p) if s is not None]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainViolation
 from .geometry import Domain, _check_domain, _mobius
-from .quadrature import DEFAULT_RULE, QuadratureRule, _hyper_weight, circle_mean, polar_integral
+from .quadrature import _hyper_weight, circle_mean, polar_integral
 from .weights import WeightModel, _curvature_masses, log_mean_disk
 
 _BOUNDARY_GUARD = 1e-6
@@ -89,7 +89,6 @@ def poisson_jensen_residual(
     psi: Optional[WeightModel],
     z: complex,
     r: float,
-    rule: QuadratureRule = DEFAULT_RULE,
     n_theta: int = 2048,
 ):
     """|LHS - RHS| of the weighted two-sided balance on D_r(z).
@@ -125,19 +124,13 @@ def poisson_jensen_residual(
     center = float(u(np.asarray([z]))[0])
     zero_term = sum(math.log(r * r / (rho * rho)) for rho in rhos if rho < r)
 
-    curv = float(_curvature_masses(psi, [z], (r,), rule)[0, 0]) / (2.0 * math.pi)
+    curv = float(_curvature_masses(psi, [z], (r,))[0, 0]) / (2.0 * math.pi)
 
     rhs = center + zero_term - curv
     return abs(lhs - rhs)
 
 
-def bergman_inequality_margin(
-    coeffs: Sequence,
-    weight: Optional[WeightModel],
-    z: complex,
-    r: float,
-    rule: QuadratureRule = DEFAULT_RULE,
-):
+def bergman_inequality_margin(coeffs: Sequence, weight: Optional[WeightModel], z: complex, r: float):
     """|f(z)|^2 e^{-phi(z)} over the weighted hyperbolic mass of D_r(z).
 
     f is the polynomial with the given ascending coefficients.  The
@@ -153,7 +146,7 @@ def bergman_inequality_margin(
     def g(w):
         return np.abs(np.polyval(cs, w)) ** 2 * np.exp(-np.asarray(phi(w), dtype=float))
 
-    mass = float(polar_integral(g, 0.0, 0.0, r, _hyper_weight, None, rule, pullback=z))
+    mass = float(polar_integral(g, 0.0, 0.0, r, _hyper_weight, None, pullback=z))
     point = abs(np.polyval(cs, z)) ** 2 * math.exp(-float(np.atleast_1d(phi(np.asarray([z])))[0]))
     if point == 0.0:
         return 0.0
@@ -162,12 +155,7 @@ def bergman_inequality_margin(
     return point / mass
 
 
-def mean_comparison_margin(
-    weight: WeightModel,
-    r: float,
-    grid,
-    rule: QuadratureRule = DEFAULT_RULE,
-):
+def mean_comparison_margin(weight: WeightModel, r: float, grid):
     """max over the grid of |phi(z) - (log-kernel mean of phi on D_r(z))|.
 
     Vanishes to quadrature accuracy for harmonic phi; for curvature-
@@ -177,6 +165,6 @@ def mean_comparison_margin(
     if not 0.0 < r < 1.0:
         raise DomainViolation(f"radius must lie in (0, 1), got {r}")
     pts = np.atleast_1d(np.asarray(grid, dtype=complex))
-    means = log_mean_disk(weight.phi, r, pts, rule)
+    means = log_mean_disk(weight.phi, r, pts)
     here = np.broadcast_to(np.asarray(weight.phi(pts), dtype=float), pts.shape)
     return float(np.max(np.abs(here - means), initial=0.0))

@@ -19,7 +19,7 @@ attained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -285,7 +285,7 @@ def _cover_psi(weight: WeightModel):
 _U_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _puncture_denominators(weight: WeightModel, lifts, radii, rule: QuadratureRule = DEFAULT_RULE):
+def _puncture_denominators(weight: WeightModel, lifts, radii):
     """The puncture denominators 2 pi mean [U - U(q)] on |w - q| = r (see _cover_psi): lifts q by radii r.
 
     One circle-mean loop per radius serves all the lifts.  A sweep's
@@ -303,7 +303,7 @@ def _puncture_denominators(weight: WeightModel, lifts, radii, rule: QuadratureRu
     U = _cover_psi(weight)
     lifts = _check_finite(lifts, "lift")
     floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * lifts))) + np.abs(2.0 * np.log(2.0 * lifts.imag)))
-    return np.transpose([TWO_PI * _circle_means(U, lifts, r, rule, "lift", floor) for r in radii])
+    return np.transpose([TWO_PI * _circle_means(U, lifts, r, DEFAULT_RULE, "lift", floor) for r in radii])
 
 
 # Centers of a curvature-mass quadrature that share one polar_integral level
@@ -319,7 +319,7 @@ def _nested_kernel(radii):
     return lambda rho: np.log(np.maximum(r2 / (rho * rho)[:, None], 1.0))
 
 
-def _curvature_masses(weight: Optional[WeightModel], centers, radii, rule: QuadratureRule = DEFAULT_RULE, less=0.0):
+def _curvature_masses(weight: Optional[WeightModel], centers, radii, less=0.0):
     """The log-kernel masses of Delta phi / omega_P - less over D_r(z): a float array, one row per center z.
 
     A row holds one mass per radius r: the integral of
@@ -350,21 +350,21 @@ def _curvature_masses(weight: Optional[WeightModel], centers, radii, rule: Quadr
     masses = np.empty((len(centers), len(radii)))
     for i in range(0, len(centers), _CENTER_CHUNK):
         s = slice(i, i + _CENTER_CHUNK)
-        masses[s] = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, rule, breaks=breaks[s],
+        masses[s] = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, breaks=breaks[s],
                                    pullback=centers[s])
     return masses
 
 
-# How much finer than rule.rel_tol the circle means of _phi_masses settle:
+# The circle means of _phi_masses settle 1000 times finer than DEFAULT_RULE:
 # a circle has one error indicator, the difference of two trapezoid sums,
 # where a 2-D level has two over many rings.  On 40 lattices of the
 # curved-sweep benchmark either tolerance put the curved and the wrapped
 # standard_disk(3) denominators within 2.5e-13 of their closed forms (the
 # rounding of phi near the rim), and the margin cost a quarter more samples.
-_PHI_MEAN_TOL = 1e-3
+_PHI_MEAN_RULE = QuadratureRule(rel_tol=DEFAULT_RULE.rel_tol * 1e-3)
 
 
-def _phi_masses(weight: WeightModel, centers, radii, rule: QuadratureRule = DEFAULT_RULE, less=0.0):
+def _phi_masses(weight: WeightModel, centers, radii, less=0.0):
     """_curvature_masses from circle means of phi: an array of one row per center z, one mass per radius r.
 
     Delta phi = ratio omega_P with omega_P = 2 (1 - |z|^2)^-2 dA, and
@@ -378,7 +378,7 @@ def _phi_masses(weight: WeightModel, centers, radii, rule: QuadratureRule = DEFA
     not on the mean or on the mean of |phi o phi_z - phi(z)|: for
     less = 2 the border denominator is what is left of the mass after
     2 a_r(r), and it can be a small part of it.  They settle to
-    _PHI_MEAN_TOL rule.rel_tol of it, or to the rounding of phi's
+    _PHI_MEAN_RULE.rel_tol of it, or to the rounding of phi's
     samples (_U_ROUNDING times |phi(z)| + a_r(r)/pi, the mean under
     curvature 2).  phi is sampled near the rim as z and r near 1 ask:
     where 1 - |w|^2 is d, a log weight's samples carry rounding of about
@@ -388,14 +388,13 @@ def _phi_masses(weight: WeightModel, centers, radii, rule: QuadratureRule = DEFA
     checks that, and records it as phi_matches_curvature.
     """
     phi = weight.phi
-    fine = replace(rule, rel_tol=rule.rel_tol * _PHI_MEAN_TOL)
     centers = _check_domain(centers, name="center")
     size = np.abs(phi(centers))
     masses = []
     for r in radii:
         a_r = a_r_hyperbolic(r)
         floor = _U_ROUNDING * (size + a_r / math.pi)
-        means = _circle_means(phi, centers, r, fine, "center", floor, _mobius, less * a_r / TWO_PI)
+        means = _circle_means(phi, centers, r, _PHI_MEAN_RULE, "center", floor, _mobius, less * a_r / TWO_PI)
         masses.append(TWO_PI * means - less * a_r)
     return np.transpose(masses)
 
@@ -407,15 +406,14 @@ def _phi_fn(phi):
 # ---------------------------------------------------------------------------
 # Logarithmic means.
 
-def log_mean_disk(phi, r, z, rule: QuadratureRule = DEFAULT_RULE):
+def log_mean_disk(phi, r, z):
     """Normalized log-kernel mean of phi over the pseudohyperbolic disk D_r(z).
 
     Reproduces constants exactly (same-node normalizer) and harmonic
     functions to angular-rule accuracy.  z may be a 1-D array of centers,
     whose means come back as an array from one level loop.
     """
-    mean = polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), rule, normalized=True,
-                          pullback=z)
+    mean = polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), normalized=True, pullback=z)
     return mean if np.ndim(z) else float(mean)
 
 
@@ -428,18 +426,20 @@ def cutoff(x, c):
 _TRUNC_RULE = QuadratureRule(rel_tol=1e-5)
 
 
-def truncated_log_mean(phi, r, c, z, rule: QuadratureRule = _TRUNC_RULE):
+def truncated_log_mean(phi, r, c, z):
     """Log-kernel mean of the weight truncated to |zeta| >= c/2.
 
     Agrees with log_mean_disk up to a bounded error wherever |z| > c;
     the cutoff makes singular-at-0 weights integrable.  The cutoff is
-    only C^2, so the default convergence tolerance is looser here than
+    only C^2, so its convergence tolerance, _TRUNC_RULE, is looser than
     for smooth integrands.
     """
     if not 0.0 < c < 1.0:
         raise DomainViolation(f"cutoff radius must lie in (0, 1), got {c}")
     f = _phi_fn(phi)
-    return log_mean_disk(lambda w: cutoff(np.abs(w), c) * f(w), r, z, rule)
+    mean = polar_integral(lambda w: cutoff(np.abs(w), c) * f(w), 0.0, 0.0, r, _hyper_weight, _log_kernel(r),
+                          _TRUNC_RULE, normalized=True, pullback=z)
+    return mean if np.ndim(z) else float(mean)
 
 
 def _covered_integrand(f, eps):
@@ -458,7 +458,7 @@ def _covered_integrand(f, eps):
     return lambda w: f(np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps)))
 
 
-def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
+def extended_covered_mean(psi, eps, r, z):
     """Covered mean of a punctured-disk function, extended by reflection.
 
     The function is lifted through the exponential cover to the upper
@@ -475,8 +475,7 @@ def extended_covered_mean(psi, eps, r, z, rule: QuadratureRule = DEFAULT_RULE):
         raise DomainViolation(f"r must be positive, got {r}")
     # polar_integral checks that the lift, its center, is finite
     integrand = _covered_integrand(_phi_fn(psi), eps)
-    return float(polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), rule,
-                                normalized=True))
+    return float(polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_parse_sequence_file_basic(tmp_path):
     assert seq.points == (0.5 + 0j,)
 
 
-def test_parse_sequence_file_errors(tmp_path):
+def test_parse_sequence_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain":"disk","points":[[1.1,0]]}')
     with pytest.raises(DomainViolation, match="points\\[0\\]"):
@@ -70,6 +70,18 @@ def test_parse_sequence_file_errors(tmp_path):
     nan.write_text('{"domain":"disk","points":[[NaN,0]]}')
     with pytest.raises(DomainViolation, match="points\\[0\\]"):
         parse_sequence_file(nan)
+    # the first two escaped main as TypeErrors, the third as an OverflowError,
+    # and the last read as the point 0.5
+    for text, where in (('{"domain":"disk","points":5}', "points must be a list"),
+                        ('{"domain":"disk","points":[[0.1,0.2],[0.1,null]]}', "points\\[1\\]"),
+                        ('{"domain":"disk","points":[[1' + "0" * 400 + ',0]]}', "points\\[0\\]"),
+                        ('{"domain":"disk","points":[["0.5",false]]}', "points\\[0\\]")):
+        odd = tmp_path / "odd.json"
+        odd.write_text(text)
+        with pytest.raises(DomainViolation, match=where):
+            parse_sequence_file(odd)
+        assert main(["analyze", str(odd)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_empty_points_is_valid(tmp_path):

@@ -287,7 +287,7 @@ def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offs
         # the numerators, then the denominators: one row per lift
         lifts = np.asarray(lifts, dtype=complex)
         return np.hstack((_numerators(_PUNCTURE, points, lifts, radii)[0],
-                          _PUNCTURE.denominators(weight, lifts, radii, DEFAULT_RULE)))
+                          _PUNCTURE.denominators(weight, lifts, radii)))
 
     got = quotients(lifts, radii)
     assert got.tobytes() == np.vstack([quotients([q], radii) for q in lifts]).tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -24,6 +26,7 @@ from bergseq import (
     poisson_jensen_residual,
     polar_integral,
 )
+from bergseq import kernels, quadrature, sequences, verify, weights
 from bergseq.errors import DomainViolation, QuadratureNotConverged
 from bergseq.geometry import _mobius, mobius_involution
 from bergseq.quadrature import (
@@ -651,3 +654,27 @@ def test_domain_guards():
         c_r_cyl(1.0)
     with pytest.raises(DomainViolation):
         c_r_cyl(math.nan)
+
+
+def _takes_a_rule(fn):
+    return any(name == "rule" or isinstance(p.default, QuadratureRule)
+               for name, p in inspect.signature(fn).parameters.items())
+
+
+def test_only_the_integrators_choose_a_quadrature_rule():
+    # the sweep, the quotients, the identity checks and the kernels run on
+    # DEFAULT_RULE; the two potentials keep a `rule` that has no effect
+    takers = set()
+    for mod in (quadrature, sequences, verify, kernels, weights):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) and _takes_a_rule(obj):
+                takers.add(f"{mod.__name__}.{name}")
+            if dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    if f.name == "rule" or isinstance(f.default, QuadratureRule):
+                        takers.add(f"{mod.__name__}.{name}.{f.name}")
+    assert takers == {"bergseq.quadrature.polar_integral", "bergseq.weights.border_potential",
+                      "bergseq.weights.puncture_potential"}
+    assert [f.name for f in dataclasses.fields(sequences.ClassifyParams)] == ["r_grid", "split_a", "delta", "mesh"]

@@ -581,6 +581,15 @@ def test_density_sweep_rejects_empty_center_list():
         density_sweep(lat, standard_disk(2.0), centers=[])
 
 
+@pytest.mark.parametrize("centers, shape", [([[0.1, 0.2]], "(1, 2)"), (0.1, "()"), ([[]], "(1, 0)")])
+def test_density_sweep_rejects_centers_that_are_not_a_list_of_points(centers, shape):
+    # these raised numpy's broadcast ValueError, a TypeError from len() and
+    # a ValueError from max() of an empty sequence
+    lat = generate_lattice("hyperbolic-disk", 24, seed=1, d=0.35, margin=0.1)
+    with pytest.raises(DomainViolation, match=re.escape(f"1-D list of disk points, got an array of shape {shape}")):
+        density_sweep(lat, standard_disk(2.0), centers=centers)
+
+
 def test_classify_r_grid_reaches_puncture_side():
     seq = generate_lattice("puncture-exponential", 30, s=1.0, n=1)
     v = classify(seq, standard_puncture(2.0, 3.0), ClassifyParams(r_grid=(4.0,)))
