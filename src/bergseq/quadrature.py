@@ -45,10 +45,13 @@ its integrals of the constant 1, with the profile in the kernel columns.
 A level on the previous level's angles samples only the radii that level
 did not: a radial doubling leaves most panels whole, with bit-identical
 nodes, and their row sums carry over.  The center, or the pull-back
-point, may be a 1-D array of points with radial breaks of their own
-(the border centers of a density sweep): one level loop then serves all
-of them, each point keeping its own levels and verdicts, and each level
-samples the rings of all points on one grid together.  Each point's result is bit-identical to its own call.
+point, may be a 1-D array of points with radial breaks of their own: the
+array is a loop of one-point level loops, and each point's result is its
+own call's.  A 2-D integral's cost is in its samples, so sharing the
+levels of several points saved nothing: on a shared 2-CPU Xeon the 2-D
+curvature masses of 18 punctured-disk border centers took 210-277 ms as
+batched level loops and 214-294 ms as one call per center (medians of
+15, three runs).
 
 About centers and pull-back points alike, f receives plain ndarrays of
 nodes, a block of whole rings at a time.  An integrand on the
@@ -223,14 +226,14 @@ def _loop_points(center, pullback, rho_hi):
     point (see _point_columns).  involution(p, zeta) swaps 0 and p:
     p - zeta, or phi_p for a pull-back.  Raises DomainViolation unless
     every center is finite, or, with a pull-back, every |z| < 1, center
-    is 0 and rho_hi <= 1.
+    is 0 and rho_hi < 1: at rho_hi = 1 the hyperbolic mass is infinite.
     """
     if pullback is None:
         points, label, involution = _check_finite(center, "center"), "center", np.subtract
     else:
         points, label, involution = _check_domain(pullback, name="pullback"), "pullback", _mobius
-        if np.any(np.asarray(center) != 0) or rho_hi > 1.0:
-            raise DomainViolation("a pull-back integrates over a disk or annulus about 0 inside the unit disk")
+        if np.any(np.asarray(center) != 0) or rho_hi >= 1.0:
+            raise DomainViolation("a pull-back integrates over a disk or annulus about 0 of outer radius below 1")
     if points.ndim > 1:
         raise DomainViolation(f"{label} points must be one point or a 1-D array, got shape {points.shape}")
     return points, label, _point_columns(points), involution
@@ -266,19 +269,19 @@ def _balanced_rings(m, turn, rho, ring):
     return nodes, jac, a[:, 0]
 
 
-def _ring_blocks(rho, owners, ring, columns, involution, a):
+def _ring_blocks(rho, ring, column, involution, a):
     """(rows, nodes, Jacobians) of the rings, a block of whole rows at a time.
 
-    Ring k has radius rho[k] and point p, the _loop_points column
-    owners[k] of columns, and its nodes are involution(p, zeta) for zeta
-    on the ring.  With a, an array of one entry per ring (pull-backs
-    only), the rings take the angles of _balanced_rings, whose midpoints
-    go to a; else uniform angles and no Jacobians.
+    Ring k has radius rho[k], and its nodes are involution(p, zeta) for
+    zeta on the ring, column = (p, |p|, p/|p|) one point's _point_columns
+    entry.  With a, an array of one entry per ring (pull-backs only), the
+    rings take the angles of _balanced_rings, whose midpoints go to a;
+    else uniform angles and no Jacobians.
     """
     rows = max(1, _BLOCK_NODES // ring.size)
+    p, m, turn = column
     for i in range(0, rho.size, rows):
         at = slice(i, i + rows)
-        p, m, turn = columns[:, owners[at], None]
         if a is None:
             yield at, involution(p, rho[at, None] * ring), None
         else:
@@ -286,28 +289,27 @@ def _ring_blocks(rho, owners, ring, columns, involution, a):
             yield at, nodes, jac
 
 
-def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
+def _row_sums(f, rho, n_theta, column, involution, balanced=False):
     """Sums of f over the ring of n_theta angles at each radius rho.
 
     Returns an array of shape (3, len(rho)): the sums over all angles,
     over the even-indexed angles, and of |f| over all angles.  f is
     sampled a block of whole rows at a time and each block is reduced at
-    once, so no len(rho) x n_theta array is held.  Ring k has radius
-    rho[k] and point p, the _loop_points column owners[k] of columns, and
-    f is sampled at involution(p, zeta) of its nodes zeta, a plain
-    ndarray for centers and pull-backs alike (see _ring_blocks).  balanced
+    once, so no len(rho) x n_theta array is held.  The rings are about
+    the point p of column, one point's _point_columns entry, and f is
+    sampled at involution(p, zeta) of their nodes zeta, a plain ndarray
+    for centers and pull-backs alike (see _ring_blocks).  balanced
     (pull-backs only) takes the angles of _balanced_rings, weights each
     sample by its Jacobian, and scales each ring's sums by
     (1 - a^N)/(1 + a^N), N the angles summed, the inverse of the N-angle
     trapezoid sum of the Jacobian: constants stay exact.  Each ring's
-    sums depend on its own radius and point only, not on the rings
-    sampled with it.
+    sums depend on its own radius only, not on the rings sampled with it.
     """
     theta = (2.0 * math.pi / n_theta) * np.arange(n_theta)
     ring = np.exp(1j * theta)
     sums = np.empty((3, rho.size))
     a = np.empty(rho.size) if balanced else None
-    for at, nodes, jac in _ring_blocks(rho, owners, ring, columns, involution, a):
+    for at, nodes, jac in _ring_blocks(rho, ring, column, involution, a):
         vals = np.asarray(f(nodes), dtype=float)
         if vals.shape != nodes.shape:
             vals = np.broadcast_to(vals, nodes.shape)
@@ -328,37 +330,56 @@ def _row_sums(f, rho, owners, n_theta, columns, involution, balanced=False):
     return sums
 
 
-class _PointLoop:
-    """One point's state in the level loop of polar_integral."""
+def _point_integral(f, rho_lo, rho_hi, radial_weight, kernel, rule, breaks, normalized, column, involution, where):
+    """polar_integral about one point: its level loop, with the point as a _point_columns entry.
 
-    __slots__ = ("k", "peaked", "breaks", "n_pan", "n_th", "balanced", "prev", "prev_th", "radial_ok",
-                 "refined_rho", "last", "grid", "rho", "sums", "angles")
-
-    def __init__(self, k, peaked, breaks, rule):
-        self.k = k  # column of the point in the _loop_points array
-        # only a pull-back point other than 0 has a peak to balance
-        self.peaked, self.breaks = peaked, breaks
-        self.n_pan, self.n_th, self.balanced = rule.n_panels, rule.n_theta, False
-        self.prev = self.prev_th = None
-        self.radial_ok = self.refined_rho = False
-        # the previous level's radii and row sums, and its (angles, balanced)
-        self.rho = self.sums = self.angles = None
-
-    def fresh(self, rho):
-        """The radii of rho the previous level did not sample on this level's angles."""
-        if self.angles != (self.n_th, self.balanced):
-            return np.ones(rho.size, dtype=bool)
-        old = np.minimum(np.searchsorted(self.rho, rho), self.rho.size - 1)
-        return self.rho[old] != rho
-
-    def merge(self, rho, fresh, new_sums):
-        """This level's row sums: new_sums on the fresh radii, the previous level's elsewhere."""
+    where names the point in the message of QuadratureNotConverged.
+    """
+    # only a pull-back point other than 0 has a peak to balance
+    peaked = involution is _mobius and bool(column[0])
+    n_pan, n_th, balanced = rule.n_panels, rule.n_theta, False
+    prev = prev_th = last = grid = None
+    radial_ok = refined_rho = False
+    # the previous level's radii and row sums, and its (angles, balanced)
+    old_rho = old_sums = old_angles = None
+    while True:
+        rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
+        if prev is not None and rho.size * n_th > rule.max_nodes:
+            raise QuadratureNotConverged("polar integral" + where, last, *grid)
+        grid = (rho.size // _GL_ORDER, n_th, rho.size * n_th)
+        radial = w_rho * rho * radial_weight(rho)
+        if kernel is not None:
+            radial = (radial * kernel(rho).T).T
+        norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
+        step = 2.0 * math.pi / n_th
+        # sample only the radii the previous level did not, on these angles
+        fresh = np.ones(rho.size, dtype=bool)
+        if old_angles == (n_th, balanced):
+            fresh = old_rho[np.minimum(np.searchsorted(old_rho, rho), old_rho.size - 1)] != rho
         sums = np.empty((3, rho.size))
-        sums[:, fresh] = new_sums
+        sums[:, fresh] = _row_sums(f, rho[fresh], n_th, column, involution, balanced)
         if not fresh.all():
-            sums[:, ~fresh] = self.sums[:, np.searchsorted(self.rho, rho[~fresh])]
-        self.rho, self.sums, self.angles = rho, sums, (self.n_th, self.balanced)
-        return sums
+            sums[:, ~fresh] = old_sums[:, np.searchsorted(old_rho, rho[~fresh])]
+        old_rho, old_sums, old_angles = rho, sums, (n_th, balanced)
+        total, even = sums[:2] @ radial * step / norm
+        if np.size(total) == 0:
+            return total
+        even = 2.0 * even
+        absolute = sums[2] @ np.abs(radial) * step / norm  # a kernel column may change sign
+        angular_ok = _settled(total, even, rule, absolute)
+        if not angular_ok and prev is None and peaked and not balanced:
+            balanced = True
+            continue
+        if refined_rho:
+            radial_ok = _settled(total if n_th == prev_th else even, prev, rule, absolute)
+        if angular_ok and radial_ok:
+            return total
+        last = (total,) if prev is None else (prev, total)
+        prev, prev_th, refined_rho = total, n_th, not radial_ok
+        if not radial_ok:
+            n_pan *= 2
+        if not angular_ok:
+            n_th *= 2
 
 
 def polar_integral(
@@ -395,7 +416,7 @@ def polar_integral(
 
     pullback=z integrates f o phi_z instead, phi_z the disk automorphism
     swapping 0 and z: f is called on phi_z of the nodes.  It needs
-    |z| < 1, center 0 and rho_hi <= 1, and raises DomainViolation before
+    |z| < 1, center 0 and rho_hi < 1, and raises DomainViolation before
     any sampling otherwise.  On the ring |zeta| = rho the pulled-back
     integrand peaks at arg z like |1 - conj(z) zeta|^-2, where uniform
     angles converge at the rate |z| rho only.  When the first level's
@@ -408,13 +429,11 @@ def polar_integral(
     center, or pullback when given, may also be a 1-D array of n points,
     and breaks n tuples, one per point; the result then has a leading
     axis of length n, and each row equals the scalar call at that point,
-    with that point's breaks, bit for bit.  Each point keeps
-    its own levels, angles and verdicts; one that does not converge
-    raises QuadratureNotConverged with its own estimates and grid, and a
-    message that names its index and value.  Every point is checked
-    before any sampling.  A level samples the rings of all points on the
-    same grid (panels, breaks, angles and angle mode) together, in the
-    same blocks of whole rows, so the per-level cost is shared.
+    with that point's breaks, bit for bit: the points are integrated one
+    after another, each by its own level loop.  Every point is checked
+    before any sampling.  A point that does not converge raises
+    QuadratureNotConverged with its own estimates and grid, and a
+    message that names its index and value.
 
     The angular indicator of a level compares its estimate with the one
     from its even-indexed angles; the radial indicator compares it with
@@ -433,56 +452,9 @@ def polar_integral(
         breaks = (breaks,) * columns.shape[1]
     elif len(breaks) != columns.shape[1]:
         raise ValueError(f"need one tuple of breaks per point: got {len(breaks)} for {columns.shape[1]} points")
-    loops = [_PointLoop(k, involution is _mobius and bool(p), tuple(b), rule)
-             for k, (p, b) in enumerate(zip(columns[0], breaks))]
-    results = [None] * len(loops)
-    while loops:
-        groups = {}
-        for p in loops:
-            rho, _ = _radial_nodes(rho_lo, rho_hi, p.n_pan, p.breaks)
-            if p.prev is not None and rho.size * p.n_th > rule.max_nodes:
-                where = f" at {label}[{p.k}] = {points[p.k]}" if points.ndim else ""
-                raise QuadratureNotConverged("polar integral" + where, p.last, *p.grid)
-            p.grid = (rho.size // _GL_ORDER, p.n_th, rho.size * p.n_th)
-            groups.setdefault((p.n_pan, p.breaks, p.n_th, p.balanced), []).append(p)
-        for (n_pan, breaks, n_th, balanced), members in groups.items():
-            rho, w_rho = _radial_nodes(rho_lo, rho_hi, n_pan, breaks)
-            radial = w_rho * rho * radial_weight(rho)
-            if kernel is not None:
-                radial = (radial * kernel(rho).T).T
-            abs_radial = np.abs(radial)  # a kernel column may change sign
-            norm = 2.0 * math.pi * radial.sum(axis=0) if normalized else 1.0
-            step = 2.0 * math.pi / n_th
-            fresh = [p.fresh(rho) for p in members]
-            counts = [np.count_nonzero(m) for m in fresh]
-            owners = np.repeat([p.k for p in members], counts)
-            sampled = _row_sums(f, np.concatenate([rho[m] for m in fresh]), owners, n_th, columns, involution,
-                                balanced)
-            bounds = np.cumsum([0] + counts)
-            for p, m, lo, hi in zip(members, fresh, bounds, bounds[1:]):
-                sums = p.merge(rho, m, sampled[:, lo:hi])
-                total, even = sums[:2] @ radial * step / norm
-                if np.size(total) == 0:
-                    results[p.k] = total
-                    continue
-                even = 2.0 * even
-                absolute = sums[2] @ abs_radial * step / norm
-                angular_ok = _settled(total, even, rule, absolute)
-                if not angular_ok and p.prev is None and p.peaked and not p.balanced:
-                    p.balanced = True
-                    continue
-                if p.refined_rho:
-                    p.radial_ok = _settled(total if n_th == p.prev_th else even, p.prev, rule, absolute)
-                if angular_ok and p.radial_ok:
-                    results[p.k] = total
-                    continue
-                p.last = (total,) if p.prev is None else (p.prev, total)
-                p.prev, p.prev_th, p.refined_rho = total, n_th, not p.radial_ok
-                if not p.radial_ok:
-                    p.n_pan *= 2
-                if not angular_ok:
-                    p.n_th *= 2
-        loops = [p for p in loops if results[p.k] is None]
+    results = [_point_integral(f, rho_lo, rho_hi, radial_weight, kernel, rule, tuple(b), normalized, columns[:, k],
+                               involution, f" at {label}[{k}] = {points[k]}" if points.ndim else "")
+               for k, b in enumerate(breaks)]
     if points.ndim == 0:
         return results[0]
     if not results:

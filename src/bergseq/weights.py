@@ -306,12 +306,6 @@ def _puncture_denominators(weight: WeightModel, lifts, radii):
     return np.transpose([TWO_PI * _circle_means(U, lifts, r, DEFAULT_RULE, "lift", floor) for r in radii])
 
 
-# Centers of a curvature-mass quadrature that share one polar_integral level
-# loop.  Each point's loop keeps its previous level's row sums, so a chunk's
-# live state stays well below 1 MB.
-_CENTER_CHUNK = 16
-
-
 def _nested_kernel(radii):
     """One kernel column log(max(r^2/rho^2, 1)) per radius, so that one
     polar_integral over the largest disk gives each disk's kernel mass."""
@@ -335,7 +329,8 @@ def _curvature_masses(weight: Optional[WeightModel], centers, radii, less=0.0):
     every mass of a center from one polar_integral over D_max(radii)(0),
     with a break at each radius and one kernel column per radius (see
     _nested_kernel), so the pulled-back density is sampled once for all
-    of them; the centers share their level loops, _CENTER_CHUNK at a time.
+    of them.  All the centers go to one call, as pull-back points, each
+    integrated by its own level loop.
     """
     c = 0.0 if weight is None else weight.constant_poincare_ratio
     if c is not None:
@@ -347,12 +342,7 @@ def _curvature_masses(weight: Optional[WeightModel], centers, radii, less=0.0):
     # pulls back to modulus |z|: a break there keeps the kink off a panel
     puncture = weight.domain is Domain.PUNCTURED_DISK
     breaks = [tuple(radii) + ((abs(z),) if puncture else ()) for z in centers]
-    masses = np.empty((len(centers), len(radii)))
-    for i in range(0, len(centers), _CENTER_CHUNK):
-        s = slice(i, i + _CENTER_CHUNK)
-        masses[s] = polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, breaks=breaks[s],
-                                   pullback=centers[s])
-    return masses
+    return polar_integral(g, 0.0, 0.0, max(radii), _hyper_weight, kernel, breaks=breaks, pullback=centers)
 
 
 # The circle means of _phi_masses settle 1000 times finer than DEFAULT_RULE:
@@ -411,7 +401,9 @@ def log_mean_disk(phi, r, z):
 
     Reproduces constants exactly (same-node normalizer) and harmonic
     functions to angular-rule accuracy.  z may be a 1-D array of centers,
-    whose means come back as an array from one level loop.
+    whose means come back as an array, each center's from its own level
+    loop.  Raises DomainViolation unless every z lies in the disk and
+    0 < r < 1, before any sampling.
     """
     mean = polar_integral(_phi_fn(phi), 0.0, 0.0, r, _hyper_weight, _log_kernel(r), normalized=True, pullback=z)
     return mean if np.ndim(z) else float(mean)
@@ -432,7 +424,9 @@ def truncated_log_mean(phi, r, c, z):
     Agrees with log_mean_disk up to a bounded error wherever |z| > c;
     the cutoff makes singular-at-0 weights integrable.  The cutoff is
     only C^2, so its convergence tolerance, _TRUNC_RULE, is looser than
-    for smooth integrands.
+    for smooth integrands.  z may be a 1-D array, as in log_mean_disk.
+    Raises DomainViolation unless 0 < c < 1, every z lies in the disk and
+    0 < r < 1, before any sampling.
     """
     if not 0.0 < c < 1.0:
         raise DomainViolation(f"cutoff radius must lie in (0, 1), got {c}")
@@ -468,14 +462,16 @@ def extended_covered_mean(psi, eps, r, z):
     projected value well defined.  The extension is defined on the whole
     plane, so z may be any nonzero finite point: a lift below the real
     axis averages the reflected values.  Each node takes one complex exp
-    (see _covered_integrand).  Raises DomainViolation unless 0 < eps < inf
-    and 0 < r < inf.
+    (see _covered_integrand).  z may be a 1-D array of points, whose
+    means come back as an array, each equal to its own call's.  Raises
+    DomainViolation unless 0 < eps < inf and 0 < r < inf.
     """
     if not r > 0:
         raise DomainViolation(f"r must be positive, got {r}")
     # polar_integral checks that the lift, its center, is finite
     integrand = _covered_integrand(_phi_fn(psi), eps)
-    return float(polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True))
+    mean = polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True)
+    return mean if np.ndim(z) else float(mean)
 
 
 # ---------------------------------------------------------------------------

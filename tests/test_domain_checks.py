@@ -226,6 +226,25 @@ def test_a_bad_radius_on_the_cover_fails_before_any_sampling(name, r, tmp_path):
     assert spy.calls == []
 
 
+DISK_BAD_RADIUS_CALLS = {
+    "log_mean_disk": lambda r, s: log_mean_disk(s.disk, r, 0.1),
+    "truncated_log_mean": lambda r, s: truncated_log_mean(s.disk, r, 0.2, 0.5),
+    "polar_integral": lambda r, s: polar_integral(s.disk.phi, 0.0, 0.0, r, _hyper_weight, None, pullback=0.1),
+}
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5])
+@pytest.mark.parametrize("name", sorted(DISK_BAD_RADIUS_CALLS))
+def test_a_pullback_radius_off_the_disk_fails_before_any_sampling(name, r, tmp_path):
+    # at r = 1 the hyperbolic mass is infinite: these sampled the rim,
+    # warned of a division by zero, and raised QuadratureNotConverged
+    # with NaN estimates at 309 panels x 256 angles
+    spy = Spy(tmp_path)
+    with pytest.raises(DomainViolation, match="outer radius below 1"):
+        DISK_BAD_RADIUS_CALLS[name](r, spy)
+    assert spy.calls == []
+
+
 NON_FINITE_WEIGHTS = {
     "standard_disk(nan)": lambda: standard_disk(math.nan),
     "standard_disk(inf)": lambda: standard_disk(math.inf),

@@ -36,7 +36,7 @@ from bergseq.quadrature import (
     _euclid_weight,
     _hyper_weight,
     _log_kernel,
-    _loop_points,
+    _point_columns,
     _radial_nodes,
     _row_sums,
     _settled,
@@ -198,8 +198,8 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
     # each ring's factor (1 - a^N)/(1 + a^N) undoes the N-angle trapezoid
     # sum of the Jacobian, for the full and for the even-angle sums
     rho = np.array([0.05, 0.5, 0.9, 0.99])
-    z = np.repeat(_loop_points(0.0, z, 1.0)[2], rho.size, axis=1)
-    sums = _row_sums(lambda w: np.full(w.shape, -2.5), rho, np.arange(rho.size), n_theta, z, _mobius, balanced=True)
+    column = _point_columns(z)[:, 0]
+    sums = _row_sums(lambda w: np.full(w.shape, -2.5), rho, n_theta, column, _mobius, balanced=True)
     np.testing.assert_allclose(sums, np.outer([-2.5 * n_theta, -1.25 * n_theta, 2.5 * n_theta], np.ones(4)),
                                rtol=1e-14)
 
@@ -207,11 +207,11 @@ def test_balanced_rings_keep_constants_exact(z, n_theta):
     # block of 4 rows; the round trip through phi_z near the rim costs
     # up to (1 + |z|)/(1 - |z|) ulps)
     def on_rings(w):
-        np.testing.assert_allclose(np.abs(mobius_involution(z[0, :, None], w)), np.broadcast_to(rho[:, None], w.shape),
+        np.testing.assert_allclose(np.abs(mobius_involution(z, w)), np.broadcast_to(rho[:, None], w.shape),
                                    rtol=1e-12)
         return np.ones(w.shape)
 
-    _row_sums(on_rings, rho, np.arange(rho.size), n_theta, z, _mobius, balanced=True)
+    _row_sums(on_rings, rho, n_theta, column, _mobius, balanced=True)
 
 
 @pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0), complex(math.inf, 0.0)])

@@ -946,10 +946,10 @@ def test_a_sequence_set_pickles_and_copies_without_its_sweep_half():
         assert density_sweep(other, standard_disk(2.0)) == sweep
 
 
-def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
+def test_puncture_side_lifts_make_no_2d_integral(monkeypatch):
     # the puncture denominators are circle means, with no polar_integral
-    # call: F1's 18 border centers keep their two calls, and the lifts of
-    # either lattice none.  The 2-D curvature integrals made 3 and 4.
+    # call: F1's 18 border centers take one call, and the lifts of either
+    # lattice none.  The 2-D curvature integrals made 3 and 4.
     calls = []
 
     def counted(*args, **kwargs):
@@ -961,7 +961,7 @@ def test_puncture_side_sweeps_share_their_level_loops(monkeypatch):
     classify(generate_lattice("puncture-exponential", 30, s=1.0, n=1), weight)
     assert len(calls) == 0
     v = classify(generate_lattice("puncture-exponential", 40, s=0.5, n=2), weight)
-    assert v.sweep.n_centers == 18 and len(calls) == 2
+    assert v.sweep.n_centers == 18 and len(calls) == 1
 
 
 def test_puncture_sweeps_evaluate_psi_on_few_points(monkeypatch):

@@ -221,6 +221,14 @@ def test_extended_covered_mean_constants():
         assert extended_covered_mean(const, 0.1, 4.0, z) == pytest.approx(7.0, abs=1e-12)
 
 
+def test_extended_covered_mean_takes_an_array_of_points():
+    # a 1-D z once ran both integrals and then raised TypeError in float()
+    w = standard_puncture(2.0, 3.0)
+    z = [0.1j, 0.2j, 1e-3 * np.exp(1.2j)]
+    got = extended_covered_mean(w.phi, 0.1, 1.0, z)
+    assert isinstance(got, np.ndarray) and got.tolist() == [extended_covered_mean(w.phi, 0.1, 1.0, x) for x in z]
+
+
 @pytest.mark.parametrize("eps, r", [(math.nan, 2.0), (0.0, 2.0), (0.1, math.nan), (0.1, 0.0), (math.inf, 2.0),
                                     (0.1, math.inf)])
 def test_covered_means_need_positive_eps_and_r(eps, r):
