@@ -38,14 +38,12 @@ from .quadrature import (
 )
 from .weights import (
     WeightModel,
-    border_density_form,
     border_potential,
     custom_weight,
     cutoff,
     extended_covered_mean,
     lifted_translates,
     log_mean_disk,
-    puncture_density_form,
     puncture_potential,
     shifted_cyl_weight,
     standard_disk,
@@ -60,12 +58,14 @@ from .sequences import (
     DensityReport,
     SequenceSet,
     SweepResult,
+    border_density_form,
     border_density_ratio,
     center_net,
     classify,
     decompose,
     density_sweep,
     generate_lattice,
+    puncture_density_form,
     puncture_density_ratio,
     separation_border,
     separation_puncture,

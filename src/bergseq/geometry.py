@@ -54,17 +54,22 @@ def _check_domain(z, domain=Domain.DISK, name="z"):
 def _check_finite(x, name):
     """x as a complex array; raises DomainViolation, naming its first entry that is not finite."""
     x = np.asarray(x, dtype=complex)
-    return _require(x, np.isfinite(x), name, None)
+    return _require(x, np.isfinite(x), name, "is not finite")
 
 
-def _require(z, ok, name, domain):
-    """z, unless an entry is not ok: DomainViolation names the first, off the domain (not finite if None)."""
+def _require(z, ok, name, failure):
+    """z, unless an entry is not ok: DomainViolation names the first, and says what fails.
+
+    failure is the text, or the Domain that the entry lies outside of:
+    its text is made only when a check fails.
+    """
     # a scalar's flag is tested by bool(): .all() costs about 2 us a call
     if ok if ok.ndim == 0 else ok.all():
         return z
+    if isinstance(failure, Domain):
+        failure = f"lies outside the {failure.value}"
     k = int(np.argmin(ok.ravel()))
     where = f"{name}[{k}]" if z.ndim else name
-    failure = "is not finite" if domain is None else f"lies outside the {domain.value}"
     raise DomainViolation(f"{where} = {z.ravel()[k]} {failure}")
 
 
@@ -199,6 +204,10 @@ def cover_P(w):
     return np.exp(1j * np.asarray(w))
 
 
+# 2^-1024: 1/|z| overflows at and below it, so no lift of such a z is finite.
+_NO_LIFT = 2.0 ** -1024
+
+
 def lift_value(z):
     """Principal lift under cover_P of points of C*: Re in [0, 2 pi), Im = log(1/|z|).
 
@@ -206,4 +215,30 @@ def lift_value(z):
     punctured-disk points check them.
     """
     z = np.asarray(z)
-    return np.angle(z) % TWO_PI + 1j * np.log(1.0 / np.abs(z))
+    return _lift(z, np.abs(z))
+
+
+def _lift(z, r):
+    """lift_value of z, given r = |z|."""
+    return np.angle(z) % TWO_PI + 1j * np.log(1.0 / r)
+
+
+def _finite_lift(z, name="z", domain=None):
+    """lift_value of z, whose lifts must be finite; DomainViolation names the first z whose lift is not.
+
+    Im = log(1/|z|) is finite exactly where 2^-1024 < |z| < inf: 1/|z|
+    overflows at and below 2^-1024 (5.6e-309; z = 1e-320, say), and the
+    log is -inf at |z| = inf; NaN fails too.  The check comes first, so
+    that it, not a numpy warning, refuses such a point.  With a domain,
+    the punctured disk, z must also lie in it, and one |z| serves both
+    checks and the lift.
+    """
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    ok = r > _NO_LIFT
+    ok &= r < (math.inf if domain is None else 1.0)
+    if not (ok if ok.ndim == 0 else ok.all()):
+        if domain is not None:
+            _check_domain(z, domain, name)
+        _require(z, ok, name, "has no finite lift")
+    return _lift(z, r)

@@ -19,11 +19,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
-from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _hyperbolic, _mobius, lift_value
-from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius
+from .geometry import (Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _finite_lift, _hyperbolic,
+                       _mobius, _one_minus_abs2)
+from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, c_r_cyl, c_r_disk
 from .weights import WeightModel
-from .weights import (_annulus_sums, _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators,
-                      _span, _window)
+from .weights import _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators, _span, _window
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -226,14 +226,15 @@ def decompose(seq: SequenceSet, a: float):
     )
 
 
-def _block_rows(width):
-    """Rows of `width` entries that fit in one block of _BLOCK_NODES, at least one.
+def _block_rows(width, nodes=_BLOCK_NODES):
+    """Rows of `width` entries that fit in one block of `nodes`, at least one.
 
     The pairwise kernels below hold one such block of distances at a
     time: its complex temporaries then stay at 64 KiB, below glibc's
-    default mmap threshold (128 KiB).
+    default mmap threshold (128 KiB).  The numerators' temporaries are
+    real, and take blocks of 2 _BLOCK_NODES in the same 64 KiB.
     """
-    return max(1, _BLOCK_NODES // max(width, 1))
+    return max(1, nodes // max(width, 1))
 
 
 def _min_pairwise(points, dist):
@@ -395,15 +396,20 @@ def separation_puncture(seq: SequenceSet):
 class _Side:
     """One side of the density quotient, the geometry that _numerators and density_sweep take.
 
-    The annulus is (inner, r), r in the open range `radii`.  prepare
-    checks the points, and on the cover lifts them.  dists(prepared,
-    centers, r) has shape (centers, points, 2 span(r) + 1): on the cover
-    each point's translates in the window for r (see weights._window), on
-    the disk the point itself.  denominators(weight, centers, radii)
-    gives the curvature masses, one row per center.  centers(points, mesh)
-    is the one place a sweep's centers come from: on the disk a center
-    net, on the cover the points' own lifts (a net of the cover, or cells
-    that bracket the sup, would replace it alone).  admits(centers, radii)
+    The annulus is (inner, r), r in the open range `radii`.
+    prepare(points, centers) checks the points and readies both for
+    dists, once per _numerators call: on the disk their coordinates and
+    1 - |.|^2 (the centers checked too), on the cover the points' lifts
+    and the centers, which are lifts already.  dists(points, centers, r)
+    of prepared points and centers gives the squared distances, in real
+    arithmetic, with shape (centers, points, 2 span(r) + 1): on the cover
+    those of each point's translates in the window for r (see
+    weights._window), on the disk rho^2 of the point itself.
+    denominators(weight, centers, radii) gives the curvature masses, one
+    row per center.  centers(points, mesh) is the one place a sweep's
+    centers come from: on the disk a center net, on the cover the points'
+    own lifts (a net of the cover, or cells that bracket the sup, would
+    replace it alone).  admits(centers, radii)
     is the (center, radius) mask of the quotients a sweep takes (on the
     cover, _admissible), or None where it takes every one (the disk); a
     center's admitted radii are the grid's radii below a bound, so their
@@ -421,19 +427,71 @@ class _Side:
     admits: Callable
 
 
-# These lambdas look their module globals up at call time, so that a
-# patched _mobius, _lifted_points or center_net reaches them.  The border
-# masses come from circle means of phi when phi passed custom_weight's
-# check, else in closed form or by 2-D quadrature of lap_poincare_ratio
-# (see weights._curvature_masses).
-_BORDER = _Side("border", 0.5, _BORDER_RADII, lambda points: _check_domain(points, name="points"),
-                lambda pts, centers, r: np.abs(_mobius(centers[:, None], pts))[..., None], lambda r: 0,
+def _squared_norms(dx, dy):
+    """dx^2 + dy^2: the squared Euclidean lengths of the pair differences (dx, dy), which broadcast.
+
+    Every squared distance of the numerators is formed here.
+    """
+    return dx * dx + dy * dy
+
+
+def _disk_pairs(points, centers):
+    """Checked disk points and centers, each as the rows x, y and 1 - |.|^2 that _disk_squared_dists takes."""
+    w = _check_domain(points, name="points").ravel()
+    both = np.concatenate((w, _check_domain(centers, name="centers").ravel()))
+    # one _one_minus_abs2 for both, which is elementwise
+    rows = np.empty((3, both.size))
+    rows[0], rows[1], rows[2] = both.real, both.imag, _one_minus_abs2(both)
+    return rows[:, :w.size], rows[:, w.size:]
+
+
+def _disk_squared_dists(points, centers, r):
+    """rho^2 = |phi_c(w)|^2 of each center c and point w, as _disk_pairs gives them; shape (centers, points, 1).
+
+    rho^2 = D / (D + (1 - |c|^2)(1 - |w|^2)) with D = |c - w|^2, since
+    |1 - conj(c) w|^2 = D + (1 - |c|^2)(1 - |w|^2).  Nothing cancels:
+    the differences c - w are exact or carry an ulp of themselves, the
+    sums add nonnegative terms, and 1 - |.|^2 comes from _one_minus_abs2.
+    So rho^2 is within a few ulps wherever c and w lie, the circle
+    included, where 1 - conj(c) w of |phi_c(w)| loses about
+    1e-16 / |1 - conj(c) w| relative.  r is not used.
+    """
+    (x, y, far), (cx, cy, c_far) = points, centers
+    d = _squared_norms(cx[:, None] - x, cy[:, None] - y)
+    return (d / (d + c_far[:, None] * far))[..., None]
+
+
+def _cover_squared_dists(lifts, centers, r):
+    """|t - q|^2 of each center lift q and each translate t of the lifts in q's window for r.
+
+    The shape is (centers, points, 2 span(r) + 1).  The translates' real
+    parts are those of weights._window, so a radius's window is the
+    middle of a wider one's bit for bit.
+    """
+    dx = _window(lifts.real, centers.real, r) - centers.real[:, None, None]
+    return _squared_norms(dx, (lifts.imag - centers.imag[:, None])[..., None])
+
+
+def _in_annulus(sq, inner, r):
+    """Whether each squared distance lies in (inner^2, r^2): the pairs that a numerator at r counts."""
+    return (sq > inner * inner) & (sq < r * r)
+
+
+# The lambdas look their module globals up at call time, so that a patched
+# _lifted_points or center_net reaches them.  The numerators form their
+# squared distances through _squared_norms, not _mobius, so a patched
+# _mobius no longer reaches them (it still reaches the separations and the
+# net).  The border masses come from circle means of phi when phi passed
+# custom_weight's check, else in closed form or by 2-D quadrature of
+# lap_poincare_ratio (see weights._curvature_masses).
+_BORDER = _Side("border", 0.5, _BORDER_RADII, _disk_pairs, _disk_squared_dists, lambda r: 0,
                 lambda weight, *args: (_phi_masses if weight.phi_matches_curvature else _curvature_masses)(
                     weight, *args, less=2.0),
                 lambda points, mesh: center_net(points, mesh), lambda centers, radii: None)
-_PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII, lambda points: _lifted_points(points),
-                  lambda w, lifts, r: np.abs(_window(w, lifts, r) - lifts[:, None, None]), _span,
-                  _puncture_denominators, lambda points, mesh: np.atleast_1d(lift_value(points)),
+_PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII,
+                  lambda points, centers: (_lifted_points(points), np.asarray(centers, dtype=complex)),
+                  _cover_squared_dists, _span, _puncture_denominators,
+                  lambda points, mesh: np.atleast_1d(_finite_lift(points, "points")),
                   lambda centers, radii: _admissible(centers[:, None], np.asarray(radii, dtype=float)))
 
 
@@ -441,32 +499,49 @@ def _numerators(side: _Side, points, centers, radii):
     """(numerators, nearest) of one side's density quotients: one row per center, one column per radius.
 
     Numerator (k, j) is 2 pi times the sum of log(r^2/rho^2), r = radii[j],
-    over the distances rho from centers[k] in (side.inner, r), summed by
-    weights._annulus_sums; the denominators, which side.denominators(weight,
-    centers, radii) gives in the same shape, complete the quotient
-    (see _Block for the ratio).  The distances are taken a block of
-    centers at a time (see _block_rows), in the widest radius's window,
-    and a smaller radius reads its middle 2 span(r) + 1 translate columns:
-    they are its own window bit for bit, so each sum is the one a single
-    center and radius would give.  nearest is each prepared point's least
-    distance to a center (on the cover, of its translates in the widest
-    window).
+    over the squared distances rho^2 from centers[k] (side.dists) in
+    (side.inner^2, r^2); the denominators, which side.denominators(weight,
+    centers, radii) gives in the same shape, complete the quotient (see
+    _Block for the ratio).  A block of centers at a time (see
+    _block_rows), the squared distances are formed once, in the widest
+    radius's window, and only the pairs inside the widest annulus are
+    kept.  The radii then go from the widest down: each drops the kept
+    pairs at rho^2 >= r^2 and takes one log for each pair left.  A
+    center's terms are summed along its whole row of the radius's window,
+    zeros at the other pairs, by numpy's pairwise sum; a smaller radius
+    reads the middle 2 span(r) + 1 translate columns, which are its own
+    window bit for bit.  So each sum is the one a single center and
+    radius would give.  nearest is each prepared point's least distance
+    to a center, the square root of its least rho^2 (on the cover, of its
+    translates in the widest window).
     """
-    pts = side.prepare(points)
-    ctrs = np.asarray(centers, dtype=complex)
+    pts, ctrs = side.prepare(points, centers)
+    n_centers = np.shape(ctrs)[-1]
     widest = max(radii)
     span = side.span(widest)
-    numers = np.empty((ctrs.size, len(radii)))
-    nearest = np.full(pts.size, math.inf)
-    rows = _block_rows(pts.size * (2 * span + 1))
-    for i in range(0, ctrs.size, rows):
-        dist = side.dists(pts, ctrs[i:i + rows], widest)
-        np.minimum(nearest, dist.min(axis=(0, 2), initial=math.inf), out=nearest)
-        for j, r in enumerate(radii):
-            cut = span - side.span(r)
-            window = dist[:, :, cut:dist.shape[2] - cut].reshape(len(dist), -1)
-            numers[i:i + rows, j] = _annulus_sums(window, side.inner, r)
-    return numers, nearest
+    numers = np.empty((n_centers, len(radii)))
+    least = np.full(np.shape(pts)[-1], math.inf)
+    # each radius from the widest down: its column, r^2, and the translate
+    # columns its window leaves out on either side of the widest one's
+    steps = [(j, radii[j] * radii[j], span - side.span(radii[j]))
+             for j in sorted(range(len(radii)), key=radii.__getitem__, reverse=True)]
+    rows = _block_rows(least.size * (2 * span + 1), 2 * _BLOCK_NODES)
+    for i in range(0, n_centers, rows):
+        sq = side.dists(pts, ctrs[..., i:i + rows], widest)
+        np.minimum(least, np.minimum.reduce(sq, axis=(0, 2)), out=least)
+        flat = sq.reshape(-1)
+        kept = _in_annulus(flat, side.inner, widest).nonzero()[0]
+        rho2 = flat[kept]
+        for j, r2, cut in steps:
+            if radii[j] < widest:
+                inside = rho2 < r2
+                kept, rho2 = kept[inside], rho2[inside]
+            terms = np.zeros(flat.size)
+            terms[kept] = np.log(r2 / rho2)
+            window = terms.reshape(sq.shape)[:, :, cut:sq.shape[2] - cut]
+            numers[i:i + rows, j] = np.add.reduce(window.reshape(len(sq), -1), axis=1)
+    numers *= TWO_PI
+    return numers, np.sqrt(least)
 
 
 def _report(side: _Side, points, weight: WeightModel, center, r) -> DensityReport:
@@ -480,11 +555,12 @@ def border_density_ratio(seq, weight: WeightModel, z, r) -> DensityReport:
     """Point-count vs curvature-mass quotient at one (center, radius).
 
     Numerator: 2 pi sum of log(r^2/rho^2) over sequence points with
-    phi_z image in 1/2 < rho < r.  Denominator: the log-kernel mass of
+    phi_z image in 1/2 < rho < r, rho^2 taken in real arithmetic (see
+    _disk_squared_dists).  Denominator: the log-kernel mass of
     Delta phi - 2 omega_P over D_r(z), pulled back through phi_z: a
     circle mean of phi when phi passed custom_weight's check, else a
     closed form or a 2-D integral of the ratio.  It is the sweep's
-    quotient at one center and radius (see _numerators).
+    quotient at one center and radius (see _numerators), bit for bit.
     """
     _check_radius(r, _BORDER_RADII, "border quotient")
     _check_domain(z)
@@ -505,13 +581,14 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r) -> DensityReport:
     """Cylindrical density quotient at a lift q of the center.
 
     Numerator: 2 pi sum of log(r^2/d^2) over lifted sequence points in
-    the open annulus 1 < d < r about q.  Denominator: the Euclidean
+    the open annulus 1 < d < r about q, d^2 taken in real arithmetic (see
+    _cover_squared_dists).  Denominator: the Euclidean
     log-kernel mass over D_r(q) of the cylindrical curvature density of
     the shifted weight psi = phi + 2 log log(1/|z|^2), lifted through the
     cover, computed as 2 pi times the mean of psi(e^{iw}) - psi(e^{iq})
     over the circle |w - q| = r (see weights._puncture_denominators).  It
-    is the sweep's quotient at one lift and radius (see _numerators), and
-    takes the lifts a density sweep takes, Im q > r + 1 (see
+    is the sweep's quotient at one lift and radius (see _numerators) bit
+    for bit, and takes the lifts a density sweep takes, Im q > r + 1 (see
     _admissible): any other raises WindowViolation before any sampling;
     DomainViolation if q is not finite, or so deep that psi is not finite
     on the circle.
@@ -523,6 +600,42 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r) -> DensityReport:
                               f" got Im q = {q.imag:g}")
     pts = seq.array() if isinstance(seq, SequenceSet) else seq
     return _report(_PUNCTURE, pts, weight, q, r)
+
+
+def border_density_form(points, r, z):
+    """Curvature density of the border potential, as a closed sum.
+
+    Upsilon / (2 omega_P) at z equals (2 pi / c_r) times the sum of
+    log(1/rho^2) over the points whose phi_z image lands in the annulus
+    1/2 < rho < r.  That sum is the numerator's sum of log(r^2/rho^2)
+    (see _numerators) plus the count of those points times log(1/r^2):
+    both parts are nonnegative, so nothing cancels.
+    """
+    _check_radius(r, _BORDER_RADII, "border density form")
+    center = _check_domain(z).reshape(1)
+    numers, _ = _numerators(_BORDER, points, center, (r,))
+    count = np.count_nonzero(_in_annulus(_BORDER.dists(*_BORDER.prepare(points, center), r), 0.5, r))
+    return float((numers[0, 0] + TWO_PI * count * math.log(1.0 / (r * r))) / c_r_disk(r))
+
+
+def puncture_density_form(points, r, z=None, q=None):
+    """Curvature density of the puncture potential at z, or at a lift q of it.
+
+    (1/c_r) sum of log(r^2/|gamma - q|^2) over lifted sequence points in
+    the open annulus 1 < |gamma - q| < r: the numerator of the puncture
+    quotient (see _numerators) over 2 pi c_r.  2 pi periodicity of the
+    translate set makes the value independent of the choice of lift.
+    Takes exactly one of z and q; raises DomainViolation otherwise, and
+    unless 1 < r < inf.
+    """
+    if (z is None) == (q is None):
+        raise DomainViolation("need exactly one of z and a lift q")
+    _check_radius(r, _PUNCTURE_RADII, "puncture density form")
+    if q is None:
+        q = _finite_lift(z, domain=Domain.PUNCTURED_DISK)
+    q = complex(_check_finite(q, "the lift q"))
+    numers, _ = _numerators(_PUNCTURE, points, [q], (r,))
+    return float(numers[0, 0] / (TWO_PI * c_r_cyl(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BergseqError, DomainViolation, WindowViolation
-from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _log_L, _mobius, lift_value
+from .geometry import Domain, TWO_PI, _check_domain, _check_finite, _finite_lift, _log_L, _mobius
 from .quadrature import (
     DEFAULT_RULE,
     QuadratureRule,
@@ -37,8 +37,6 @@ from .quadrature import (
     _hyper_weight,
     _log_kernel,
     a_r_hyperbolic,
-    c_r_cyl,
-    c_r_disk,
     polar_integral,
 )
 
@@ -464,13 +462,14 @@ def extended_covered_mean(psi, eps, r, z):
     axis averages the reflected values.  Each node takes one complex exp
     (see _covered_integrand).  z may be a 1-D array of points, whose
     means come back as an array, each equal to its own call's.  Raises
-    DomainViolation unless 0 < eps < inf and 0 < r < inf.
+    DomainViolation unless 0 < eps < inf and 0 < r < inf, and unless
+    every z has a finite lift: z = 0, and a z so small that 1/|z|
+    overflows, have none.
     """
     if not r > 0:
         raise DomainViolation(f"r must be positive, got {r}")
-    # polar_integral checks that the lift, its center, is finite
     integrand = _covered_integrand(_phi_fn(psi), eps)
-    mean = polar_integral(integrand, lift_value(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True)
+    mean = polar_integral(integrand, _finite_lift(z), 0.0, r, _euclid_weight, _log_kernel(r), normalized=True)
     return mean if np.ndim(z) else float(mean)
 
 
@@ -503,22 +502,6 @@ def _jensen_potential(d, radial_means, harm):
         return 0.0, lam
     log_t2 = float(2.0 * np.sum(np.log(d))) + harm
     return float(math.exp(log_t2 - lam)), lam
-
-
-def _annulus_sums(d, inner, r, kernel_r=None):
-    """2 pi sum of log(k^2/rho^2), k = kernel_r (default r), over the rho of each row of d in (inner, r).
-
-    d holds one row of distances per center or lift.  Each row is summed
-    whole, zeros outside the annulus included, so a row's sum does not
-    depend on the other rows; it can differ from the sum over the annulus
-    alone in its last bits, by summation order only.
-    """
-    k = r if kernel_r is None else kernel_r
-    # every entry takes its log, which costs less than a masked ufunc; at
-    # d = 0 it is inf, and outside the annulus it is dropped
-    with np.errstate(divide="ignore", over="ignore"):
-        terms = np.log(k * k / (d * d))
-    return TWO_PI * np.where((d > inner) & (d < r), terms, 0.0).sum(axis=1)
 
 
 def _disk_dists(points, z):
@@ -628,17 +611,6 @@ def border_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAULT
     return _jensen_potential(d, lambda dist: _border_radial_means(dist, r), _harmonic_term(harmonic, z))
 
 
-def border_density_form(points, r, z):
-    """Curvature density of the border potential, as a closed sum.
-
-    Upsilon / (2 omega_P) at z equals (2 pi / c_r) times the sum of
-    log(1/rho^2) over the points whose phi_z image lands in the annulus
-    1/2 < rho < r.
-    """
-    d = _disk_dists(_check_domain(points, name="points"), _check_domain(z))
-    return float(_annulus_sums(np.reshape(d, (1, -1)), 0.5, r, 1.0)[0] / c_r_disk(r))
-
-
 # ---------------------------------------------------------------------------
 # Sequence potentials (puncture side).
 
@@ -660,7 +632,7 @@ def lifted_translates(points, q, radius):
 
 def _lifted_points(points):
     """The principal lifts of punctured-disk points, as a 1-D array; raises DomainViolation off the domain."""
-    return np.atleast_1d(lift_value(_check_domain(points, Domain.PUNCTURED_DISK, "points")))
+    return np.atleast_1d(_finite_lift(points, "points", Domain.PUNCTURED_DISK))
 
 
 def _span(radius):
@@ -673,6 +645,8 @@ def _window(w, q, radius):
 
     They hold every translate within `radius` of q, and some beyond.  q
     may be an array of lifts; the result has shape q.shape + (w.size, 2 _span(radius) + 1).
+    Given the real parts of w and q, it gives the real parts of the
+    translates, bit for bit.
     """
     span = _span(radius)
     k = np.rint((np.asarray(q).real[..., None] - w.real) / TWO_PI)[..., None] + np.arange(-span, span + 1)
@@ -729,29 +703,10 @@ def puncture_potential(points, r, z, harmonic=None, rule: QuadratureRule = DEFAU
     chosen lift.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture potential")
-    q = complex(lift_value(_check_domain(z, Domain.PUNCTURED_DISK)))
+    q = complex(_finite_lift(z, domain=Domain.PUNCTURED_DISK))
     if q.imag <= r:
         raise WindowViolation(f"lift of z has Im = {q.imag:.3g} <= r = {r}")
     d = np.abs(lifted_translates(points, q, r + TWO_PI) - q)  # lifted_translates checks the points
     if np.size(points) and np.max(np.abs(points)) >= math.exp(-r):
         raise WindowViolation(f"sequence must satisfy |gamma| < e^-r = {math.exp(-r):.3g}")
     return _jensen_potential(d, lambda dist: _puncture_radial_means(dist, r), _harmonic_term(harmonic, q))
-
-
-def puncture_density_form(points, r, z=None, q=None):
-    """Curvature density of the puncture potential at z, or at a lift q of it.
-
-    (1/c_r) sum of log(r^2/|gamma - q|^2) over lifted sequence points in
-    the open annulus 1 < |gamma - q| < r; 2 pi periodicity of the
-    translate set makes the value independent of the choice of lift.
-    Takes exactly one of z and q; raises DomainViolation otherwise, and
-    unless 1 < r < inf.
-    """
-    if (z is None) == (q is None):
-        raise DomainViolation("need exactly one of z and a lift q")
-    _check_radius(r, _PUNCTURE_RADII, "puncture density form")
-    if q is None:
-        q = lift_value(_check_domain(z, Domain.PUNCTURED_DISK))
-    q = _check_finite(q, "the lift q")
-    d = np.abs(_window(_lifted_points(points), q, r) - q).reshape(1, -1)
-    return float(_annulus_sums(d, 1.0, r)[0] / (TWO_PI * c_r_cyl(r)))

@@ -29,6 +29,7 @@ from bergseq import (
     cyl_dist,
     density_sweep,
     disk_log_integral,
+    extended_covered_mean,
     gram_assemble,
     hyp_dist,
     injectivity_radius,
@@ -202,6 +203,35 @@ def test_a_non_finite_lift_or_center_fails_before_any_sampling(name, q, tmp_path
     spy = Spy(tmp_path)
     with pytest.raises(DomainViolation, match="is not finite"):
         NON_FINITE_CALLS[name](q, spy)
+    assert spy.calls == []
+
+
+# The lift log(1/|z|) of z = 0, and of a z so small that 1/|z| overflows,
+# is not finite.  extended_covered_mean takes any z with a finite lift;
+# the punctured-disk calls refuse 0 as off the domain (see above).
+NO_FINITE_LIFT_CALLS = {
+    "extended_covered_mean": lambda z, s: extended_covered_mean(s.punct, 0.1, 1.0, z),
+    "extended_covered_mean/array": lambda z, s: extended_covered_mean(s.punct, 0.1, 1.0, [0.1, z]),
+    "puncture_potential/z": lambda z, s: puncture_potential([1e-3], 2.0, z),
+    "puncture_potential/points": lambda z, s: puncture_potential([1e-3, z], 2.0, 1e-4),
+    "puncture_density_form/z": lambda z, s: puncture_density_form([1e-3], 4.0, z=z),
+    "puncture_density_form/points": lambda z, s: puncture_density_form([1e-3, z], 4.0, z=1e-4),
+    "lifted_translates": lambda z, s: lifted_translates([1e-3, z], 5j, 4.0),
+    "puncture_density_ratio": lambda z, s: puncture_density_ratio([1e-3, z], s.punct, 8j, 4.0),
+    "density_sweep": lambda z, s: density_sweep(SequenceSet((1e-3, z), Domain.PUNCTURED_DISK), s.punct),
+}
+NO_FINITE_LIFT = {"0": 0j, "1e-320": complex(1e-320)}
+NO_FINITE_LIFT_CASES = [(name, z) for name in sorted(NO_FINITE_LIFT_CALLS)
+                        for z in (NO_FINITE_LIFT if name.startswith("extended") else ("1e-320",))]
+
+
+@pytest.mark.parametrize("name, z", NO_FINITE_LIFT_CASES, ids=[f"{name}-{z}" for name, z in NO_FINITE_LIFT_CASES])
+def test_a_point_without_a_finite_lift_fails_before_any_warning(name, z, tmp_path):
+    # these warned of a division by zero or an overflow in lift_value, which
+    # the suite turns into an error, before any check refused the point
+    spy = Spy(tmp_path)
+    with pytest.raises(DomainViolation, match="has no finite lift"):
+        NO_FINITE_LIFT_CALLS[name](NO_FINITE_LIFT[z], spy)
     assert spy.calls == []
 
 

@@ -8,6 +8,8 @@ reproducible from run to run.
 
 import cmath
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -47,8 +49,8 @@ from bergseq import (
 from bergseq import sequences
 from bergseq.geometry import TWO_PI
 from bergseq.quadrature import _euclid_weight, _hyper_weight, _log_kernel
-from bergseq.sequences import (DEFAULT_SPLIT, PUNCTURE_R_GRID, _PUNCTURE, _greedy_separated, _min_disk_pairwise,
-                               _min_pairwise, _numerators)
+from bergseq.sequences import (DEFAULT_SPLIT, PUNCTURE_R_GRID, _BORDER, _PUNCTURE, _greedy_separated,
+                               _min_disk_pairwise, _min_pairwise, _numerators)
 from bergseq.weights import (_border_radial_means, _covered_integrand, _curvature_masses, _disk_dists, _phi_masses,
                              _puncture_radial_means)
 
@@ -582,10 +584,15 @@ def test_center_net_matches_the_pairwise_loop_on_its_candidates(monkeypatch, see
     assert net.size > sequences._WINDOWED_FROM
 
 
-def _fsum_numerator(d, inner, r):
-    """2 pi times the correctly rounded sum of log(r^2/d^2) over the distances d in (inner, r)."""
-    d = d[(d > inner) & (d < r)]
-    return TWO_PI * math.fsum(np.log(r * r / (d * d)))
+def _fsum_numerator(side, points, center, r):
+    """2 pi times the correctly rounded sum of log(r^2/rho^2) over the side's squared distances rho^2 in (inner^2, r^2).
+
+    The squared distances are the kernel's own (side.dists), so the sum
+    differs from a numerator by summation order only.
+    """
+    sq = side.dists(*side.prepare(points, [center]), r).ravel()
+    sq = sq[(sq > side.inner ** 2) & (sq < r * r)]
+    return TWO_PI * math.fsum(np.log(r * r / sq))
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -597,7 +604,7 @@ def test_blocked_sweep_numerators_match_per_center_sums(n, n_centers, seed):
     assert len(reports) == len(BORDER_R_GRID) * n_centers
     for i, rep in enumerate(reports):
         r, c = BORDER_R_GRID[i // n_centers], centers[i % n_centers]
-        want = _fsum_numerator(_disk_dists(points, c), 0.5, r)
+        want = _fsum_numerator(_BORDER, points, c, r)
         # a block sums a center's terms in another order, which moves only the last bits
         assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -611,8 +618,120 @@ def test_blocked_puncture_numerators_match_per_lift_sums(n, seed):
     reports = density_sweep(seq, standard_puncture(2.0, 3.0), r_grid=(2.0, 5.0)).reports
     for rep in reports:
         q, r = rep.center, rep.radius
-        want = _fsum_numerator(np.abs(lifted_translates(points, q, r) - q), 1.0, r)
+        want = _fsum_numerator(_PUNCTURE, points, q, r)
         assert rep.numerator == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# 2 pi to 40 digits, for the exact references below
+_TWO_PI_40 = Decimal("6.283185307179586476925286766559005768394")
+
+
+def _exact_numerators(squares, inner, radii):
+    """2 pi sum of log(r^2/rho^2) over the exact squared distances in (inner^2, r^2), one per radius, to 40 digits.
+
+    squares are Fractions.  A distance within a relative 1e-9 of an edge
+    (2e-9 in its square) could fall on either side of it in the kernel's
+    rounding, and move a whole term: such a case is skipped.
+    """
+    numerators = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for r in radii:
+            total = Decimal(0)
+            for sq in squares:
+                # float(sq) is within an ulp of sq, far inside the 2e-9
+                approx = float(sq)
+                assume(abs(approx / (inner * inner) - 1.0) > 2e-9 and abs(approx / (r * r) - 1.0) > 2e-9)
+                if inner * inner < approx < r * r:
+                    ratio = Fraction(r) ** 2 / sq
+                    total += (Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln()
+            numerators.append(float(_TWO_PI_40 * total))
+    return np.array(numerators)
+
+
+def _exact_rho2(c, w):
+    """|phi_c(w)|^2 = |c - w|^2 / |1 - conj(c) w|^2, exactly, for the double points c and w."""
+    cx, cy, wx, wy = (Fraction(x) for x in (c.real, c.imag, w.real, w.imag))
+    return ((cx - wx) ** 2 + (cy - wy) ** 2) / ((1 - cx * wx - cy * wy) ** 2 + (cx * wy - cy * wx) ** 2)
+
+
+def _exact_translate_squares(w, q, r):
+    """|w + 2 pi k - q|^2 of the translates within r + 1 of q: exact for the double lifts w and q, 2 pi to 40 digits."""
+    two_pi = Fraction(_TWO_PI_40)
+    dy2 = (Fraction(w.imag) - Fraction(q.imag)) ** 2
+    lo = math.floor((q.real - w.real - r - 1.0) / TWO_PI)
+    hi = math.ceil((q.real - w.real + r + 1.0) / TWO_PI)
+    return [(Fraction(w.real) + two_pi * k - Fraction(q.real)) ** 2 + dy2 for k in range(lo, hi + 1)
+            if abs(w.real + TWO_PI * k - q.real) < r + 1.0 and abs(w.imag - q.imag) < r + 1.0]
+
+
+# moduli of a cloud, and of rim points down to 1 - |z| = 1e-9
+rim_modulus = st.one_of(st.floats(0.0, 0.95), st.floats(1.0, 9.0).map(lambda t: 1.0 - 10.0 ** -t))
+rim_point = st.builds(lambda m, t: m * cmath.exp(1j * t), rim_modulus, angle)
+
+
+@st.composite
+def border_numerator_case(draw):
+    """(points, centers): up to three centers, rim centers among them, with the
+    images under phi_c of points at rho in (0.4, 1), which land in or near
+    c's annuli; a cloud; and conjugate pairs across arg = +-pi."""
+    centers = draw(st.lists(rim_point, min_size=1, max_size=3))
+    points = []
+    for c in centers:
+        rings = draw(st.lists(st.builds(lambda rho, t: rho * cmath.exp(1j * t), st.floats(0.4, 0.995), angle),
+                              max_size=5))
+        points.extend(complex(mobius_involution(c, u)) for u in rings)
+    points.extend(draw(st.lists(rim_point, max_size=4)))
+    for m, e in draw(st.lists(st.tuples(rim_modulus, st.floats(0.0, 1e-3)), max_size=2)):
+        z = m * cmath.exp(1j * (math.pi - e))
+        points.extend((z, z.conjugate()))
+    return np.array([w for w in points if abs(w) < 1.0], dtype=complex), np.array(centers)
+
+
+@st.composite
+def puncture_numerator_case(draw):
+    """(points, lifts): up to three lifts q, with punctured-disk points whose
+    lifts or their translates lie within 18 of q, and conjugate pairs
+    across arg = 0, where a lift's real part wraps from 2 pi to 0."""
+    lifts = draw(st.lists(st.builds(complex, st.floats(-20.0, 20.0), st.floats(5.0, 40.0)), min_size=1, max_size=3))
+    points = []
+    for q in lifts:
+        for dx, dy in draw(st.lists(st.tuples(st.floats(-18.0, 18.0), st.floats(-17.0, 17.0)), max_size=6)):
+            points.append(cmath.exp(1j * (q + complex(dx, dy))))
+        for dy, e in draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1e-3)), max_size=1)):
+            z = cmath.exp(1j * complex(e, q.imag + dy))
+            points.extend((z, z.conjugate()))
+    return np.array([z for z in points if 0.0 < abs(z) < 1.0], dtype=complex), np.array(lifts)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(border_numerator_case())
+# a center 1e-9 from the circle, with points at rho = 0.7 and 0.93 about it
+@example((np.array([complex(mobius_involution(0.999999999 * cmath.exp(0.3j), u)) for u in (0.7, 0.93j)]),
+          np.array([0.999999999 * cmath.exp(0.3j)])))
+def test_border_numerators_match_an_exact_reference(case):
+    # rho^2 from real squared distances and 1 - |.|^2 stays within a few
+    # ulps up to the circle; |phi_c(w)| loses about 1e-16 / |1 - conj(c) w|
+    # relative to the cancellation in 1 - conj(c) w
+    points, centers = case
+    got = _numerators(_BORDER, points, centers, BORDER_R_GRID)[0]
+    for k, c in enumerate(centers):
+        want = _exact_numerators([_exact_rho2(c, w) for w in points], 0.5, BORDER_R_GRID)
+        assert np.all(np.abs(got[k] - want) <= 1e-13 * np.maximum(1.0, want)), (c, got[k], want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(puncture_numerator_case())
+def test_puncture_numerators_match_an_exact_reference(case):
+    # every translate of every lifted point, on the cover, at every radius
+    # of the grid
+    points, lifts = case
+    got = _numerators(_PUNCTURE, points, lifts, PUNCTURE_R_GRID)[0]
+    w = lift_value(points)
+    for k, q in enumerate(lifts):
+        squares = [sq for p in w for sq in _exact_translate_squares(p, q, PUNCTURE_R_GRID[-1])]
+        want = _exact_numerators(squares, 1.0, PUNCTURE_R_GRID)
+        assert np.all(np.abs(got[k] - want) <= 1e-13 * np.maximum(1.0, want)), (q, got[k], want)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

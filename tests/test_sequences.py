@@ -870,19 +870,22 @@ def test_curved_sweep_node_budget(monkeypatch):
 
 
 def test_sequence_layer_mobius_call_budget(monkeypatch):
-    # the blocked pairwise kernels make 22, 9 and 52 _mobius calls here,
+    # the blocked pairwise kernels make 22, 4 and 52 _mobius calls here,
     # where one call per point or per center made 1 072, 662 and 2 999: a
     # per-point loop that comes back fails without any timing.  The
-    # argument windows evaluate 26 057, 26 243 and 118 521 pair distances,
+    # argument windows evaluate 26 057, 7 043 and 118 521 pair distances,
     # where screening every kept point evaluated 226 613, 74 518 (48 822
     # of them in the separation) and 2 374 765; and the lattice draws
     # 1 985 candidates in doubling chunks, where one chunk drew 4 097.
     # The separations take their pairs through sequences._mobius on
-    # either domain: 547 on the disk (in classify's 26 243 too), and 540
+    # either domain: 547 on the disk (in classify's 7 043 too), and 540
     # for the lattice without the origin on the punctured disk, where the
-    # dense scan takes 48 589.
-    calls, pairs, drawn = [], [], []
-    mobius, candidates = sequences._mobius, sequences._disk_candidates
+    # dense scan takes 48 589.  classify's numerators form their squared
+    # distances through sequences._squared_norms instead, once per
+    # center and point, 64 x 300 = 19 200 pairs in 3 blocks; through
+    # _mobius they took 19 200 of the 26 243 pairs and 5 of the 9 calls.
+    calls, pairs, drawn, squared = [], [], [], []
+    mobius, candidates, squared_norms = sequences._mobius, sequences._disk_candidates, sequences._squared_norms
 
     def counted(*args):
         calls.append(1)
@@ -894,8 +897,13 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
             drawn.append(chunk.size)
             yield chunk
 
+    def counted_squares(*args):
+        squared.append(np.broadcast(*args).size)
+        return squared_norms(*args)
+
     monkeypatch.setattr(sequences, "_mobius", counted)
     monkeypatch.setattr(sequences, "_disk_candidates", counted_candidates)
+    monkeypatch.setattr(sequences, "_squared_norms", counted_squares)
     lat = generate_lattice("hyperbolic-disk", 300, seed=11, d=0.35, margin=0.02)
     assert len(calls) <= 1.25 * 22 and sum(pairs) <= 1.25 * 26057
     # the greedy reaches candidate 1 073
@@ -903,7 +911,8 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
     calls.clear()
     pairs.clear()
     classify(lat, standard_disk(2.0))
-    assert len(calls) <= 1.25 * 9 and sum(pairs) <= 1.25 * 26243
+    assert len(calls) <= 1.25 * 4 and sum(pairs) <= 1.25 * 7043
+    assert sum(squared) == 64 * 300
     calls.clear()
     pairs.clear()
     net = center_net(lat.array(), 0.35, max_centers=10 ** 6)
