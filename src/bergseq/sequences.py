@@ -27,8 +27,8 @@ from .weights import _curvature_masses, _lifted_points, _phi_masses, _puncture_d
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
-# Most centers center_net returns by default; density_sweep notes when a
-# net reaches it, with the coverage radius it left.
+# Most centers center_net returns by default; density_sweep notes when it
+# cut a net, with the coverage radius the net left.
 CENTER_CAP = 64
 DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
@@ -407,9 +407,9 @@ class _Side:
     weights._window), on the disk rho^2 of the point itself.
     denominators(weight, centers, radii) gives the curvature masses, one
     row per center.  centers(points, mesh) is the one place a sweep's
-    centers come from: on the disk a center net, on the cover the points'
-    own lifts (a net of the cover, or cells that bracket the sup, would
-    replace it alone).  admits(centers, radii)
+    centers come from, with whether a cap cut them: on the disk
+    _capped_net, on the cover the points' own lifts (a net of the cover,
+    or cells that bracket the sup, would replace it alone).  admits(centers, radii)
     is the (center, radius) mask of the quotients a sweep takes (on the
     cover, _admissible), or None where it takes every one (the disk); a
     center's admitted radii are the grid's radii below a bound, so their
@@ -487,11 +487,11 @@ def _in_annulus(sq, inner, r):
 _BORDER = _Side("border", 0.5, _BORDER_RADII, _disk_pairs, _disk_squared_dists, lambda r: 0,
                 lambda weight, *args: (_phi_masses if weight.phi_matches_curvature else _curvature_masses)(
                     weight, *args, less=2.0),
-                lambda points, mesh: center_net(points, mesh), lambda centers, radii: None)
+                lambda points, mesh: _capped_net(points, mesh), lambda centers, radii: None)
 _PUNCTURE = _Side("puncture", 1.0, _PUNCTURE_RADII,
                   lambda points, centers: (_lifted_points(points), np.asarray(centers, dtype=complex)),
                   _cover_squared_dists, _span, _puncture_denominators,
-                  lambda points, mesh: np.atleast_1d(_finite_lift(points, "points")),
+                  lambda points, mesh: (np.atleast_1d(_finite_lift(points, "points")), False),
                   lambda centers, radii: _admissible(centers[:, None], np.asarray(radii, dtype=float)))
 
 
@@ -666,7 +666,8 @@ def _greedy_chunks(chunks, size, sep, limit):
     The conflicts among the block's survivors are then settled in
     candidate order: each survivor's row of "closer than sep to another
     survivor" is packed into a Python int and tested against the bits of
-    the survivors kept so far.  Every distance is |phi_c(w)| of a
+    the survivors kept so far; for the last point to keep, the first
+    survivor, there is none to settle.  Every distance is |phi_c(w)| of a
     candidate c and an earlier point w, compared by `>= sep`, as one
     candidate at a time would; so the result is the same bit for bit.
     """
@@ -679,7 +680,8 @@ def _greedy_chunks(chunks, size, sep, limit):
         i = 0
         while i < cands.size and k < limit:
             if k < _WINDOWED_FROM:
-                block = cands[i:i + min(widest, _block_rows(k))]
+                # the last point to keep is the first survivor, most often among the first few candidates
+                block = cands[i:i + (min(widest, _block_rows(k)) if k + 1 < limit else 8)]
                 i += block.size
                 if k:
                     block = block[(np.abs(_mobius(block[:, None], kept[:k])) >= sep).all(axis=1)]
@@ -701,7 +703,9 @@ def _greedy_chunks(chunks, size, sep, limit):
                     survivors = survivors[:widest]
                 i += block.size
                 block = block[survivors]
-            if block.size > 1:
+            if k + 1 == limit:
+                block = block[:1]
+            elif block.size > 1:
                 close = np.packbits(~(np.abs(_mobius(block[:, None], block)) >= sep), axis=1, bitorder="little")
                 width, close = close.shape[1], close.tobytes()
                 taken, chosen = 0, []
@@ -755,8 +759,8 @@ class _Part:
     _numerators).  groups holds the (cells, centers, columns) of each
     _numerators and side.denominators call: the centers that admit the
     same radii, the index of the cells they fill, and the grid columns of
-    their radii.  The arrays of centers, numerators and distances are
-    read-only.
+    their radii.  cut is whether a cap cut the centers.  The arrays of
+    centers, numerators and distances are read-only.
     """
 
     side: _Side
@@ -765,6 +769,7 @@ class _Part:
     numerators: np.ndarray
     nearest: np.ndarray
     groups: tuple
+    cut: bool
 
 
 @dataclass(frozen=True)
@@ -798,12 +803,23 @@ def _grids(domain, r_grid):
     return tuple(r for r in r_grid if disk or r < 1.0), tuple(r for r in r_grid if not r < 1.0)
 
 
-def _separations(seq: SequenceSet, split_a):
-    """classify's (border, puncture) separations, the puncture one None on the disk."""
+def _split(seq: SequenceSet, split_a):
+    """The (border, puncture) parts of seq: seq and None on the disk, else decompose's parts at split_a."""
     if seq.domain is Domain.DISK:
-        return separation_border(seq), None
+        return seq, None
     star, border = decompose(seq, split_a)
-    return separation_border(border), separation_puncture(star)
+    return border, star
+
+
+def _separations(border: SequenceSet, star: Optional[SequenceSet]):
+    """classify's (border, puncture) separations of _split's parts, the puncture one None on the disk."""
+    return separation_border(border), None if star is None else separation_puncture(star)
+
+
+def _capped_net(points, mesh):
+    """(center_net(points, mesh), whether CENTER_CAP cut it): whether the greedy, which keeps a prefix, finds one more."""
+    net = center_net(points, mesh, CENTER_CAP + 1)
+    return net[:CENTER_CAP], net.size > CENTER_CAP
 
 
 def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
@@ -815,8 +831,9 @@ def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
         raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
     for r in grid:
         _check_radius(r, side.radii, f"{side.kind} quotient")
+    ctrs, cut = side.centers(pts, mesh) if given is None else (given, False)
     # a copy, made read-only below: a patched or traced center_net may keep the array it returns
-    ctrs = np.array(side.centers(pts, mesh), dtype=complex) if given is None else given
+    ctrs = np.array(ctrs, dtype=complex)
     admits = side.admits(ctrs, grid)
     if admits is None:
         # one call, and no cell indexed
@@ -836,7 +853,7 @@ def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
         np.minimum(nearest, near, out=nearest)
     for a in (ctrs, numers, nearest, *(centers for _, centers, _ in groups)):
         a.flags.writeable = False
-    return _Part(side, ctrs, admits, numers, nearest, tuple(groups))
+    return _Part(side, ctrs, admits, numers, nearest, tuple(groups), cut)
 
 
 def _sequence_half(seq: SequenceSet, grids, given, mesh, split_a) -> _SequenceHalf:
@@ -852,23 +869,19 @@ def _sequence_half(seq: SequenceSet, grids, given, mesh, split_a) -> _SequenceHa
     half = seq._sweep_half
     if half is not None and half.key == key:
         return half
-    if seq.domain is Domain.DISK:
-        parts = ((_BORDER, seq.array(), given), None)
-    else:
-        # a punctured-disk part with no points is not swept; explicit
-        # centers go to the border part only
-        star, border = decompose(seq, split_a)
-        parts = ((_BORDER, border.array(), given) if len(border) else None,
-                 (_PUNCTURE, star.array(), None) if len(star) else None)
+    # a punctured-disk part with no points is not swept; explicit centers go to the border part only
+    border, star = _split(seq, split_a)
+    parts = ((_BORDER, border.array(), given) if star is None or len(border) else None,
+             (_PUNCTURE, star.array(), None) if star else None)
     swept = tuple(None if part is None else _sweep_part(*part, grid, mesh) for part, grid in zip(parts, grids))
     n_centers, coverage_radius, notes = 0, None, ()
     if swept[0] is not None:
         # the coverage of the puncture part waits for a net of the cover
         n_centers, nearest = swept[0].centers.size, swept[0].nearest
         coverage_radius = float(nearest.max()) if nearest.size else None
-        if given is None and n_centers == CENTER_CAP:
+        if swept[0].cut:
             notes = (f"center net reached its cap of {CENTER_CAP} centers; coverage radius {coverage_radius:.3f}",)
-    half = _SequenceHalf(key, _separations(seq, split_a), swept, n_centers, coverage_radius, notes)
+    half = _SequenceHalf(key, _separations(border, star), swept, n_centers, coverage_radius, notes)
     object.__setattr__(seq, "_sweep_half", half)
     return half
 
@@ -1005,7 +1018,7 @@ def classify(seq: SequenceSet, weight: WeightModel, params: ClassifyParams = Cla
         reasons.append("weight fails Delta phi >= 4 omega_P near the puncture")
     if reasons:
         return ClassificationVerdict(
-            "Indeterminate", *_separations(seq, params.split_a), None, None, params, tuple(reasons)
+            "Indeterminate", *_separations(*_split(seq, params.split_a)), None, None, params, tuple(reasons)
         )
 
     grids = _grids(seq.domain, params.r_grid)

@@ -1,10 +1,10 @@
 """Weight models, logarithmic means, and sequence potentials.
 
 A weight is a scalar function phi whose exponential e^{-phi} dampens the
-integration measure.  The model carries phi together with the density of
-its Laplacian against the hyperbolic area form (and, on the punctured
-disk, against the cylindrical form), which is what all density quotients
-consume.
+integration measure.  The model carries phi together with one curvature
+density, that of its Laplacian against the hyperbolic area form; on the
+punctured disk the density against the cylindrical form is derived from
+it.  These are what all density quotients consume.
 
 The potentials sigma and lambda of a finite sequence are computed by the
 Jensen reduction: the angular mean of log|w - a| on a circle of radius
@@ -43,11 +43,12 @@ from .quadrature import (
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Evaluatable weight with its curvature densities.
+    """Evaluatable weight: phi and one curvature density.
 
     phi maps complex arrays to values (may be -inf at log poles).
-    lap_poincare_ratio is Delta phi / omega_P; lap_cyl_ratio is
-    Delta phi / omega_c and only meaningful on the punctured disk.
+    lap_poincare_ratio is Delta phi / omega_P, the one curvature density a
+    weight carries; on the punctured disk lap_cyl_ratio derives the
+    density against the cylindrical form from it.
 
     phi_matches_curvature is not a parameter: custom_weight sets it on
     the disk when phi passes its check against lap_poincare_ratio, and
@@ -58,12 +59,16 @@ class WeightModel:
     phi: Callable
     lap_poincare_ratio: Callable
     domain: Domain
-    lap_cyl_ratio: Optional[Callable] = None
     family: str = "custom"
     params: dict = field(default_factory=dict)
     constant_poincare_ratio: Optional[float] = None
     hypothesis_flags: dict = field(default_factory=dict)
     phi_matches_curvature: bool = field(default=False, init=False)
+
+    def lap_cyl_ratio(self, z):
+        """Delta phi / omega_c = lap_poincare_ratio / (log 1/|z|^2)^2; DomainViolation on the disk, which has no omega_c."""
+        _check_cylindrical(self)
+        return self.lap_poincare_ratio(z) / _log_L(z) ** 2
 
 
 def standard_disk(s: float) -> WeightModel:
@@ -105,17 +110,10 @@ def standard_puncture(s: float, t: float) -> WeightModel:
         r2 = np.abs(z) ** 2
         return 2.0 * t + 2.0 * s * r2 * _log_L(z) ** 2 / (1.0 - r2) ** 2
 
-    def ratio_c(z):
-        # np.log(1.0 / r2) is _log_L(z), from the |z|^2 already at hand: the
-        # puncture quotients sample this once per node
-        r2 = np.abs(z) ** 2
-        return 2.0 * s * r2 / (1.0 - r2) ** 2 + 2.0 * t / np.log(1.0 / r2) ** 2
-
     return WeightModel(
         phi=phi,
         lap_poincare_ratio=ratio_p,
         domain=Domain.PUNCTURED_DISK,
-        lap_cyl_ratio=ratio_c,
         family="standard-puncture",
         params={"s": s, "t": t},
         hypothesis_flags={
@@ -157,11 +155,10 @@ def custom_weight(
     phi,
     lap_poincare_ratio,
     domain: Domain,
-    lap_cyl_ratio=None,
     check_tol: float = 1e-8,
     hypothesis_flags: Optional[dict] = None,
 ) -> WeightModel:
-    """Wrap user callables; cross-checks phi and its Laplacian densities.
+    """Wrap user callables: phi and its one curvature density, Delta phi / omega_P; checks phi against it.
 
     Each callable is called once on a small 2-D complex array inside the
     domain.  One that raises TypeError or ValueError there, as a function
@@ -173,12 +170,11 @@ def custom_weight(
     check_tol must lie in (0, inf), else ValueError.  Every check below
     compares to check_tol relative to max(|value|, 1).
 
-    On the punctured disk with a lap_cyl_ratio, two checks run at
-    construction, and a failure raises ValueError.  The densities must
-    satisfy ratio_cyl = ratio_poincare / (log 1/|z|^2)^2, on a radial
-    sample grid.  And phi must match them: the puncture denominators come
-    from phi alone (see _cover_psi), so at two probe lifts they must agree
-    with the 2-D log-kernel integral of the shifted cylindrical density.
+    On the punctured disk phi is checked at construction, for every
+    weight, and a failure raises ValueError: the puncture denominators
+    come from phi alone (see _cover_psi), so at two probe lifts they must
+    agree with the 2-D log-kernel integral of the shifted cylindrical
+    density derived from lap_poincare_ratio.
 
     On the disk phi is checked against lap_poincare_ratio: at two probe
     centers and one border radius, the curvature masses from circle means
@@ -193,23 +189,14 @@ def custom_weight(
     """
     if not 0.0 < check_tol < math.inf:
         raise ValueError(f"check_tol must lie in (0, inf), got {check_tol!r}")
-    phi, lap_poincare_ratio = _vectorized(phi), _vectorized(lap_poincare_ratio)
-    if lap_cyl_ratio is not None:
-        lap_cyl_ratio = _vectorized(lap_cyl_ratio)
     weight = WeightModel(
-        phi=phi,
-        lap_poincare_ratio=lap_poincare_ratio,
+        phi=_vectorized(phi),
+        lap_poincare_ratio=_vectorized(lap_poincare_ratio),
         domain=domain,
-        lap_cyl_ratio=lap_cyl_ratio,
         family="custom",
         hypothesis_flags=dict(hypothesis_flags or {}),
     )
-    if domain is Domain.PUNCTURED_DISK and lap_cyl_ratio is not None:
-        zs = np.exp(np.linspace(-8.0, -0.15, 40)) * np.exp(0.7j)
-        got = np.asarray(lap_cyl_ratio(zs), dtype=float)
-        want = np.asarray(lap_poincare_ratio(zs), dtype=float) / _log_L(zs) ** 2
-        if _rel_gap(got, want) > check_tol:
-            raise ValueError("inconsistent Laplacian densities between omega_P and omega_c")
+    if domain is Domain.PUNCTURED_DISK:
         _, ratio = shifted_cyl_weight(weight)
         want = polar_integral(lambda w: ratio(np.exp(1j * w)), _PROBE_LIFTS, 0.0, _PROBE_R, _euclid_weight,
                               _log_kernel(_PROBE_R))
@@ -236,18 +223,16 @@ def _phi_probe(weight: WeightModel, check_tol):
 
 
 def _check_cylindrical(weight: WeightModel):
-    """Raise DomainViolation unless the weight has a cylindrical side: the punctured disk and lap_cyl_ratio."""
+    """Raise DomainViolation unless the weight has a cylindrical side, which only the punctured disk has."""
     if weight.domain is not Domain.PUNCTURED_DISK:
         raise DomainViolation("cylindrical shift only applies on the punctured disk")
-    if weight.lap_cyl_ratio is None:
-        raise DomainViolation("weight lacks a cylindrical Laplacian density")
 
 
 def shifted_cyl_weight(weight: WeightModel):
     """psi = phi + 2 log log(1/|z|^2) with Delta psi = Delta phi - 4 omega_P.
 
     Returns (psi, ratio_cyl_of_psi), the cylindrical-side pair of the
-    puncture density.
+    puncture density, the ratio derived from lap_poincare_ratio.
     """
     _check_cylindrical(weight)
 

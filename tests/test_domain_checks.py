@@ -72,8 +72,7 @@ class Spy:
         sp = standard_puncture(2.0, 3.0)
         self.disk = custom_weight(self.counted(lambda w: np.abs(w) ** 2),
                                   self.counted(lambda w: 4.0 + np.abs(w) ** 2), Domain.DISK)
-        self.punct = custom_weight(self.counted(sp.phi), self.counted(sp.lap_poincare_ratio), Domain.PUNCTURED_DISK,
-                                   lap_cyl_ratio=self.counted(sp.lap_cyl_ratio))
+        self.punct = custom_weight(self.counted(sp.phi), self.counted(sp.lap_poincare_ratio), Domain.PUNCTURED_DISK)
         self.kernel = KernelSpec(self.counted(_KERNEL.evaluate), self.disk)
         self.pkernel = KernelSpec(self.counted(_KERNEL.evaluate), self.punct)
         self.calls.clear()

@@ -568,7 +568,8 @@ def test_windows_keep_the_pairs_on_their_edge():
 @pytest.mark.parametrize("seed, margin", [(1, 0.05), (4, 0.001)])
 def test_center_net_matches_the_pairwise_loop_on_its_candidates(monkeypatch, seed, margin):
     # uncapped, the net keeps past sequences._WINDOWED_FROM centers, so its
-    # greedy screens through the argument windows
+    # greedy screens through the argument windows; the sweeps' cap of one
+    # past CENTER_CAP screens its last center in blocks of its own
     greedy, seen = sequences._greedy_separated, []
 
     def recorded(cands, sep, limit):
@@ -577,7 +578,7 @@ def test_center_net_matches_the_pairwise_loop_on_its_candidates(monkeypatch, see
 
     monkeypatch.setattr(sequences, "_greedy_separated", recorded)
     pts = generate_lattice("hyperbolic-disk", 40, seed=seed, d=0.35, margin=margin).array()
-    for cap in (sequences.CENTER_CAP, 10 ** 6):
+    for cap in (sequences.CENTER_CAP, sequences.CENTER_CAP + 1, 10 ** 6):
         net = sequences.center_net(pts, 0.3, max_centers=cap)
         cands, sep, limit = seen.pop()
         assert net.tobytes() == _greedy_oracle(cands, sep, limit).tobytes()

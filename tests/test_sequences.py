@@ -870,15 +870,17 @@ def test_curved_sweep_node_budget(monkeypatch):
 
 
 def test_sequence_layer_mobius_call_budget(monkeypatch):
-    # the blocked pairwise kernels make 22, 4 and 52 _mobius calls here,
+    # the blocked pairwise kernels make 22, 5 and 52 _mobius calls here,
     # where one call per point or per center made 1 072, 662 and 2 999: a
     # per-point loop that comes back fails without any timing.  The
-    # argument windows evaluate 26 057, 7 043 and 118 521 pair distances,
+    # argument windows evaluate 26 057, 7 555 and 118 521 pair distances,
     # where screening every kept point evaluated 226 613, 74 518 (48 822
     # of them in the separation) and 2 374 765; and the lattice draws
     # 1 985 candidates in doubling chunks, where one chunk drew 4 097.
+    # classify's net screens one block of 8 candidates past its 64
+    # centers, 512 pairs, to tell that the cap cut it.
     # The separations take their pairs through sequences._mobius on
-    # either domain: 547 on the disk (in classify's 7 043 too), and 540
+    # either domain: 547 on the disk (in classify's 7 555 too), and 540
     # for the lattice without the origin on the punctured disk, where the
     # dense scan takes 48 589.  classify's numerators form their squared
     # distances through sequences._squared_norms instead, once per
@@ -911,7 +913,7 @@ def test_sequence_layer_mobius_call_budget(monkeypatch):
     calls.clear()
     pairs.clear()
     classify(lat, standard_disk(2.0))
-    assert len(calls) <= 1.25 * 4 and sum(pairs) <= 1.25 * 7043
+    assert len(calls) <= 1.25 * 5 and sum(pairs) <= 1.25 * 7555
     assert sum(squared) == 64 * 300
     calls.clear()
     pairs.clear()
@@ -992,7 +994,10 @@ def test_puncture_sweeps_evaluate_psi_on_few_points(monkeypatch):
 
     monkeypatch.setattr(sequences, "_lifted_points", lambda points: lifted.append(1) or lift(points))
     monkeypatch.setattr(weights, "lifted_translates", no_translates)
-    counted = replace(weight, phi=counted_phi, lap_cyl_ratio=lambda z: ratios.append(1) or weight.lap_cyl_ratio(z))
+    # the cylindrical density is derived from lap_poincare_ratio, so this
+    # counts both densities
+    counted = replace(weight, phi=counted_phi,
+                      lap_poincare_ratio=lambda z: ratios.append(1) or weight.lap_poincare_ratio(z))
     for n, calls in ((1, 3), (2, 2), (3, 2)):
         # one call per set of admissible radii
         lifted.clear()
@@ -1135,3 +1140,20 @@ def test_sweep_reports_center_cap_and_coverage():
     star = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
     sweep = density_sweep(star, standard_puncture(2.0, 3.0))
     assert (sweep.n_centers, sweep.coverage_radius, sweep.border_estimate) == (0, None, 0.0)
+
+
+@pytest.mark.parametrize("lattice, uncapped, cut", [
+    (dict(count=9, seed=15, margin=0.3), 64, False),    # a net that fills the cap exactly
+    (dict(count=100, seed=0, margin=0.02), 802, True),
+], ids=["full", "cut"])
+def test_the_cap_note_says_only_that_the_cap_cut_the_net(lattice, uncapped, cut):
+    lat = generate_lattice("hyperbolic-disk", lattice["count"], seed=lattice["seed"], d=0.35, margin=lattice["margin"])
+    net = center_net(lat.array(), 0.3, max_centers=10 ** 6)
+    assert net.size == uncapped
+    sweep = density_sweep(lat, standard_disk(2.0))
+    # the sweep's centers are the default net's, the first CENTER_CAP of the uncapped one
+    assert sweep.n_centers == CENTER_CAP
+    assert sweep._blocks[0].centers.tobytes() == center_net(lat.array(), 0.3).tobytes() == net[:CENTER_CAP].tobytes()
+    note = f"center net reached its cap of 64 centers; coverage radius {sweep.coverage_radius:.3f}"
+    assert sweep.notes == ((note,) if cut else ())
+    assert classify(SequenceSet(lat.points, lat.domain), standard_disk(2.0)).sweep.notes == sweep.notes

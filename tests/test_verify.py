@@ -103,8 +103,7 @@ def test_pj_rejects_a_punctured_disk_weight(z, r):
     # read residuals of 0.149, 0.122 and 0.038.  No sample is taken.
     sp = standard_puncture(2.0, 3.0)
     calls = []
-    spy = custom_weight(lambda w: calls.append(1) or sp.phi(w), sp.lap_poincare_ratio, Domain.PUNCTURED_DISK,
-                        sp.lap_cyl_ratio)
+    spy = custom_weight(lambda w: calls.append(1) or sp.phi(w), sp.lap_poincare_ratio, Domain.PUNCTURED_DISK)
     calls.clear()
     with pytest.raises(DomainViolation, match="punctured-disk metric"):
         poisson_jensen_residual(BlaschkeSpec((0.1 + 0.2j,)), spy, z, r)

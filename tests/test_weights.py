@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import spence
 
@@ -57,47 +58,58 @@ def test_standard_puncture_parameters_and_flags():
         standard_puncture(0.5, 3.0)
 
 
-def test_standard_puncture_density_consistency():
-    # ratio_c must equal ratio_P / L^2 on a radial grid
-    w = standard_puncture(2.5, 3.0)
-    z = np.exp(np.linspace(-6.0, -0.2, 30)) * np.exp(0.3j)
-    L2 = np.log(1.0 / np.abs(z) ** 2) ** 2
-    assert np.max(np.abs(w.lap_cyl_ratio(z) - w.lap_poincare_ratio(z) / L2)) < 1e-12
+def _standard_puncture_cyl_ratio(z, s, t):
+    """Delta phi / omega_c of standard_puncture(s, t), in the closed form the weight once carried."""
+    r2 = np.abs(z) ** 2
+    return 2.0 * s * r2 / (1.0 - r2) ** 2 + 2.0 * t / np.log(1.0 / r2) ** 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(1.0, 8.0, exclude_min=True), t=st.floats(2.0, 8.0),
+       re=st.floats(0.0, 2.0 * math.pi), im=st.floats(1e-9, 300.0))
+def test_standard_puncture_density_consistency(s, t, re, im):
+    # the cylindrical density is derived, ratio_P / L^2: it matches the
+    # closed form at points whose lift re + i im reaches from the rim to
+    # deep in the cusp
+    z = np.exp(1j * np.array([complex(re, im)]))
+    got = standard_puncture(s, t).lap_cyl_ratio(z)
+    assert got == pytest.approx(_standard_puncture_cyl_ratio(z, s, t), rel=1e-14, abs=0.0)
 
 
 def test_custom_weight_consistency_check():
-    # phi = -1.5 log log(1/|z|^2) has Delta phi = 3 omega_P
+    # phi = -1.5 log log(1/|z|^2) has Delta phi = 3 omega_P = 3 / L^2 omega_c
     phi = lambda z: -1.5 * np.log(np.log(1.0 / np.abs(z) ** 2))
-    good_p = lambda z: np.full(np.shape(z), 3.0)
-    good_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2) ** 2
-    custom_weight(phi, good_p, Domain.PUNCTURED_DISK, good_c)
-    bad_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2)
-    with pytest.raises(ValueError):
-        custom_weight(phi, good_p, Domain.PUNCTURED_DISK, bad_c)
+    weight = custom_weight(phi, lambda z: np.full(np.shape(z), 3.0), Domain.PUNCTURED_DISK)
+    z = np.exp(np.linspace(-6.0, -0.2, 30)) * np.exp(0.3j)
+    np.testing.assert_allclose(weight.lap_cyl_ratio(z), 3.0 / np.log(1.0 / np.abs(z) ** 2) ** 2, rtol=1e-15)
 
 
-@pytest.mark.parametrize("phi", [
-    lambda z: np.abs(z) ** 2,                               # densities 3 and 3/L^2 do not belong to it
-    lambda z: -1.4 * np.log(np.log(1.0 / np.abs(z) ** 2)),  # nor to a curvature 2.8 omega_P
-], ids=["abs2", "t=1.4"])
-def test_custom_weight_rejects_a_phi_that_does_not_match_its_densities(phi):
-    # the puncture denominators come from phi alone, so phi is checked too
-    good_p = lambda z: np.full(np.shape(z), 3.0)
-    good_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2) ** 2
+_SP = standard_puncture(2.0, 3.0)
+
+
+@pytest.mark.parametrize("phi, ratio", [
+    (lambda z: np.abs(z) ** 2, lambda z: np.full(np.shape(z), 3.0)),  # the curvature 3 omega_P is not its own
+    (lambda z: -1.4 * np.log(np.log(1.0 / np.abs(z) ** 2)),          # nor its 2.8 omega_P
+     lambda z: np.full(np.shape(z), 3.0)),
+    (lambda z: 0.0 * np.abs(z), _SP.lap_poincare_ratio),             # phi = 0 with standard_puncture's density
+], ids=["abs2", "t=1.4", "zero"])
+def test_custom_weight_rejects_a_phi_that_does_not_match_its_densities(phi, ratio):
+    # the puncture denominators come from phi alone, so every punctured
+    # weight's phi is checked against its one density
     with pytest.raises(ValueError, match="phi does not match"):
-        custom_weight(phi, good_p, Domain.PUNCTURED_DISK, good_c)
+        custom_weight(phi, ratio, Domain.PUNCTURED_DISK)
 
 
 @pytest.mark.parametrize("domain", [Domain.DISK, Domain.PUNCTURED_DISK])
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, 0.0])
 def test_custom_weight_needs_a_positive_finite_check_tol(tol, domain):
-    # NaN and inf once accepted the inconsistent densities below on the
-    # punctured disk, and a negative tolerance rejected every weight there
-    phi = lambda z: -1.5 * np.log(np.log(1.0 / np.abs(z) ** 2))
+    # NaN and inf would accept the phi below, which does not match its
+    # density, on the punctured disk, and a negative tolerance would reject
+    # every weight there
+    phi = lambda z: np.abs(z) ** 2
     good_p = lambda z: np.full(np.shape(z), 3.0)
-    bad_c = lambda z: 3.0 / np.log(1.0 / np.abs(z) ** 2)
     with pytest.raises(ValueError, match="check_tol"):
-        custom_weight(phi, good_p, domain, bad_c, check_tol=tol)
+        custom_weight(phi, good_p, domain, check_tol=tol)
 
 
 def test_the_disk_check_evaluates_phi_and_its_ratio_on_few_points():
@@ -130,12 +142,18 @@ def test_a_disk_weight_whose_check_cannot_be_evaluated_still_constructs(phi):
     assert not weight.phi_matches_curvature
 
 
-def test_a_wrapped_standard_puncture_weight_gives_its_denominators_bit_for_bit():
-    sp = standard_puncture(2.0, 3.0)
-    wrapped = custom_weight(sp.phi, sp.lap_poincare_ratio, Domain.PUNCTURED_DISK, sp.lap_cyl_ratio)
-    seq = generate_lattice("puncture-exponential", 30, s=1.0, n=2)
-    want = [rep.denominator for rep in density_sweep(seq, sp).reports]
-    assert [rep.denominator for rep in density_sweep(seq, wrapped).reports] == want
+_WRAPPED_SEQ = generate_lattice("puncture-exponential", 30, s=1.0, n=2)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(1.0, 4.0, exclude_min=True), t=st.floats(2.0, 5.0))
+def test_a_wrapped_standard_puncture_weight_gives_its_denominators_bit_for_bit(s, t):
+    # phi and its one density make the weight: custom_weight derives the
+    # cylindrical density it checks phi against
+    sp = standard_puncture(s, t)
+    wrapped = custom_weight(sp.phi, sp.lap_poincare_ratio, Domain.PUNCTURED_DISK)
+    want = [rep.denominator for rep in density_sweep(_WRAPPED_SEQ, sp).reports]
+    assert [rep.denominator for rep in density_sweep(_WRAPPED_SEQ, wrapped).reports] == want
 
 
 def test_curvature_masses_take_one_array_shape_with_rows_of_their_own():
@@ -162,6 +180,8 @@ def test_shifted_cyl_weight():
     assert ratio(z)[0] == pytest.approx(w.lap_cyl_ratio(z)[0] - 4.0 / L**2, rel=1e-12)
     with pytest.raises(DomainViolation):
         shifted_cyl_weight(standard_disk(2.0))
+    with pytest.raises(DomainViolation):
+        standard_disk(2.0).lap_cyl_ratio(z)
 
 
 def test_log_mean_disk_constants_and_harmonics():
@@ -319,8 +339,10 @@ def test_a_ring_across_the_reflection_line_reflects_node_by_node():
     (1.0 + 5000.0j, [10.0, 2000.0, 4900.0]),   # far past e^-rho's normal range, above the line
 ])
 def test_cover_samples_are_finite_where_the_direct_formula_is(q, radii):
+    # the shifted cylindrical density in closed form, which reads 0 where
+    # |z|^2 underflows; the derived one reads 0 * inf = NaN there
     eps = 0.1
-    psi = shifted_cyl_weight(standard_puncture(2.0, 3.0))[1]
+    psi = lambda z: _standard_puncture_cyl_ratio(z, 2.0, 3.0) - 4.0 / np.log(1.0 / np.abs(z) ** 2) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         w, z, samples = _cover_samples(_lift_block(q, radii), psi, eps)
         direct = np.exp(1j * np.where(w.imag > eps, w, np.conjugate(w) + 2j * eps))
