@@ -69,9 +69,10 @@ the exponential cover, where the puncture denominators take it
 (weights._puncture_denominators) on uniform angles, and phi_q on the
 disk, where the border denominators take it (weights._phi_masses) on
 Mobius-balanced angles; both are the denominators of the one density
-quotient (sequences._Side.denominators), one loop per radius over all
-its centers.  Either integrand is real-analytic on its circles, so the
-trapezoid rule converges geometrically.
+quotient (sequences._Side.denominators), one loop per radius: on the
+disk over all the centers, on the cover over the lifts that radius
+admits (weights._admissible).  Either integrand is real-analytic on its
+circles, so the trapezoid rule converges geometrically.
 """
 
 from __future__ import annotations

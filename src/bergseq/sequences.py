@@ -22,8 +22,8 @@ from .errors import BergseqError, DomainViolation, WindowViolation
 from .geometry import (Domain, TWO_PI, _check_domain, _check_finite, _cylindrical, _finite_lift, _hyperbolic,
                        _mobius, _one_minus_abs2)
 from .quadrature import _BLOCK_NODES, _BORDER_RADII, _PUNCTURE_RADII, _check_radius, c_r_cyl, c_r_disk
-from .weights import WeightModel
-from .weights import _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators, _span, _window
+from .weights import (WeightModel, _admissible, _curvature_masses, _lifted_points, _phi_masses, _puncture_denominators,
+                      _span, _window)
 
 BORDER_R_GRID = (0.90, 0.95, 0.975, 0.99)
 PUNCTURE_R_GRID = (4.0, 8.0, 16.0)
@@ -34,6 +34,8 @@ DEFAULT_SPLIT = 0.5
 SEPARATION_FLOOR = 1e-6
 # Random candidates generate_lattice("hyperbolic-disk", ...) draws.
 _CANDIDATES = 20000
+# The keywords of each generate_lattice kind: the one it needs, then the optional one.
+_LATTICE_KEYWORDS = {"hyperbolic-disk": ("d", "margin"), "puncture-exponential": ("s", "n")}
 
 
 @dataclass(frozen=True)
@@ -411,9 +413,8 @@ class _Side:
     _capped_net, on the cover the points' own lifts (a net of the cover,
     or cells that bracket the sup, would replace it alone).  admits(centers, radii)
     is the (center, radius) mask of the quotients a sweep takes (on the
-    cover, _admissible), or None where it takes every one (the disk); a
-    center's admitted radii are the grid's radii below a bound, so their
-    count names them.
+    cover, weights._admissible), or None where it takes every one (the
+    disk).
     """
 
     kind: str
@@ -568,15 +569,6 @@ def border_density_ratio(seq, weight: WeightModel, z, r) -> DensityReport:
     return _report(_BORDER, pts, weight, z, r)
 
 
-def _admissible(q, r):
-    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + 1.
-
-    D_r(q) then stays a unit above the real axis, in the part of the cover
-    where the limsup at the puncture is taken.
-    """
-    return q.imag > r + 1.0
-
-
 def puncture_density_ratio(seq, weight: WeightModel, q, r) -> DensityReport:
     """Cylindrical density quotient at a lift q of the center.
 
@@ -588,10 +580,10 @@ def puncture_density_ratio(seq, weight: WeightModel, q, r) -> DensityReport:
     cover, computed as 2 pi times the mean of psi(e^{iw}) - psi(e^{iq})
     over the circle |w - q| = r (see weights._puncture_denominators).  It
     is the sweep's quotient at one lift and radius (see _numerators) bit
-    for bit, and takes the lifts a density sweep takes, Im q > r + 1 (see
-    _admissible): any other raises WindowViolation before any sampling;
-    DomainViolation if q is not finite, or so deep that psi is not finite
-    on the circle.
+    for bit, and takes the lifts a density sweep takes, Im q > r + 1
+    (see weights._admissible): any other raises WindowViolation before
+    any sampling; DomainViolation if q is not finite, or so deep that psi
+    is not finite on the circle.
     """
     _check_radius(r, _PUNCTURE_RADII, "puncture quotient")
     q = complex(_check_finite(q, "the lift q"))
@@ -754,13 +746,10 @@ class _Part:
 
     centers are the part's swept centers, admits their (center, radius)
     mask (None where every center admits every radius; see _Side),
-    numerators the (center, radius) numerators where admitted, and
-    nearest each prepared point's least distance to a center (see
-    _numerators).  groups holds the (cells, centers, columns) of each
-    _numerators and side.denominators call: the centers that admit the
-    same radii, the index of the cells they fill, and the grid columns of
-    their radii.  cut is whether a cap cut the centers.  The arrays of
-    centers, numerators and distances are read-only.
+    numerators the (center, radius) numerators of one _numerators call,
+    read only where admitted, and nearest each prepared point's least
+    distance to a center.  cut is whether a cap cut the centers.  The
+    arrays of centers, numerators and distances are read-only.
     """
 
     side: _Side
@@ -768,7 +757,6 @@ class _Part:
     admits: Optional[np.ndarray]
     numerators: np.ndarray
     nearest: np.ndarray
-    groups: tuple
     cut: bool
 
 
@@ -826,6 +814,8 @@ def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
     """The _Part of one side's points: the given centers, else the side's own, and their numerators.
 
     The grid is checked first: it must hold a radius, each in side.radii.
+    One _numerators call takes every center and radius; a cell that is
+    not admitted is computed but never read.
     """
     if not grid:
         raise DomainViolation(f"the r grid has no radius for the {side.kind} part")
@@ -834,26 +824,10 @@ def _sweep_part(side: _Side, pts, given, grid, mesh) -> _Part:
     ctrs, cut = side.centers(pts, mesh) if given is None else (given, False)
     # a copy, made read-only below: a patched or traced center_net may keep the array it returns
     ctrs = np.array(ctrs, dtype=complex)
-    admits = side.admits(ctrs, grid)
-    if admits is None:
-        # one call, and no cell indexed
-        groups = [((slice(None), slice(None)), ctrs, range(len(grid)))]
-    else:
-        # the centers with the same admitted radii share their calls; those
-        # are the radii of the grid below a bound, so their count names them
-        counts = admits.sum(axis=1)
-        groups = []
-        for count in sorted(set(counts.tolist()) - {0}):
-            ks = np.flatnonzero(counts == count)
-            cols = np.flatnonzero(admits[ks[0]]).tolist()
-            groups.append(((ks[:, None], cols), ctrs[ks], cols))
-    numers, nearest = np.empty((ctrs.size, len(grid))), np.full(len(pts), math.inf)
-    for cells, centers, cols in groups:
-        numers[cells], near = _numerators(side, pts, centers, [grid[j] for j in cols])
-        np.minimum(nearest, near, out=nearest)
-    for a in (ctrs, numers, nearest, *(centers for _, centers, _ in groups)):
+    numers, nearest = _numerators(side, pts, ctrs, grid)
+    for a in (ctrs, numers, nearest):
         a.flags.writeable = False
-    return _Part(side, ctrs, admits, numers, nearest, tuple(groups), cut)
+    return _Part(side, ctrs, side.admits(ctrs, grid), numers, nearest, cut)
 
 
 def _sequence_half(seq: SequenceSet, grids, given, mesh, split_a) -> _SequenceHalf:
@@ -869,9 +843,9 @@ def _sequence_half(seq: SequenceSet, grids, given, mesh, split_a) -> _SequenceHa
     half = seq._sweep_half
     if half is not None and half.key == key:
         return half
-    # a punctured-disk part with no points is not swept; explicit centers go to the border part only
+    # a punctured-disk part with no points is swept only if it is the border part and centers are given
     border, star = _split(seq, split_a)
-    parts = ((_BORDER, border.array(), given) if star is None or len(border) else None,
+    parts = ((_BORDER, border.array(), given) if star is None or len(border) or given is not None else None,
              (_PUNCTURE, star.array(), None) if star else None)
     swept = tuple(None if part is None else _sweep_part(*part, grid, mesh) for part, grid in zip(parts, grids))
     n_centers, coverage_radius, notes = 0, None, ()
@@ -900,9 +874,7 @@ def _weight_half(domain, half: _SequenceHalf, weight: WeightModel, grids) -> Swe
             # an empty punctured-disk part estimates 0; the disk has no puncture part
             estimates[kind] = (None if domain is Domain.DISK else 0.0, True)
             continue
-        denoms = np.empty((part.centers.size, len(grid)))
-        for cells, centers, cols in part.groups:
-            denoms[cells] = part.side.denominators(weight, centers, [grid[j] for j in cols])
+        denoms = part.side.denominators(weight, part.centers, grid)
         # one block per radius with centers (views where every center admits
         # every radius); the estimate is the sup of the nondegenerate
         # quotients at the largest such radius, and 0 where every one is
@@ -1106,10 +1078,16 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
     kind "puncture-exponential": {e^{-k s} e^{2 pi i j / n}} ordered by k;
     raises ValueError unless every ring e^{-k s}, k = 1 .. ceil(count / n),
     lies strictly between 0 and 1 in floating point.
-    count must be an integer >= 0; anything else raises ValueError.
+    count must be an integer >= 0; anything else raises ValueError, and
+    so does a missing d or s, or a keyword that the kind does not take.
     """
     if not isinstance(count, numbers.Integral) or count < 0:
         raise ValueError(f"the point count must be an integer >= 0, got {count!r}")
+    if kind not in _LATTICE_KEYWORDS:
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    need, other = _LATTICE_KEYWORDS[kind]
+    if need not in kw or not set(kw) <= {need, other}:
+        raise ValueError(f"a {kind} lattice needs the keyword {need!r} and takes {other!r} besides, got {sorted(kw)}")
     if kind == "hyperbolic-disk":
         d = kw["d"]
         margin = kw.get("margin", 0.05)
@@ -1126,16 +1104,14 @@ def generate_lattice(kind, count, seed=0, **kw) -> SequenceSet:
                 f" (d = {d}, margin = {margin})"
             )
         return SequenceSet(tuple(chosen), Domain.DISK, f"hyperbolic-disk d={d}")
-    if kind == "puncture-exponential":
-        s = kw["s"]
-        n = kw.get("n", 1)
-        # neither the first ring nor the deepest, k = ceil(count / n), may round to 1 or 0
-        if not (s > 0 and isinstance(n, numbers.Integral) and n >= 1
-                and math.exp(-s) < 1.0 and math.exp(-max(1, -(-count // n)) * s) > 0.0):
-            raise ValueError(f"need s > 0 and an integer n >= 1, with every ring e^(-k s), k <= ceil(count / n),"
-                             f" strictly between 0 and 1, got s = {s!r}, n = {n!r}")
-        # point i lies on ring k = i // n + 1 and ray j = i % n
-        pts = [math.exp(-(i // n + 1) * s) * complex(math.cos(TWO_PI * (i % n) / n), math.sin(TWO_PI * (i % n) / n))
-               for i in range(count)]
-        return SequenceSet(tuple(pts), Domain.PUNCTURED_DISK, f"puncture-exponential s={s} n={n}")
-    raise ValueError(f"unknown lattice kind {kind!r}")
+    s = kw["s"]
+    n = kw.get("n", 1)
+    # neither the first ring nor the deepest, k = ceil(count / n), may round to 1 or 0
+    if not (s > 0 and isinstance(n, numbers.Integral) and n >= 1
+            and math.exp(-s) < 1.0 and math.exp(-max(1, -(-count // n)) * s) > 0.0):
+        raise ValueError(f"need s > 0 and an integer n >= 1, with every ring e^(-k s), k <= ceil(count / n),"
+                         f" strictly between 0 and 1, got s = {s!r}, n = {n!r}")
+    # point i lies on ring k = i // n + 1 and ray j = i % n
+    pts = [math.exp(-(i // n + 1) * s) * complex(math.cos(TWO_PI * (i % n) / n), math.sin(TWO_PI * (i % n) / n))
+           for i in range(count)]
+    return SequenceSet(tuple(pts), Domain.PUNCTURED_DISK, f"puncture-exponential s={s} n={n}")

@@ -268,14 +268,24 @@ def _cover_psi(weight: WeightModel):
 _U_ROUNDING = 64.0 * np.finfo(float).eps
 
 
+def _admissible(q, r):
+    """Whether the puncture quotient at the lift q and radius r is taken: Im q > r + 1.
+
+    D_r(q) then stays a unit above the real axis, in the part of the cover
+    where the limsup at the puncture is taken.
+    """
+    return q.imag > r + 1.0
+
+
 def _puncture_denominators(weight: WeightModel, lifts, radii):
     """The puncture denominators 2 pi mean [U - U(q)] on |w - q| = r (see _cover_psi): lifts q by radii r.
 
-    One circle-mean loop per radius serves all the lifts.  A sweep's
-    circles lie in Im w > 1, where U is real-analytic, so the trapezoid
-    rule converges geometrically.  A lift that is not finite, or so deep
-    that U is not finite on its circle (past Im w of about 354 for the
-    standard weights), raises DomainViolation naming it.
+    Each radius runs one circle-mean loop over the lifts it admits
+    (_admissible), none if it admits none, and the other cells are NaN.
+    The admitted circles lie in Im w > 1, where U is real-analytic, so the
+    trapezoid rule converges geometrically.  A lift that is not finite, or
+    an admitted one so deep that U is not finite on its circle (past Im w
+    of about 354 for the standard weights), raises DomainViolation naming it.
 
     U = phi + 2 log(2 Im w) can cancel to far below its terms: under
     standard_puncture(s, 2) only s e^{-2 Im w} is left deep in the cusp.
@@ -285,8 +295,14 @@ def _puncture_denominators(weight: WeightModel, lifts, radii):
     """
     U = _cover_psi(weight)
     lifts = _check_finite(lifts, "lift")
-    floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * lifts))) + np.abs(2.0 * np.log(2.0 * lifts.imag)))
-    return np.transpose([TWO_PI * _circle_means(U, lifts, r, DEFAULT_RULE, "lift", floor) for r in radii])
+    denoms = np.full((lifts.size, len(radii)), math.nan)
+    for j, r in enumerate(radii):
+        ks = np.flatnonzero(_admissible(lifts, r))
+        if ks.size:
+            qs = lifts[ks]
+            floor = _U_ROUNDING * (np.abs(weight.phi(np.exp(1j * qs))) + np.abs(2.0 * np.log(2.0 * qs.imag)))
+            denoms[ks, j] = TWO_PI * _circle_means(U, qs, r, DEFAULT_RULE, "lift", floor)
+    return denoms
 
 
 def _nested_kernel(radii):

@@ -272,16 +272,19 @@ def test_vector_center_equals_the_scalar_calls_bit_for_bit(offsets, r, frac):
 
 @PROPS
 @given(st.lists(lift_offset, min_size=1, max_size=5), st.lists(st.floats(1.5, 20.0), min_size=1, max_size=3, unique=True))
-# a repeated lift, and lifts whose disks just clear Im w = r + 1
-@example([(0.0, 0.0), (1.0, 2.0), (0.0, 0.0)], [4.0, 2.0])
-# the default grid, whose windows run over |k| <= 2, 3 and 4
-@example([(0.5, 0.0), (3.0, 1.0)], [4.0, 8.0, 16.0])
+# a repeated lift on Im w = r + 1, which admits no radius, and a lift
+# whose disks just clear Im w = r + 1
+@example([(0.0, 1.0), (1.0, 3.0 + 1e-9), (0.0, 1.0)], [4.0, 2.0])
+# the default grid, whose windows run over |k| <= 2, 3 and 4, with two
+# lifts that admit every radius and one that admits r = 4 only
+@example([(0.5, 13.0 + 1e-9), (3.0, 14.0), (1.0, 5.0)], [4.0, 8.0, 16.0])
 def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offsets, radii):
     # each lift's quotients are those of its own call, whichever lifts
     # share the batch, and each radius's are those of its own call, whose
-    # window is the middle of the widest radius's; admissible: Im q > max r + 1
+    # window is the middle of the widest radius's; a denominator is taken
+    # where Im q > r + 1, and is NaN elsewhere
     radii = tuple(sorted(radii))
-    lifts = np.array([complex(x, radii[-1] + 1.0 + 1e-9 + h) for x, h in offsets])
+    lifts = np.array([complex(x, radii[0] + h) for x, h in offsets])
     points = np.exp(-np.arange(1.0, 12.0)) * np.exp(0.3j * np.arange(11))
     weight = standard_puncture(2.0, 3.0)
 
@@ -292,9 +295,13 @@ def test_batched_puncture_quotients_equal_the_single_lift_calls_bit_for_bit(offs
                           _PUNCTURE.denominators(weight, lifts, radii)))
 
     got = quotients(lifts, radii)
+    admitted = lifts.imag[:, None] > np.array(radii) + 1.0
+    assert np.array_equal(np.isnan(got[:, len(radii):]), ~admitted)
     assert got.tobytes() == np.vstack([quotients([q], radii) for q in lifts]).tobytes()
     for j, r in enumerate(radii):
         assert got[:, [j, len(radii) + j]].tobytes() == quotients(lifts, (r,)).tobytes()
+    for k, j in zip(*np.nonzero(admitted)):
+        assert got[k, [j, len(radii) + j]].tobytes() == quotients([lifts[k]], (radii[j],)).tobytes()
 
 
 @PROPS
@@ -310,6 +317,7 @@ def test_sweep_takes_exactly_the_star_lifts_with_im_q_above_r_plus_1(s, n, count
     sweep = density_sweep(star, standard_puncture(2.0, 3.0))
     got = {(rep.center, rep.radius) for rep in sweep.reports}
     assert all(rep.kind == "puncture" and rep.center.imag > rep.radius + 1.0 for rep in sweep.reports)
+    assert all(math.isfinite(rep.denominator) for rep in sweep.reports)
     lifts = np.atleast_1d(lift_value(star.array()))
     assert got == {(complex(q), r) for q in lifts for r in PUNCTURE_R_GRID if q.imag > r + 1.0}
     assert len(got) == len(sweep.reports)

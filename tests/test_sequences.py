@@ -310,6 +310,14 @@ def test_generate_lattice_examples():
     assert len(generate_lattice("puncture-exponential", 4, s=250.0, n=2)) == 4
     with pytest.raises(ValueError):
         generate_lattice("moebius-strip", 5)
+    # a keyword the kind does not take was once dropped, and a missing d
+    # or s raised a bare KeyError
+    for kind, kw, got in (("hyperbolic-disk", {"d": 0.3, "mesh": 0.9}, "['d', 'mesh']"),
+                          ("hyperbolic-disk", {"margin": 0.1}, "['margin']"),
+                          ("puncture-exponential", {"s": 1.0, "d": 0.3}, "['d', 's']"),
+                          ("puncture-exponential", {"n": 2}, "['n']")):
+        with pytest.raises(ValueError, match=f"a {kind} lattice needs the keyword .* got {re.escape(got)}$"):
+            generate_lattice(kind, 5, **kw)
     with pytest.raises(BergseqError, match="asked for 30 points, placed 12"):
         generate_lattice("hyperbolic-disk", 30, seed=3, d=0.5, margin=0.3)
 
@@ -573,6 +581,19 @@ def test_density_sweep_explicit_grid_errors():
     star_only = generate_lattice("puncture-exponential", 10, s=1.0, n=1)
     with pytest.raises(DomainViolation, match="puncture"):
         density_sweep(star_only, standard_puncture(2.0, 3.0), r_grid=(0.9,))
+
+
+def test_explicit_centers_sweep_an_empty_border_part():
+    # every point of this lattice lies inside the split, so its border part
+    # is empty; explicit centers were once dropped there, and the sweep
+    # equalled the one without them, with n_centers 0
+    seq = generate_lattice("puncture-exponential", 10, s=1.0, n=2)
+    weight = standard_puncture(2.0, 3.0)
+    sweep = density_sweep(seq, weight, centers=[0.9, 0.5j])
+    assert sweep != density_sweep(seq, weight) and sweep.n_centers == 2
+    border = [rep for rep in sweep.reports if rep.kind == "border"]
+    assert {rep.center for rep in border} == {0.9, 0.5j}
+    assert len(border) == 2 * len(BORDER_R_GRID) and all(rep.numerator == 0.0 for rep in border)
 
 
 def test_density_sweep_rejects_empty_center_list():
@@ -998,11 +1019,11 @@ def test_puncture_sweeps_evaluate_psi_on_few_points(monkeypatch):
     # counts both densities
     counted = replace(weight, phi=counted_phi,
                       lap_poincare_ratio=lambda z: ratios.append(1) or weight.lap_poincare_ratio(z))
-    for n, calls in ((1, 3), (2, 2), (3, 2)):
-        # one call per set of admissible radii
+    for n in (1, 2, 3):
+        # one numerator call for all the lifts and radii
         lifted.clear()
         classify(generate_lattice("puncture-exponential", 30, s=1.0, n=n), counted)
-        assert len(lifted) == calls
+        assert len(lifted) == 1
     assert sum(nodes) <= 1.25 * 7258 and ratios == []
 
 
